@@ -14,7 +14,7 @@ conditions on demand instead of only simulating the happy path:
 * :class:`FaultInjector` is the runtime half: it hangs off the simulator
   (``sim.faults``) and is consulted by the transport hooks in
   :mod:`repro.hpc.link`, :mod:`repro.hpc.nic`, :mod:`repro.snet.bus`,
-  :mod:`repro.snet.fifo` and the VORX channel stop-and-wait path.
+  :mod:`repro.snet.fifo` and the VORX channel watchdog.
 
 With no plan attached, every hook is a single ``is None`` check and the
 simulation is bit-identical to an uninstrumented run.  Injected losses

@@ -16,7 +16,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.injector import FaultInjector
 
 #: Message kinds whose loss the VORX channel layer can recover from
-#: (stop-and-wait retransmission); link-level drop/corrupt/duplicate
+#: (go-back-N retransmission); link-level drop/corrupt/duplicate
 #: default to these so protocols without recovery stay unharmed.
 DEFAULT_FAULTABLE_KINDS: tuple[str, ...] = ("channel-data", "channel-ack")
 
@@ -110,12 +110,12 @@ class FaultPlan:
         Optional global cap on injected faults (crash isolation drops are
         not counted against it).
     channel_retry_timeout_us:
-        Ack watchdog period for the VORX stop-and-wait path, armed only
+        Period of the VORX channel watchdog (one per write), armed only
         while a plan is attached.
     kinds:
         Message kinds eligible for link-level drop/corrupt/delay/
-        duplicate (default: channel data + ack, the kinds the stop-and-
-        wait machinery can recover).
+        duplicate (default: channel data + ack, the kinds the channel
+        retransmission machinery can recover).
     """
 
     _FIELDS = (

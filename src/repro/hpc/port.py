@@ -44,16 +44,6 @@ class BufferedInput:
         """Claim one whole-message buffer; fires when granted (FIFO)."""
         return self._credits.acquire()
 
-    @property
-    def credits(self) -> Semaphore:
-        """The credit semaphore guarding the buffers.
-
-        Exposed so an upstream link can fuse its request-dequeue with
-        the buffer reservation (:meth:`repro.sim.resources.Store.get_with`)
-        when both are immediately satisfiable.
-        """
-        return self._credits
-
     def deliver(self, packet: "Packet") -> None:
         """Place a message in a previously reserved buffer."""
         # The Store's deque is read directly here and in ``free``/

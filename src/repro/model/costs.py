@@ -186,18 +186,6 @@ class CostModel:
     chan_pressure_threshold: float = 0.75
 
     # ------------------------------------------------------------------
-    # Engine-level wakeup coalescing (simulation optimisation, no
-    # simulated-time effect beyond event ordering)
-    # ------------------------------------------------------------------
-    #: When True, a link pump whose next request *and* downstream buffer
-    #: credit are both immediately available consumes them synchronously
-    #: -- one engine event per hop instead of three.  Off by default: the
-    #: coalesced schedule is observably equivalent but not bit-identical
-    #: in ``(time, priority, seq)`` order, and the determinism goldens pin
-    #: the uncoalesced order.
-    link_coalesce_wakeups: bool = False
-
-    # ------------------------------------------------------------------
     # User-defined communications objects (Section 4.1)
     # ------------------------------------------------------------------
     #: Application writing the device registers directly to launch a
@@ -349,14 +337,13 @@ class CostModel:
         )
 
     def batched(
-        self, window: int = 8, coalesce_wakeups: bool = True
+        self, window: int = 8
     ) -> "CostModel":
         """A model with the batched large-write path enabled.
 
         ``window`` is the number of in-flight fragments a large write may
-        pipeline (:attr:`chan_batch_window`); ``coalesce_wakeups`` also
-        turns on the engine-level link-pump wakeup coalescing.  All
-        calibrated timing constants are unchanged.
+        pipeline (:attr:`chan_batch_window`).  All calibrated timing
+        constants are unchanged.
         """
         if window < 1:
             raise ValueError(f"batch window must be >= 1, got {window}")
@@ -364,20 +351,18 @@ class CostModel:
             self,
             chan_batch_window=window,
             chan_window_adaptive=False,
-            link_coalesce_wakeups=coalesce_wakeups,
         )
 
     def unbatched(self) -> "CostModel":
         """The paper-faithful stop-and-wait model (one in-flight fragment).
 
         This is what every Table 1/Table 2 calibration uses; the
-        determinism goldens pin its uncoalesced event order.
+        determinism goldens pin its event order.
         """
         return replace(
             self,
             chan_batch_window=1,
             chan_window_adaptive=False,
-            link_coalesce_wakeups=False,
         )
 
     def adaptive(
@@ -391,7 +376,6 @@ class CostModel:
         rtt_alpha: float = 0.125,
         rtt_inflation: float = 2.0,
         pressure: float = 0.75,
-        coalesce_wakeups: bool = True,
     ) -> "CostModel":
         """A model with the AIMD adaptive batched window enabled.
 
@@ -417,7 +401,6 @@ class CostModel:
             chan_rtt_alpha=rtt_alpha,
             chan_rtt_inflation=rtt_inflation,
             chan_pressure_threshold=pressure,
-            link_coalesce_wakeups=coalesce_wakeups,
         )
 
     def scaled(self, factor: float) -> "CostModel":

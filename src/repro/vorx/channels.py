@@ -3,10 +3,19 @@
 Paper Sections 3.2 and 4: a channel has an arbitrary name; two processes
 rendezvous by opening the same name (the open is handled by the object
 manager responsible for that name).  Data moves with read/write calls
-under a **stop-and-wait** protocol: the writer's kernel sends the data and
+under one acknowledged protocol: the writer's kernel sends the data and
 blocks the writer until the receiving kernel acknowledges.  If the
 receiver has no side-buffer space (rare -- "the kernel has many side
 buffers"), it requests retransmission once space frees.
+
+A write is a window of in-flight fragments.  The paper's
+**stop-and-wait** is a window of one (every single-fragment write, and
+every write under :meth:`~repro.model.costs.CostModel.unbatched`); a
+*batched* multi-fragment write keeps a fixed window or an AIMD window
+(:meth:`~repro.model.costs.CostModel.adaptive`) in flight on the same
+state machine -- a fixed window is AIMD with grow and shrink turned off.
+Acks are cumulative, retransmission is go-back-N, and one timeout
+watchdog per write backs up loss recovery under fault plans.
 
 There are also the specialised calls the paper describes: *multiplexed
 read* (block until data arrives on any of several channels) and server
@@ -57,23 +66,30 @@ class ChannelEndpoint:
         self.reader_event: Optional["Event"] = None
         #: Endpoints sharing the reader event (multiplexed read group).
         self.read_group: Optional[list["ChannelEndpoint"]] = None
-        #: Event the blocked writer waits on (stop-and-wait ack).
+        #: Event the blocked writer waits on (a window slot, or the final
+        #: drain of the window).
         self.writer_event: Optional["Event"] = None
-        #: Unacknowledged in-flight fragment kept for retransmission:
-        #: ``(size, payload, xfer)``.
-        self.unacked: Optional[tuple[int, Any, int]] = None
         #: Next outgoing transfer id (stamps each fragment so the peer
         #: can discard duplicates created by faults or retransmission).
         self.next_xfer = 0
         #: Highest transfer id delivered from the peer (duplicate filter).
         self.last_xfer = -1
-        #: True if we dropped a data message and owe the peer a RETRY.
-        self.starved_peer = False
-        #: In-flight unacknowledged fragments of a *batched* write, keyed
-        #: by transfer id (insertion order == transfer order):
-        #: ``(size, payload, sent_at)``.  ``sent_at`` feeds the adaptive
+        #: In-flight unacknowledged fragments of the current write, keyed
+        #: by transfer id: ``(size, payload, sent_at)``.  Fragments are
+        #: retired oldest first, so the keys are always the contiguous
+        #: run ending at ``next_xfer - 1`` and the oldest entry is
+        #: ``next_xfer - len(window)``.  ``sent_at`` feeds the adaptive
         #: window's ack-RTT estimator and the watchdog's age gate.
         self.window: dict[int, tuple[int, Any, float]] = {}
+        #: True for the whole duration of a write -- spans the moments
+        #: when the window is empty between fragments, so the busy check
+        #: sees one write, not many.
+        self.writing = False
+        #: True while the current write is *batched*: more than one
+        #: fragment under a window that may exceed one.  It selects the
+        #: batched kernel charges, the deferred-ack ``batched`` packet
+        #: flag, and the window policy (see ``_window_limit``).
+        self.batched = False
         #: Adaptive (AIMD) congestion window in fragments, persistent
         #: across writes on this endpoint.  ``None`` until the first
         #: batched write under an adaptive cost model seeds it from
@@ -88,18 +104,13 @@ class ChannelEndpoint:
         #: ids below this are ignored, so one loss/pressure episode
         #: shrinks the window once, not once per fragment.
         self.recover_until = 0
-        #: While a batched writer is blocked: wake it once ``len(window)``
+        #: While the writer is blocked: wake it once ``len(window)``
         #: drops below this threshold (slot freed, or fully drained).
         self.wake_below = 0
-        #: True for the whole duration of a batched write -- spans the
-        #: transient moments when the window is empty between fragments,
-        #: so the busy check and the batch watchdog see one write, not
-        #: many.
-        self.batch_active = False
-        #: Batched fragments we dropped (buffer starvation or a sequence
-        #: gap) that are owed a pull-retransmission: each consuming read
-        #: pulls exactly one CTRL_RETRY, so retry traffic tracks the
-        #: reader's pace instead of flooding.
+        #: Fragments we dropped (buffer starvation or a sequence gap)
+        #: that are owed a pull-retransmission: each consuming read pulls
+        #: exactly one CTRL_RETRY, so retry traffic tracks the reader's
+        #: pace instead of flooding.
         self.owed_pulls = 0
         #: Statistics reported by the communications debugger.  Both ends
         #: count *fragments* (the unit actually acknowledged on the wire),
@@ -174,14 +185,17 @@ class ChannelService:
         return cap
 
     def _window_limit(self, endpoint: ChannelEndpoint) -> int:
-        """Current effective window for ``endpoint``, in fragments.
+        """How many fragments the current write may have in flight.
 
-        Fixed mode: ``min(chan_batch_window, chan_side_buffers)``.
-        Adaptive mode: the integer part of the endpoint's AIMD ``cwnd``,
-        clamped to ``[chan_window_min, min(chan_window_max or
-        chan_side_buffers, chan_side_buffers)]``.
+        Stop-and-wait (a single-fragment write, or any write under
+        ``unbatched()``): 1.  Fixed window: ``min(chan_batch_window,
+        chan_side_buffers)``.  Adaptive mode: the integer part of the
+        endpoint's AIMD ``cwnd``, clamped to ``[chan_window_min,
+        min(chan_window_max or chan_side_buffers, chan_side_buffers)]``.
         """
         costs = self.kernel.costs
+        if not endpoint.batched:
+            return 1
         if not costs.chan_window_adaptive:
             return min(costs.chan_batch_window, costs.chan_side_buffers)
         if endpoint.cwnd is None:
@@ -216,10 +230,14 @@ class ChannelService:
         ``trigger_xfer`` attributes the trigger to a fragment: triggers
         from fragments sent before the last shrink (below
         :attr:`ChannelEndpoint.recover_until`) are echoes of the same
-        episode and are ignored.  Returns True if the window shrank.
+        episode and are ignored.  Only a batched write under an adaptive
+        model shrinks; every other window is fixed.  Returns True if the
+        window shrank.
         """
         costs = self.kernel.costs
-        if trigger_xfer is not None and trigger_xfer < endpoint.recover_until:
+        if not (endpoint.batched and costs.chan_window_adaptive) or (
+            trigger_xfer is not None and trigger_xfer < endpoint.recover_until
+        ):
             return False
         endpoint.recover_until = endpoint.next_xfer
         old = self._window_limit(endpoint)  # seeds cwnd if needed
@@ -309,230 +327,101 @@ class ChannelService:
         )
 
     # ------------------------------------------------------------------
-    # write (subprocess context): stop-and-wait with fragmentation
+    # write (subprocess context): windowed fragmentation
     # ------------------------------------------------------------------
     def write(self, sp: Subprocess, endpoint: ChannelEndpoint, nbytes: int,
               payload: Any = None):
         """Generator: send ``nbytes`` (fragmented at the hardware maximum).
 
-        Stop-and-wait: each fragment blocks the writer until the receiving
-        kernel acknowledges it.  The kernel never copies the data to a
-        safe place -- the writer stays blocked, so its buffer is stable
-        (the paper's justification for stop-and-wait error recovery).
+        The writer stays blocked until the receiving kernel has
+        acknowledged every fragment.  The kernel never copies the data to
+        a safe place -- the writer stays blocked, so its buffer is stable
+        (the paper's justification for stop-and-wait error recovery).  Up
+        to :meth:`_window_limit` fragments may be unacknowledged at once.
 
-        When :attr:`~repro.model.costs.CostModel.chan_batch_window` is
-        greater than one, multi-fragment writes take the *batched* path
-        instead (see :meth:`_write_batched`): one syscall charge, up to
-        ``k`` fragments pipelined in flight, same per-fragment ack and
-        retransmission guarantees.
+        A window-1 write is the paper's stop-and-wait: one
+        ``syscall_overhead`` charge, then ``chan_send_kernel`` plus the
+        copy per fragment, each fragment acknowledged at the receiver's
+        ISR.  A *batched* write (more than one fragment, and
+        ``chan_batch_window > 1`` or an adaptive model) is the paper's
+        "one system call, many wire events" large write: one
+        ``syscall_overhead + chan_batch_setup`` charge, then
+        ``chan_batch_frag_kernel`` plus the copy per fragment.  The
+        receiving kernel acknowledges a batched fragment it
+        *side-buffers* only when a reader consumes it (see
+        :meth:`on_data` / :meth:`read`), so the window advances at the
+        reader's pace and the sender never runs more than
+        ``chan_side_buffers`` fragments ahead.
+
+        Loss recovery is go-back-N: the receiver accepts fragments only
+        in transfer-id order (a gap is dropped unacknowledged),
+        acknowledgements are cumulative, and retransmission of the
+        *oldest* window entry is pulled by the receiver (CTRL_RETRY) or
+        pushed by the write's timeout watchdog when a fault plan can
+        lose messages outright.
         """
         kernel = self.kernel
         costs = kernel.costs
         self._require_open(endpoint)
         kernel.count_syscall("chan_write")
-        if endpoint.writer_event is not None or endpoint.batch_active:
+        if endpoint.writing:
             raise ChannelBusyError(
                 f"channel {endpoint.name!r} already has a write outstanding"
             )
         if nbytes < 0:
             raise ValueError(f"negative write length: {nbytes}")
-        window_k = min(costs.chan_batch_window, costs.chan_side_buffers)
-        if (
-            window_k > 1 or costs.chan_window_adaptive
-        ) and nbytes > costs.hpc_max_message:
-            yield from self._write_batched(
-                sp, endpoint, nbytes, payload, window_k
+        max_fragment = costs.hpc_max_message
+        batched = nbytes > max_fragment and (
+            costs.chan_batch_window > 1 or costs.chan_window_adaptive
+        )
+        if batched:
+            setup, per_fragment = (
+                costs.chan_batch_setup, costs.chan_batch_frag_kernel
             )
-            return
-        started_at = kernel.sim.now
-        yield kernel.k_exec(costs.syscall_overhead)
-        remaining = nbytes
-        first = True
-        while first or remaining > 0:
-            first = False
-            fragment = min(remaining, costs.hpc_max_message)
-            remaining -= fragment
-            last = remaining == 0
-            yield kernel.k_exec(costs.chan_send_kernel + costs.copy_time(fragment))
-            if endpoint.closed or (
-                endpoint.peer_addr is None
-            ):  # peer closed while we were charging
-                raise ChannelClosedError(f"channel {endpoint.name!r} closed")
-            ack = kernel.sim.event()
-            endpoint.writer_event = ack
-            xfer = endpoint.next_xfer
-            endpoint.next_xfer += 1
-            endpoint.unacked = (fragment, payload if last else None, xfer)
-            kernel.post(
-                dst=endpoint.peer_addr,
-                size=fragment,
-                kind=MessageKind.CHANNEL_DATA,
-                channel=endpoint.peer_eid,
-                src_channel=endpoint.eid,
-                payload=(payload if last else None),
-                xfer=xfer,
-            )
-            injector = kernel.sim.faults
-            if injector is not None and injector.plan.can_lose_messages:
-                # Under fault injection a data fragment or its ack can be
-                # lost outright; arm the ack watchdog so stop-and-wait
-                # recovers by timeout retransmission.
-                kernel.sim.process(self._ack_watchdog(endpoint, ack))
-            try:
-                yield from kernel.block(sp, BlockReason.OUTPUT, ack)
-            finally:
-                endpoint.writer_event = None
-                endpoint.unacked = None
-            # One acknowledged fragment == one message on the wire; both
-            # ends count this same unit (the receiver counts per arriving
-            # fragment), so cdb's two directions agree for fragmented
-            # writes.
-            endpoint.messages_sent += 1
-            endpoint.bytes_sent += fragment
-            self._m_frags_sent.value += 1.0
-            self._m_bytes_sent.value += fragment
-        self._m_writes.value += 1.0
-        self._m_write_rtt.observe(kernel.sim.now - started_at)
-
-    def _ack_watchdog(self, endpoint: ChannelEndpoint, ack: "Event"):
-        """Generator (kernel context): retransmit until the ack arrives.
-
-        Only started while a fault plan is attached.  The receiver's
-        transfer-id filter makes spurious retransmissions harmless (they
-        are dropped and re-acked).
-        """
-        kernel = self.kernel
-        period = kernel.sim.faults.plan.channel_retry_timeout_us
-        while True:
-            yield kernel.sim.timeout(period)
-            if (
-                ack.triggered
-                or endpoint.writer_event is not ack
-                or endpoint.unacked is None
-                or endpoint.closed
-            ):
-                return
-            if self._abort_if_peer_crashed(endpoint):
-                return
-            size, payload, xfer = endpoint.unacked
-            self._m_timeout_retransmits.inc()
-            kernel.emit("channel", "channel-timeout-retransmit",
-                        data=endpoint.name, eid=endpoint.eid, size=size,
-                        xfer=xfer)
-            yield kernel.k_exec(
-                kernel.costs.chan_send_kernel + kernel.costs.copy_time(size)
-            )
-            # The ack may have raced in while we were charging the copy.
-            if ack.triggered or endpoint.writer_event is not ack:
-                return
-            kernel.post(
-                dst=endpoint.peer_addr,
-                size=size,
-                kind=MessageKind.CHANNEL_DATA,
-                channel=endpoint.peer_eid,
-                src_channel=endpoint.eid,
-                payload=payload,
-                xfer=xfer,
-            )
-
-    # ------------------------------------------------------------------
-    # batched write (subprocess context): windowed fragmentation
-    # ------------------------------------------------------------------
-    def _write_batched(self, sp: Subprocess, endpoint: ChannelEndpoint,
-                       nbytes: int, payload: Any, window_k: int):
-        """Generator: windowed large write -- one syscall, ``k`` in flight.
-
-        This is the paper's "one system call, many wire events" large
-        write.  It keeps every stop-and-wait *guarantee* -- each fragment
-        individually acknowledged, retransmitted on loss, counted
-        identically by cdb on both ends -- while amortizing the software
-        cost: one ``syscall_overhead + chan_batch_setup`` charge covers
-        the whole call, each fragment then costs only
-        ``chan_batch_frag_kernel`` plus its copy, and up to ``window_k``
-        fragments may be unacknowledged at once.
-
-        Flow control comes from the acknowledgement discipline rather
-        than a separate credit scheme: the receiving kernel acknowledges
-        a batched fragment it *side-buffers* only when a reader consumes
-        it (see :meth:`on_data` / :meth:`read`), so the window advances
-        at the reader's pace and the sender can never run more than
-        ``window_k <= chan_side_buffers`` fragments ahead.  A
-        consequence worth knowing: the write returns only once the
-        receiver has drained every fragment, which is the strict reading
-        of the paper's "the writer stays blocked, so its buffer is
-        stable".
-
-        Loss recovery is go-back-N: the receiver accepts batched
-        fragments only in transfer-id order (a gap is dropped
-        unacknowledged), acknowledgements are cumulative at this end,
-        and retransmission of the *oldest* window entry is pulled by the
-        receiver (one CTRL_RETRY per consuming read) or pushed by the
-        timeout watchdog when a fault plan can lose messages outright.
-        """
-        kernel = self.kernel
-        costs = kernel.costs
-        adaptive = costs.chan_window_adaptive
-        started_at = kernel.sim.now
-        # One kernel entry covers the whole call: the per-write syscall
-        # plus the batch descriptor setup.
-        yield kernel.k_exec(costs.syscall_overhead + costs.chan_batch_setup)
-        endpoint.batch_active = True
+        else:
+            setup, per_fragment = 0.0, costs.chan_send_kernel
         injector = kernel.sim.faults
-        watchdog_armed = False
+        arm_watchdog = (
+            injector is not None and injector.plan.can_lose_messages
+        )
         window = endpoint.window
-        self._m_window_size.set(float(self._window_limit(endpoint)))
+        started_at = kernel.sim.now
+        endpoint.writing = True
+        endpoint.batched = batched
         try:
+            yield kernel.k_exec(costs.syscall_overhead + setup)
+            if batched:
+                self._m_window_size.set(float(self._window_limit(endpoint)))
             remaining = nbytes
             first = True
             while first or remaining > 0:
-                first = False
-                fragment = min(remaining, costs.hpc_max_message)
+                fragment = min(remaining, max_fragment)
                 remaining -= fragment
                 last = remaining == 0
-                yield kernel.k_exec(
-                    costs.chan_batch_frag_kernel + costs.copy_time(fragment)
-                )
+                yield kernel.k_exec(per_fragment + costs.copy_time(fragment))
                 if endpoint.closed or endpoint.peer_addr is None:
                     raise ChannelClosedError(
                         f"channel {endpoint.name!r} closed"
                     )
                 xfer = endpoint.next_xfer
                 endpoint.next_xfer += 1
-                window[xfer] = (
-                    fragment, payload if last else None, kernel.sim.now
-                )
-                kernel.post(
-                    dst=endpoint.peer_addr,
-                    size=fragment,
-                    kind=MessageKind.CHANNEL_DATA,
-                    channel=endpoint.peer_eid,
-                    src_channel=endpoint.eid,
-                    payload=(payload if last else None),
-                    xfer=xfer,
-                    batched=True,
-                )
-                if (
-                    not watchdog_armed
-                    and injector is not None
-                    and injector.plan.can_lose_messages
-                ):
-                    # One watchdog guards the whole write (stop-and-wait
-                    # arms one per fragment): on timeout it re-sends the
-                    # oldest unacknowledged window entry, and it fails
-                    # the write outright if the peer node has crashed
-                    # (nothing will ever acknowledge, and crash plans
-                    # have no link faults to trigger other recovery).
-                    watchdog_armed = True
-                    kernel.sim.process(self._batch_watchdog(endpoint))
+                frag_payload = payload if last else None
+                window[xfer] = (fragment, frag_payload, kernel.sim.now)
+                self._post_fragment(endpoint, xfer, fragment, frag_payload)
+                if first and arm_watchdog:
+                    # One watchdog guards the whole write; it learns the
+                    # transfer id of the write's final fragment.
+                    kernel.sim.process(self._watchdog(
+                        endpoint, xfer + -(-remaining // max_fragment)
+                    ))
+                first = False
                 # Block while the window is full -- or, after the last
-                # fragment, until every acknowledgement has drained.  In
-                # adaptive mode the limit is re-read after every wake:
+                # fragment, until every acknowledgement has drained.  The
+                # limit is re-read after every wake: in adaptive mode
                 # acks may have grown it, a loss or pressure episode may
                 # have shrunk it.
                 while True:
-                    limit = 1 if last else (
-                        self._window_limit(endpoint) if adaptive else window_k
-                    )
+                    limit = 1 if last else self._window_limit(endpoint)
                     if len(window) < limit:
                         break
                     ack = kernel.sim.event()
@@ -544,46 +433,77 @@ class ChannelService:
                         endpoint.writer_event = None
                         endpoint.wake_below = 0
         finally:
-            endpoint.batch_active = False
+            endpoint.writing = False
             window.clear()
             endpoint.retransmitted.clear()
-        self._m_writes.inc()
-        kernel.metrics.counter("chan.batched_writes").inc()
+        self._m_writes.value += 1.0
+        if batched:
+            kernel.metrics.counter("chan.batched_writes").inc()
         self._m_write_rtt.observe(kernel.sim.now - started_at)
 
-    def _batch_watchdog(self, endpoint: ChannelEndpoint):
+    def _post_fragment(self, endpoint: ChannelEndpoint, xfer: int, size: int,
+                       payload: Any) -> None:
+        """Put one window entry on the wire (first send or re-send)."""
+        self.kernel.post(
+            dst=endpoint.peer_addr,
+            size=size,
+            kind=MessageKind.CHANNEL_DATA,
+            channel=endpoint.peer_eid,
+            src_channel=endpoint.eid,
+            payload=payload,
+            xfer=xfer,
+            batched=endpoint.batched,
+        )
+
+    @staticmethod
+    def _write_ended(endpoint: ChannelEndpoint, last: int) -> bool:
+        """True once transfer ``last`` is acknowledged or the channel closed.
+
+        Acks retire the window oldest first, so ``last`` is acknowledged
+        exactly when it has been sent and the oldest in-flight transfer
+        id (``next_xfer`` itself when the window is empty) is past it.
+        """
+        return endpoint.closed or (
+            endpoint.next_xfer - len(endpoint.window) > last
+        )
+
+    def _watchdog(self, endpoint: ChannelEndpoint, last: int):
         """Generator (kernel context): go-back-N timeout retransmission.
 
-        Started once per batched write, only while a fault plan can lose
-        messages (link loss *or* a possible node crash).  Each period it
-        re-sends the oldest unacknowledged window entry once that entry
-        has actually been outstanding for a full period (the age gate
-        keeps a merely-armed watchdog from perturbing fault-free timing);
-        the receiver's in-order filter makes a spurious re-send harmless
+        Armed once per write, only while a fault plan can lose messages
+        (link loss *or* a possible node crash).  Each period it re-sends
+        the oldest unacknowledged window entry once that entry has
+        actually been outstanding for a full period (the age gate keeps a
+        merely-armed watchdog from perturbing fault-free timing); the
+        receiver's in-order filter makes a spurious re-send harmless
         (duplicate -> immediate re-ack).  A crashed peer never
         acknowledges and silently swallows every retransmission, so the
         watchdog checks for it first and fails the write instead of
-        retransmitting forever.
+        retransmitting forever.  It exits at its first wake after its own
+        write has ended -- transfer ``last``, the write's final fragment,
+        acknowledged, or the channel closed -- so back-to-back writes
+        never keep an older watchdog alive.
         """
         kernel = self.kernel
-        injector = kernel.sim.faults
-        period = injector.plan.channel_retry_timeout_us
+        period = kernel.sim.faults.plan.channel_retry_timeout_us
+        window = endpoint.window
         while True:
             yield kernel.sim.timeout(period)
-            if not endpoint.batch_active or endpoint.closed:
+            if self._write_ended(endpoint, last):
                 return
             if self._abort_if_peer_crashed(endpoint):
                 return
-            window = endpoint.window
             if not window:
                 continue  # between fragments; the write is still active
-            xfer = min(window)
+            xfer = endpoint.next_xfer - len(window)
             size, frag_payload, sent_at = window[xfer]
-            if kernel.sim.now - sent_at < period:
+            # Compared as a sum: the first wake lands exactly on
+            # ``sent_at + period``, where ``now - sent_at`` could round
+            # below ``period`` and skip it.
+            if kernel.sim.now < sent_at + period:
                 continue  # not stale yet: the ack is plausibly in flight
             endpoint.retransmitted.add(xfer)
-            if kernel.costs.chan_window_adaptive:
-                self._window_shrink(endpoint, xfer, "timeout")
+            self._window_shrink(endpoint, xfer, "timeout")
             self._m_timeout_retransmits.inc()
             kernel.emit("channel", "channel-timeout-retransmit",
                         data=endpoint.name, eid=endpoint.eid, size=size,
@@ -591,24 +511,16 @@ class ChannelService:
             yield kernel.k_exec(
                 kernel.costs.chan_send_kernel + kernel.costs.copy_time(size)
             )
-            # The ack may have raced in while we were charging the copy.
-            if xfer not in endpoint.window or endpoint.closed:
-                continue
-            kernel.post(
-                dst=endpoint.peer_addr,
-                size=size,
-                kind=MessageKind.CHANNEL_DATA,
-                channel=endpoint.peer_eid,
-                src_channel=endpoint.eid,
-                payload=frag_payload,
-                xfer=xfer,
-                batched=True,
-            )
+            # The ack or a close may have raced in while we were charging.
+            if self._write_ended(endpoint, last):
+                return
+            if xfer in window:
+                self._post_fragment(endpoint, xfer, size, frag_payload)
 
     def _abort_if_peer_crashed(self, endpoint: ChannelEndpoint) -> bool:
         """Fail a blocked writer whose peer node has crashed.
 
-        Called from the watchdogs (they only run while a fault plan is
+        Called from the watchdog (it only runs while a fault plan is
         attached).  A crashed node's interfaces silently drop traffic in
         both directions, so no ack, nak, or close will ever arrive: mark
         the endpoint closed and wake the writer with
@@ -654,7 +566,7 @@ class ChannelService:
             size, payload, owed = endpoint.side_buffers.popleft()
             # Second copy: side buffer -> user buffer.
             yield kernel.k_exec(costs.copy_time(size))
-            self._maybe_send_retry(endpoint)
+            self._pull_retry(endpoint)
             if owed is not None:
                 yield from self._send_owed_ack(endpoint, owed)
             return size, payload
@@ -709,7 +621,7 @@ class ChannelService:
             if endpoint.side_buffers:
                 size, payload, owed = endpoint.side_buffers.popleft()
                 yield kernel.k_exec(costs.copy_time(size))
-                self._maybe_send_retry(endpoint)
+                self._pull_retry(endpoint)
                 if owed is not None:
                     yield from self._send_owed_ack(endpoint, owed)
                 return endpoint, size, payload
@@ -803,8 +715,7 @@ class ChannelService:
             kernel.metrics.counter("chan.ooo_drops").inc()
             kernel.emit("channel", "channel-ooo-drop", data=endpoint.name,
                         eid=endpoint.eid, xfer=packet.xfer)
-            if packet.batched:
-                endpoint.owed_pulls += 1
+            endpoint.owed_pulls += 1
             return
         delivered = False
         ack_now = True
@@ -834,13 +745,10 @@ class ChannelService:
             endpoint.side_buffers.append((packet.size, packet.payload, owed))
             delivered = True
         if not delivered:
-            # No buffer space: drop and owe a retransmission request.
-            if packet.batched:
-                # Pulled one-per-read rather than flagged: several
-                # pipelined fragments can be dropped back to back.
-                endpoint.owed_pulls += 1
-            else:
-                endpoint.starved_peer = True
+            # No buffer space: drop and owe a retransmission request,
+            # pulled one per consuming read (several pipelined fragments
+            # can be dropped back to back).
+            endpoint.owed_pulls += 1
             self._m_naks.inc()
             kernel.emit("channel", "channel-nak", data=endpoint.name,
                         eid=endpoint.eid, size=packet.size)
@@ -877,7 +785,14 @@ class ChannelService:
             self._pull_retry(endpoint)
 
     def on_ack(self, packet: Packet):
-        """Generator (ISR context): stop-and-wait acknowledgement."""
+        """Generator (ISR context): a cumulative acknowledgement.
+
+        ``packet.xfer`` retires every window entry up to and including
+        itself (a lost ack is covered by the next one; a stale re-ack for
+        an already-retired fragment retires nothing).  Per-fragment
+        counters move here, mirroring the receiver's per-arrival
+        counting, so cdb's two directions agree.
+        """
         kernel = self.kernel
         yield kernel.isr_exec(kernel.costs.chan_ack_recv)
         if packet.corrupted:
@@ -890,81 +805,61 @@ class ChannelService:
         endpoint = self.endpoints.get(packet.channel)
         if endpoint is None:
             return
-        if endpoint.window:
-            # Batched write in flight: acknowledgements are cumulative.
-            # ``packet.xfer`` retires every window entry up to and
-            # including itself (a lost ack is covered by the next one);
-            # per-fragment counters move here, mirroring the receiver's
-            # per-arrival counting, so cdb's two directions agree.
-            if packet.xfer is None:
-                return
-            window = endpoint.window
-            costs = kernel.costs
-            acked = [xfer for xfer in window if xfer <= packet.xfer]
-            if not acked:
-                return  # stale re-ack for an already-retired fragment
-            rtt_sample = None
-            for xfer in acked:
-                size, _, sent_at = window.pop(xfer)
-                endpoint.messages_sent += 1
-                endpoint.bytes_sent += size
-                self._m_frags_sent.inc()
-                self._m_bytes_sent.inc(size)
-                # Karn's algorithm: a retransmitted fragment's ack is
-                # ambiguous (first send or re-send?), so it yields no
-                # RTT sample.  Sample the fragment the ack names.
-                if xfer == packet.xfer and xfer not in endpoint.retransmitted:
-                    rtt_sample = kernel.sim.now - sent_at
-                endpoint.retransmitted.discard(xfer)
-            if costs.chan_window_adaptive:
-                shrunk = False
-                # Receiver pressure rides on batched acks as the
-                # side-buffer occupancy fraction (see _ack_pressure).
-                occupancy = packet.payload
+        window = endpoint.window
+        entry = window.get(packet.xfer)
+        if entry is None:
+            return  # stale re-ack for an already-retired fragment
+        n_acked = self._retire(endpoint, packet.xfer)
+        costs = kernel.costs
+        if endpoint.batched and costs.chan_window_adaptive:
+            shrunk = False
+            # Receiver pressure rides on batched acks as the side-buffer
+            # occupancy fraction (see _ack_pressure).
+            occupancy = packet.payload
+            if (
+                isinstance(occupancy, float)
+                and occupancy >= costs.chan_pressure_threshold
+            ):
+                shrunk = self._window_shrink(endpoint, packet.xfer, "pressure")
+            # Karn's algorithm: a retransmitted fragment's ack is
+            # ambiguous (first send or re-send?), so it yields no RTT
+            # sample.  Sample the fragment the ack names.
+            if packet.xfer not in endpoint.retransmitted:
+                rtt_sample = kernel.sim.now - entry[2]
                 if (
-                    isinstance(occupancy, float)
-                    and occupancy >= costs.chan_pressure_threshold
+                    not shrunk
+                    and endpoint.srtt > 0.0
+                    and rtt_sample > costs.chan_rtt_inflation * endpoint.srtt
                 ):
-                    shrunk = self._window_shrink(
-                        endpoint, packet.xfer, "pressure"
-                    )
-                if rtt_sample is not None:
-                    if (
-                        not shrunk
-                        and endpoint.srtt > 0.0
-                        and rtt_sample
-                        > costs.chan_rtt_inflation * endpoint.srtt
-                    ):
-                        shrunk = self._window_shrink(
-                            endpoint, packet.xfer, "rtt"
-                        )
-                    alpha = costs.chan_rtt_alpha
-                    endpoint.srtt = (
-                        rtt_sample if endpoint.srtt == 0.0
-                        else (1.0 - alpha) * endpoint.srtt
-                        + alpha * rtt_sample
-                    )
-                if not shrunk:
-                    self._window_grow(endpoint, len(acked))
-            event = endpoint.writer_event
-            if event is not None and len(window) < endpoint.wake_below:
-                endpoint.writer_event = None
-                event.succeed()
-            return
-        if endpoint.writer_event is None:
-            return
-        if (
-            packet.xfer is not None
-            and endpoint.unacked is not None
-            and packet.xfer != endpoint.unacked[2]
-        ):
-            # A stale ack (duplicate re-ack for an earlier fragment) must
-            # not acknowledge the fragment currently on the wire.
-            return
+                    shrunk = self._window_shrink(endpoint, packet.xfer, "rtt")
+                alpha = costs.chan_rtt_alpha
+                endpoint.srtt = (
+                    rtt_sample if endpoint.srtt == 0.0
+                    else (1.0 - alpha) * endpoint.srtt + alpha * rtt_sample
+                )
+            if not shrunk:
+                self._window_grow(endpoint, n_acked)
         event = endpoint.writer_event
-        endpoint.writer_event = None
-        endpoint.unacked = None
-        event.succeed()
+        if event is not None and len(window) < endpoint.wake_below:
+            endpoint.writer_event = None
+            event.succeed()
+
+    def _retire(self, endpoint: ChannelEndpoint, through: int) -> int:
+        """Retire window entries up to transfer ``through``; return the count.
+
+        Retired fragments are delivered: they count as sent on this end.
+        """
+        window = endpoint.window
+        oldest = endpoint.next_xfer - len(window)
+        xfer = oldest
+        while xfer <= through and window:
+            size = window.pop(xfer)[0]
+            endpoint.messages_sent += 1
+            endpoint.bytes_sent += size
+            self._m_frags_sent.value += 1.0
+            self._m_bytes_sent.value += size
+            xfer += 1
+        return xfer - oldest
 
     def on_ctrl(self, packet: Packet):
         """Generator (ISR context): close and retry control traffic."""
@@ -988,123 +883,55 @@ class ChannelService:
                 event.fail(ChannelClosedError(
                     f"channel {endpoint.name!r} closed by peer"
                 ))
-            if endpoint.window:
-                # Batched write in flight.  The close acknowledges, like
-                # a cumulative ack, everything the peer delivered before
-                # closing: those fragments succeeded even if their own
-                # acks were lost.
-                window = endpoint.window
-                if packet.xfer is not None:
-                    for xfer in [x for x in sorted(window)
-                                 if x <= packet.xfer]:
-                        size, _, _ = window.pop(xfer)
-                        endpoint.messages_sent += 1
-                        endpoint.bytes_sent += size
-                        self._m_frags_sent.inc()
-                        self._m_bytes_sent.inc(size)
-                event = endpoint.writer_event
-                if event is not None:
-                    endpoint.writer_event = None
-                    if window:
-                        # Undelivered fragments remain: the write fails.
-                        event.fail(ChannelClosedError(
-                            f"channel {endpoint.name!r} closed by peer"
-                        ))
-                    else:
-                        # Every in-flight fragment was delivered before
-                        # the close.  Wake the writer: mid-write it
-                        # observes ``closed`` at the next fragment and
-                        # raises there; on the final drain it completes.
-                        event.succeed()
-                # A writer mid-charge (not blocked) sees ``closed`` at
-                # its next fragment boundary and raises there.
-            elif endpoint.writer_event is not None:
-                event = endpoint.writer_event
+            # The close acknowledges, like a cumulative ack, everything
+            # the peer delivered before closing: those fragments
+            # succeeded even if their own acks were lost.
+            if packet.xfer is not None:
+                self._retire(endpoint, packet.xfer)
+            event = endpoint.writer_event
+            if event is not None:
                 endpoint.writer_event = None
-                if (
-                    endpoint.unacked is not None
-                    and packet.xfer is not None
-                    and endpoint.unacked[2] <= packet.xfer
-                ):
-                    # The peer read our fragment (its close acknowledges
-                    # up to packet.xfer) but the ack itself was lost:
-                    # the write succeeded, then the channel closed.
-                    endpoint.unacked = None
-                    event.succeed()
-                else:
+                if endpoint.window:
+                    # Undelivered fragments remain: the write fails.
                     event.fail(ChannelClosedError(
                         f"channel {endpoint.name!r} closed by peer"
                     ))
+                else:
+                    # Every in-flight fragment was delivered before the
+                    # close.  Wake the writer: mid-write it observes
+                    # ``closed`` at the next fragment and raises there; on
+                    # the final drain it completes.
+                    event.succeed()
+            # A writer mid-charge (not blocked) sees ``closed`` at its
+            # next fragment boundary and raises there.
         elif packet.payload == CTRL_RETRY:
-            if endpoint.window:
-                # Batched write: re-send the *oldest* unacknowledged
-                # window entry (go-back-N -- the receiver accepts only in
-                # transfer-id order, and each pull requests exactly one
-                # fragment).
-                xfer = min(endpoint.window)
-                size, frag_payload, _ = endpoint.window[xfer]
-                endpoint.retransmitted.add(xfer)
-                if kernel.costs.chan_window_adaptive:
-                    # A pulled retransmission means the receiver dropped
-                    # a fragment (starvation or loss): a go-back-N shrink
-                    # trigger.
-                    self._window_shrink(endpoint, xfer, "retry")
-                self._m_retransmits.inc()
-                kernel.emit("channel", "channel-retransmit",
-                            data=endpoint.name, eid=endpoint.eid, size=size)
-                yield kernel.isr_exec(
-                    kernel.costs.chan_send_kernel + kernel.costs.copy_time(size)
-                )
-                # The ack may have raced in while we were charging.
-                if xfer in endpoint.window and not endpoint.closed:
-                    kernel.post(
-                        dst=endpoint.peer_addr,
-                        size=size,
-                        kind=MessageKind.CHANNEL_DATA,
-                        channel=endpoint.peer_eid,
-                        src_channel=endpoint.eid,
-                        payload=frag_payload,
-                        xfer=xfer,
-                        batched=True,
-                    )
-            elif endpoint.unacked is not None:
-                # The receiver dropped our fragment (buffer starvation or
-                # corruption) and wants it again: retransmit the unacked
-                # one.
-                size, payload, xfer = endpoint.unacked
-                self._m_retransmits.inc()
-                kernel.emit("channel", "channel-retransmit",
-                            data=endpoint.name, eid=endpoint.eid, size=size)
-                yield kernel.isr_exec(
-                    kernel.costs.chan_send_kernel + kernel.costs.copy_time(size)
-                )
-                kernel.post(
-                    dst=endpoint.peer_addr,
-                    size=size,
-                    kind=MessageKind.CHANNEL_DATA,
-                    channel=endpoint.peer_eid,
-                    src_channel=endpoint.eid,
-                    payload=payload,
-                    xfer=xfer,
-                )
+            window = endpoint.window
+            if not window:
+                return
+            # The receiver dropped a fragment (buffer starvation, loss,
+            # or corruption) and wants it again: re-send the *oldest*
+            # unacknowledged window entry (go-back-N -- the receiver
+            # accepts only in transfer-id order, and each pull requests
+            # exactly one fragment).
+            xfer = endpoint.next_xfer - len(window)
+            size, frag_payload, _ = window[xfer]
+            endpoint.retransmitted.add(xfer)
+            self._window_shrink(endpoint, xfer, "retry")
+            self._m_retransmits.inc()
+            kernel.emit("channel", "channel-retransmit",
+                        data=endpoint.name, eid=endpoint.eid, size=size)
+            yield kernel.isr_exec(
+                kernel.costs.chan_send_kernel + kernel.costs.copy_time(size)
+            )
+            # The ack may have raced in while we were charging.
+            if xfer in window and not endpoint.closed:
+                self._post_fragment(endpoint, xfer, size, frag_payload)
 
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _maybe_send_retry(self, endpoint: ChannelEndpoint) -> None:
-        if endpoint.starved_peer:
-            endpoint.starved_peer = False
-            self.kernel.post(
-                dst=endpoint.peer_addr,
-                size=self.kernel.costs.chan_ack_bytes,
-                kind=MessageKind.CHANNEL_CTRL,
-                channel=endpoint.peer_eid,
-                payload=CTRL_RETRY,
-            )
-        self._pull_retry(endpoint)
-
     def _pull_retry(self, endpoint: ChannelEndpoint) -> None:
-        """Request retransmission of one owed (dropped) batched fragment.
+        """Request retransmission of one owed (dropped) fragment.
 
         Decrements :attr:`ChannelEndpoint.owed_pulls` by exactly one per
         call so the retry rate tracks the consumption rate -- the sender

@@ -5,7 +5,7 @@ The batched write path (`CostModel.chan_batch_window > 1`) must be a pure
 payload sequence, cdb fragment counts on both sides -- the batched path
 must deliver identically, including under fault-injection drop/corrupt
 plans.  These tests pin that equivalence, the determinism of the batched
-schedule, and the event reduction from the coalesced link wakeups.
+schedule, and the one-watchdog-per-write bound on timeout retransmission.
 """
 
 import pytest
@@ -123,19 +123,54 @@ def test_batched_schedule_is_deterministic():
     assert first == second  # including sim_us and event counts
 
 
-def test_batched_is_faster_and_coalescing_cuts_events():
+def test_batched_is_faster_than_stop_and_wait():
     sizes = [64 * FRAG]
     base = run_stream(CostModel().unbatched(), sizes)
-    batch_only = run_stream(
-        CostModel().batched(window=8, coalesce_wakeups=False), sizes)
-    batch_coalesce = run_stream(CostModel().batched(window=8), sizes)
+    batch_only = run_stream(CostModel().batched(window=8), sizes)
     assert equivalence_keys(batch_only) == equivalence_keys(base)
     # The pipelined window must beat stop-and-wait on simulated time.
     assert batch_only["sim_us"] < base["sim_us"] / 1.3
-    # Wakeup coalescing only removes engine events; simulated time is
-    # bit-identical to the uncoalesced batched run.
-    assert batch_coalesce["sim_us"] == batch_only["sim_us"]
-    assert batch_coalesce["events"] < batch_only["events"]
+
+
+def test_back_to_back_writes_keep_one_watchdog_alive():
+    """Regression: every batched write started a watchdog that stayed
+    alive while later writes ran back to back, so several watchdogs
+    re-sent the same stale fragment each period.  A write's watchdog
+    now exits at its first wake after that write ends: one live
+    watchdog re-sends at most once per period."""
+    period = 2_000.0
+    pairs, writes, fragments = 3, 40, 4
+    plan = FaultPlan(seed=1990, drop=0.04, corrupt=0.02,
+                     channel_retry_timeout_us=period)
+    system = VorxSystem(n_nodes=2 * pairs, faults=plan)
+    spans = {}
+
+    def writer(env, pair):
+        ch = yield from env.open(f"leak{pair}")
+        first = env.now
+        for i in range(writes):
+            yield from env.write(ch, fragments * FRAG, payload=i)
+        spans[pair] = (first, env.now)
+
+    def reader(env, pair):
+        ch = yield from env.open(f"leak{pair}")
+        for _ in range(writes * fragments):
+            yield from env.read(ch)
+
+    for pair in range(pairs):
+        system.spawn(pair, lambda env, p=pair: writer(env, p))
+        system.spawn(pairs + pair, lambda env, p=pair: reader(env, p))
+    system.run()
+    assert len(spans) == pairs
+    resent = {
+        pair: system.nodes[pair].metrics.value("chan.timeout_retransmits")
+        for pair in spans
+    }
+    assert sum(resent.values()) > 0, "the plan should exercise the watchdog"
+    for pair, (start, end) in spans.items():
+        assert resent[pair] <= (end - start) / period + 1
+    # No watchdog outlives the last write by more than one period.
+    assert system.sim.now <= max(end for _, end in spans.values()) + period
 
 
 def test_batched_write_rejects_concurrent_write():

@@ -97,10 +97,11 @@ def test_read_any_rejects_duplicate_endpoints():
     assert sp.result == "rejected"
 
 
-def test_peer_close_during_fragmented_write_clears_unacked():
+def test_peer_close_during_fragmented_write_clears_window():
     """Recovery: the peer closes while a fragmented write is stalled on a
     dropped fragment.  The writer must see ChannelClosedError with its
-    retransmission state cleared."""
+    retransmission state cleared: no in-flight window entry, no write
+    outstanding, writer not blocked."""
     costs = dataclasses.replace(
         DEFAULT_COSTS, chan_batch_window=1, chan_side_buffers=1
     )
@@ -126,7 +127,8 @@ def test_peer_close_during_fragmented_write_clears_unacked():
     system.run()
     assert tx.result == "closed-out"
     endpoint = endpoints["tx"]
-    assert endpoint.unacked is None
+    assert endpoint.window == {}
+    assert not endpoint.writing
     assert endpoint.writer_event is None
     assert system.nodes[1].metrics.value("chan.naks") >= 1
 
