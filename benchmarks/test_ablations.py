@@ -58,7 +58,10 @@ def test_side_buffer_depth(benchmark):
     from repro import VorxSystem
 
     def run_with(buffers):
-        costs = dataclasses.replace(DEFAULT_COSTS, chan_side_buffers=buffers)
+        # 256-byte writes are single-fragment (a window of one either
+        # way); unbatched() keeps one side buffer legal.
+        costs = dataclasses.replace(DEFAULT_COSTS.unbatched(),
+                                    chan_side_buffers=buffers)
         system = VorxSystem(n_nodes=2, costs=costs)
         state = {}
 

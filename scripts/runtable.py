@@ -20,7 +20,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 
@@ -74,37 +73,12 @@ def parse_args(argv):
     return parser.parse_args(argv)
 
 
-def validate_file(path: str) -> int:
-    from repro.exp import validate_row
-
-    count = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                print(f"{path}:{lineno}: not JSON: {exc}", file=sys.stderr)
-                return 1
-            try:
-                validate_row(row, where=f"{path}:{lineno}")
-            except ValueError as exc:
-                print(str(exc), file=sys.stderr)
-                return 1
-            count += 1
-    if count == 0:
-        print(f"{path}: no rows", file=sys.stderr)
-        return 1
-    print(f"{path}: {count} rows OK (runtable/v1)")
-    return 0
-
-
 def main(argv=None) -> int:
     args = parse_args(argv if argv is not None else sys.argv[1:])
     if args.validate:
-        return validate_file(args.validate)
+        from repro.exp.records import RUNTABLE, validate_file
+
+        return validate_file(args.validate, RUNTABLE)
 
     from repro.exp import RunTable
     from repro.faults import FaultPlan

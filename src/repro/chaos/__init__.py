@@ -14,7 +14,9 @@ topology -- and is the degradation statistically real?*
   verdicts, and the :class:`SLOReport`;
 * :mod:`repro.chaos.campaign` -- :class:`ChaosCampaign`, the driver that
   sweeps policies x regimes x topologies through the run-table pipeline
-  and emits digest-pinned ``chaos/v1`` JSONL.
+  and emits digest-pinned ``chaos/v1`` JSONL: run-table rows plus the
+  ``campaign``, ``policy`` and ``regime`` columns
+  (:mod:`repro.exp.records` owns the format).
 
 Quick start::
 
@@ -36,12 +38,10 @@ Quick start::
 """
 
 from repro.chaos.campaign import (
-    CHAOS_SCHEMA,
     ChaosCampaign,
     ChaosCell,
     ChaosResult,
     RecoveryPolicy,
-    validate_chaos_row,
 )
 from repro.chaos.shapes import (
     FAULT_FREE,
@@ -52,6 +52,7 @@ from repro.chaos.shapes import (
     NetworkPartition,
 )
 from repro.chaos.slo import SLO, SLOObjective, SLOReport, SLOVerdict
+from repro.exp.records import CHAOS_SCHEMA, validate_chaos_row
 
 __all__ = [
     "CHAOS_SCHEMA",

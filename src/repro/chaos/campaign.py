@@ -6,8 +6,9 @@ how hard) on one or more topologies, through the same seeded
 :class:`~repro.exp.runtable.RunTable` pipeline the fault-free
 experiments use.  The output is
 
-* **chaos/v1 JSONL rows** -- one per repetition, digest-pinned in CI
-  exactly like ``runtable/v1``;
+* **chaos/v1 JSONL rows** -- one per repetition: the ``runtable/v1``
+  row plus ``campaign``, ``policy`` and ``regime``, digest-pinned in CI
+  the same way;
 * an :class:`~repro.chaos.slo.SLOReport` judging every cell against the
   declared :class:`~repro.chaos.slo.SLO`, with a Mann-Whitney contrast
   against the fault-free control cell of the same (topology, policy).
@@ -21,87 +22,29 @@ does not supply one.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from repro.chaos.shapes import FAULT_FREE, FaultRegime
 from repro.chaos.slo import SLO, SLOReport, SLOVerdict
 from repro.exp.experiment import RunResult, Scenario
+from repro.exp.records import CHAOS, RecordSet
 from repro.exp.runtable import RunTable
 from repro.fabric.registry import available_topologies, create_fabric
 from repro.model.costs import CostModel, DEFAULT_COSTS
 from repro.sim.engine import Simulator
 from repro.workload.arrivals import PoissonArrivals
-from repro.workload.generator import Workload
-
-#: JSONL schema tag for campaign rows.
-CHAOS_SCHEMA = "chaos/v1"
-
-#: Required keys (and accepted types) of one chaos/v1 row.
-CHAOS_ROW_FIELDS: dict[str, tuple] = {
-    "schema": (str,),
-    "campaign": (str,),
-    "policy": (str,),
-    "regime": (str,),
-    "topology": (str,),
-    "n_endpoints": (int,),
-    "rep": (int,),
-    "seed": (str,),
-    "offered": (int,),
-    "completed": (int,),
-    "failed": (int,),
-    "retries": (int,),
-    "injected": (int,),
-    "failure_rate": (int, float),
-    "throughput_per_s": (int, float),
-    "duration_us": (int, float),
-    "p50_us": (int, float),
-    "p95_us": (int, float),
-    "p99_us": (int, float),
-    "fingerprint": (str,),
-}
-
-
-def validate_chaos_row(row: dict, where: str = "row") -> None:
-    """Raise ``ValueError`` unless ``row`` matches the chaos/v1 schema."""
-    if not isinstance(row, dict):
-        raise ValueError(f"{where}: not a JSON object")
-    if row.get("schema") != CHAOS_SCHEMA:
-        raise ValueError(
-            f"{where}: schema is {row.get('schema')!r}, want "
-            f"{CHAOS_SCHEMA!r}"
-        )
-    for key, types in CHAOS_ROW_FIELDS.items():
-        if key not in row:
-            raise ValueError(f"{where}: missing field {key!r}")
-        value = row[key]
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise ValueError(
-                f"{where}: field {key!r} has type "
-                f"{type(value).__name__}, want "
-                f"{'/'.join(t.__name__ for t in types)}"
-            )
-    if row["offered"] < row["completed"]:
-        raise ValueError(
-            f"{where}: completed ({row['completed']}) exceeds offered "
-            f"({row['offered']})"
-        )
-    if not 0.0 <= row["failure_rate"] <= 1.0:
-        raise ValueError(
-            f"{where}: failure_rate {row['failure_rate']} outside [0, 1]"
-        )
+from repro.workload.generator import Workload, check_retry_knobs
 
 
 @dataclass(frozen=True)
 class RecoveryPolicy:
     """How the workload's front-ends react to missing replies.
 
-    Maps directly onto the :class:`~repro.workload.generator.Workload`
-    retry machinery; ``RecoveryPolicy("none")`` is the no-recovery
-    control (no watchdogs spawned, schedules bit-identical to the
-    pre-retry code).
+    A named bundle of :class:`~repro.workload.generator.Workload` retry
+    keyword arguments, checked by the same function ``Workload`` uses;
+    ``RecoveryPolicy("none")`` is the no-recovery control (no watchdogs
+    spawned, schedules bit-identical to the pre-retry code).
     """
 
     name: str
@@ -117,42 +60,17 @@ class RecoveryPolicy:
                 f"'|'-free (it is an arm-label component), "
                 f"got {self.name!r}"
             )
-        if self.retries < 0:
-            raise ValueError(
-                f"RecoveryPolicy(retries=...) must be >= 0, "
-                f"got {self.retries!r}"
-            )
-        if self.retries > 0 and (
-            self.retry_timeout_us is None or self.retry_timeout_us <= 0
-        ):
-            raise ValueError(
-                "RecoveryPolicy(retries=...) needs a positive "
-                f"retry_timeout_us, got {self.retry_timeout_us!r}"
-            )
-        if self.retry_backoff < 1.0:
-            raise ValueError(
-                f"RecoveryPolicy(retry_backoff=...) must be >= 1.0, "
-                f"got {self.retry_backoff!r}"
-            )
+        check_retry_knobs("RecoveryPolicy", self.retries,
+                          self.retry_timeout_us, self.retry_backoff)
 
     def workload_kwargs(self) -> dict:
         """The ``Workload`` keyword arguments this policy selects."""
-        if self.retries == 0:
-            return {"retries": 0}
         return {
             "retries": self.retries,
             "retry_timeout_us": self.retry_timeout_us,
             "retry_backoff": self.retry_backoff,
             "retry_reroute": self.reroute,
         }
-
-    def describe(self) -> str:
-        if self.retries == 0:
-            return f"{self.name} (no recovery)"
-        reroute = "+reroute" if self.reroute else ""
-        return (f"{self.name} (retry x{self.retries}"
-                f"@{self.retry_timeout_us:.0f}us"
-                f"x{self.retry_backoff:g}{reroute})")
 
 
 @dataclass(frozen=True)
@@ -166,7 +84,7 @@ class ChaosCell:
     result: RunResult
 
 
-class ChaosResult:
+class ChaosResult(RecordSet):
     """Everything one campaign produced, JSONL-exportable and judged."""
 
     def __init__(self, *, campaign: str, slo: SLO,
@@ -192,57 +110,16 @@ class ChaosResult:
 
     # -- JSONL ------------------------------------------------------------
     def rows(self) -> list[dict]:
-        """chaos/v1 rows, one per repetition, in run order."""
+        """chaos/v1 rows: each cell's run-table rows plus the campaign,
+        policy and regime columns, one per repetition, in run order."""
         rows = []
         for cell in self.cells:
-            result = cell.result
-            for index, rep in enumerate(result.reps):
-                pcts = rep.percentiles()
-                rows.append({
-                    "schema": CHAOS_SCHEMA,
-                    "campaign": self.campaign,
-                    "policy": cell.policy.name,
-                    "regime": cell.regime.name,
-                    "topology": cell.topology,
-                    "n_endpoints": cell.n_endpoints,
-                    "rep": index,
-                    "seed": rep.seed,
-                    "offered": rep.offered,
-                    "completed": rep.completed,
-                    "failed": rep.failed,
-                    "retries": rep.retries,
-                    "injected": result.injections[index],
-                    "failure_rate": round(rep.failure_rate, 6),
-                    "throughput_per_s": round(rep.throughput_per_s, 3),
-                    "duration_us": round(rep.duration_us, 3),
-                    "p50_us": round(pcts["p50"], 3),
-                    "p95_us": round(pcts["p95"], 3),
-                    "p99_us": round(pcts["p99"], 3),
-                    "fingerprint": rep.fingerprint(),
-                })
+            for row in cell.result.rows():
+                row.update(schema=CHAOS.tag, campaign=self.campaign,
+                           policy=cell.policy.name,
+                           regime=cell.regime.name)
+                rows.append(row)
         return rows
-
-    def jsonl(self) -> list[str]:
-        """Canonical JSONL lines (sorted keys, compact separators)."""
-        return [
-            json.dumps(row, sort_keys=True, separators=(",", ":"))
-            for row in self.rows()
-        ]
-
-    def digest(self) -> str:
-        """sha256 over the canonical JSONL -- the determinism anchor."""
-        digest = hashlib.sha256()
-        for line in self.jsonl():
-            digest.update(line.encode("utf-8"))
-            digest.update(b"\n")
-        return digest.hexdigest()
-
-    def write_jsonl(self, path) -> int:
-        lines = self.jsonl()
-        with open(path, "w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-        return len(lines)
 
     # -- judgement --------------------------------------------------------
     def slo_report(self) -> SLOReport:
@@ -407,8 +284,9 @@ class ChaosCampaign:
         self.baseline = next(
             r.name for r in regimes if r.is_fault_free
         )
-        self._workload_knobs = {
-            "rate_per_s": float(rate_per_s),
+        #: ``Workload`` kwargs every cell shares; each policy adds its own.
+        self._workload_kwargs = {
+            "arrivals": PoissonArrivals(rate_per_s=float(rate_per_s)),
             "n_requests": n_requests,
             "fanout": fanout,
             "request_bytes": request_bytes,
@@ -416,24 +294,10 @@ class ChaosCampaign:
             "service_us": service_us,
             "frontends": frontends,
             "timeout_us": float(timeout_us),
+            "name": self.name,
         }
 
     # ------------------------------------------------------------------
-    def _workload_for(self, policy: RecoveryPolicy) -> Workload:
-        knobs = self._workload_knobs
-        return Workload(
-            arrivals=PoissonArrivals(rate_per_s=knobs["rate_per_s"]),
-            n_requests=knobs["n_requests"],
-            fanout=knobs["fanout"],
-            request_bytes=knobs["request_bytes"],
-            reply_bytes=knobs["reply_bytes"],
-            service_us=knobs["service_us"],
-            frontends=knobs["frontends"],
-            timeout_us=knobs["timeout_us"],
-            name=self.name,
-            **policy.workload_kwargs(),
-        )
-
     def _compile_regimes(self, topology: str) -> dict:
         """Compile every regime once, on a scratch fabric of this cell.
 
@@ -461,7 +325,7 @@ class ChaosCampaign:
             for policy in self.policies:
                 if log is not None:
                     log(f"chaos: {topology}/{self.n_nodes} "
-                        f"{policy.describe()} x "
+                        f"{policy.name} x "
                         f"{len(self.regimes)} regimes x {self.reps} reps")
                 scenarios = [
                     Scenario(
@@ -475,7 +339,8 @@ class ChaosCampaign:
                 ]
                 table = RunTable(
                     scenarios=scenarios,
-                    workload=self._workload_for(policy),
+                    workload=Workload(**self._workload_kwargs,
+                                      **policy.workload_kwargs()),
                     reps=self.reps, seed=self.seed, costs=self.costs,
                 )
                 result = table.run(log)

@@ -13,7 +13,8 @@ The redesigned single entry point for measurements::
 
 For full matrices (topologies x sizes x reps, optional chaos twins),
 use :class:`RunTable`, which emits seeded ``runtable/v1`` JSONL plus a
-summary table and rank-statistic contrasts.
+summary table and rank-statistic contrasts.  :mod:`repro.exp.records`
+owns the row format every sweep shares.
 """
 
 from repro.exp.experiment import (
@@ -23,12 +24,8 @@ from repro.exp.experiment import (
     Scenario,
     rep_seed,
 )
-from repro.exp.runtable import (
-    ROW_SCHEMA,
-    RunTable,
-    RunTableResult,
-    validate_row,
-)
+from repro.exp.records import ROW_SCHEMA, validate_row
+from repro.exp.runtable import RunTable, RunTableResult
 
 __all__ = [
     "Contrast",

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Optional, Union
 
+from repro.exp.records import RUNTABLE
 from repro.fabric.base import FabricBackend
 from repro.fabric.registry import available_topologies, create_fabric
 from repro.model.costs import CostModel, DEFAULT_COSTS
@@ -212,7 +213,7 @@ class RunResult:
         for index, rep in enumerate(self.reps):
             pcts = rep.percentiles()
             rows.append({
-                "schema": "runtable/v1",
+                "schema": RUNTABLE.tag,
                 "arm": self.arm,
                 "topology": self.scenario.topology_name,
                 "n_endpoints": self.scenario.n_nodes,

@@ -8,8 +8,9 @@ that matrix out of :class:`~repro.exp.experiment.Scenario` rows, runs
 each cell through :class:`~repro.exp.experiment.Experiment`, and
 renders three artefacts:
 
-* **JSONL rows** (``runtable/v1``) -- one line per repetition, the
-  machine-readable record downstream analysis (and CI) consumes;
+* **JSONL rows** (``runtable/v1``, defined in :mod:`repro.exp.records`)
+  -- one line per repetition, the machine-readable record downstream
+  analysis (and CI) consumes;
 * **summary table** -- per-arm percentiles, throughput, failure rate;
 * **contrasts** -- pairwise Mann-Whitney U between topology arms at
   each size (plus a Kruskal-Wallis omnibus when three or more arms
@@ -21,79 +22,17 @@ JSONL, which the CI smoke job pins by digest.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Callable, Optional, Sequence, Union
 
 from repro.exp.experiment import Contrast, Experiment, RunResult, Scenario
+from repro.exp.records import RecordSet
 from repro.fabric.base import FabricBackend
 from repro.model.costs import CostModel
 from repro.workload.generator import Workload
 from repro.workload.stats import kruskal_wallis
 
-#: JSONL schema tag; every row carries it.
-ROW_SCHEMA = "runtable/v1"
 
-#: Required keys (and the types a validator should accept) of one row.
-ROW_FIELDS: dict[str, tuple] = {
-    "schema": (str,),
-    "arm": (str,),
-    "topology": (str,),
-    "n_endpoints": (int,),
-    "rep": (int,),
-    "seed": (str,),
-    "chaos": (bool,),
-    "offered": (int,),
-    "completed": (int,),
-    "failed": (int,),
-    "retries": (int,),
-    "injected": (int,),
-    "failure_rate": (int, float),
-    "offered_rate_per_s": (int, float),
-    "throughput_per_s": (int, float),
-    "duration_us": (int, float),
-    "p50_us": (int, float),
-    "p95_us": (int, float),
-    "p99_us": (int, float),
-    "fingerprint": (str,),
-}
-
-
-def validate_row(row: dict, where: str = "row") -> None:
-    """Raise ``ValueError`` unless ``row`` matches the runtable/v1 schema."""
-    if not isinstance(row, dict):
-        raise ValueError(f"{where}: not a JSON object")
-    if row.get("schema") != ROW_SCHEMA:
-        raise ValueError(
-            f"{where}: schema is {row.get('schema')!r}, want {ROW_SCHEMA!r}"
-        )
-    for key, types in ROW_FIELDS.items():
-        if key not in row:
-            raise ValueError(f"{where}: missing field {key!r}")
-        value = row[key]
-        # bool is an int subclass; keep numeric fields strictly non-bool.
-        bad = (
-            not isinstance(value, bool) if types == (bool,)
-            else isinstance(value, bool) or not isinstance(value, types)
-        )
-        if bad:
-            raise ValueError(
-                f"{where}: field {key!r} has type "
-                f"{type(value).__name__}, want "
-                f"{'/'.join(t.__name__ for t in types)}"
-            )
-    if row["offered"] < row["completed"]:
-        raise ValueError(
-            f"{where}: completed ({row['completed']}) exceeds offered "
-            f"({row['offered']})"
-        )
-    if not 0.0 <= row["failure_rate"] <= 1.0:
-        raise ValueError(
-            f"{where}: failure_rate {row['failure_rate']} outside [0, 1]"
-        )
-
-
-class RunTableResult:
+class RunTableResult(RecordSet):
     """Everything a run-table sweep produced."""
 
     def __init__(self, results: list[RunResult]) -> None:
@@ -111,28 +50,6 @@ class RunTableResult:
     # -- JSONL ------------------------------------------------------------
     def rows(self) -> list[dict]:
         return [row for result in self.results for row in result.rows()]
-
-    def jsonl(self) -> list[str]:
-        """Canonical JSONL lines (sorted keys, compact separators)."""
-        return [
-            json.dumps(row, sort_keys=True, separators=(",", ":"))
-            for row in self.rows()
-        ]
-
-    def digest(self) -> str:
-        """sha256 over the canonical JSONL -- the determinism anchor."""
-        digest = hashlib.sha256()
-        for line in self.jsonl():
-            digest.update(line.encode("utf-8"))
-            digest.update(b"\n")
-        return digest.hexdigest()
-
-    def write_jsonl(self, path) -> int:
-        lines = self.jsonl()
-        with open(path, "w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-        return len(lines)
 
     # -- human-readable summary ------------------------------------------
     def summary(self) -> str:

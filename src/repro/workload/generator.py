@@ -86,6 +86,31 @@ def _sampler(spec, argument: str, *, integer: bool, minimum):
     return lambda rng: value
 
 
+def check_retry_knobs(owner: str, retries, retry_timeout_us,
+                      retry_backoff) -> None:
+    """Validate a retry policy; ``owner`` names the caller in errors.
+
+    The one check behind both ``Workload`` and
+    :class:`~repro.chaos.campaign.RecoveryPolicy`.
+    """
+    if not isinstance(retries, int) or isinstance(retries, bool):
+        raise TypeError(
+            f"{owner}(retries=...) must be an int, got {retries!r}"
+        )
+    if retries < 0:
+        raise ValueError(f"{owner}(retries=...) must be >= 0, got {retries}")
+    if retries > 0 and (retry_timeout_us is None or retry_timeout_us <= 0):
+        raise ValueError(
+            f"{owner}(retries=...) needs a positive retry_timeout_us, "
+            f"got {retry_timeout_us!r}"
+        )
+    if retry_backoff < 1.0:
+        raise ValueError(
+            f"{owner}(retry_backoff=...) must be >= 1.0, "
+            f"got {retry_backoff!r}"
+        )
+
+
 class _Pending:
     """In-flight request state tracked by the router hub."""
 
@@ -220,6 +245,8 @@ class WorkloadResult:
     arm: str
     seed: str
     offered: int
+    #: Requests completed within ``timeout_us``; a late completion
+    #: counts as failed, so ``completed + failed == offered``.
     completed: int
     failed: int
     #: Completed-request latencies, sorted ascending (microseconds).
@@ -363,26 +390,8 @@ class Workload:
                 f"Workload(timeout_us=...) must be positive or None, "
                 f"got {timeout_us!r}"
             )
-        if not isinstance(retries, int) or isinstance(retries, bool):
-            raise TypeError(
-                f"Workload(retries=...) must be an int, got {retries!r}"
-            )
-        if retries < 0:
-            raise ValueError(
-                f"Workload(retries=...) must be >= 0, got {retries}"
-            )
-        if retries > 0 and (
-            retry_timeout_us is None or retry_timeout_us <= 0
-        ):
-            raise ValueError(
-                "Workload(retries=...) needs a positive retry_timeout_us, "
-                f"got {retry_timeout_us!r}"
-            )
-        if retry_backoff < 1.0:
-            raise ValueError(
-                f"Workload(retry_backoff=...) must be >= 1.0, "
-                f"got {retry_backoff!r}"
-            )
+        check_retry_knobs("Workload", retries, retry_timeout_us,
+                          retry_backoff)
         self.arrivals = arrivals
         self.n_requests = n_requests
         self.frontends = frontends
@@ -606,16 +615,15 @@ class Workload:
         sim.run()
         hub.release(range(rid_base, rid_base + len(records)))
 
+        # A request that never completed, or completed after
+        # ``timeout_us``, is failed; everything else is completed.
         latencies = []
-        failed = 0
         for record in records:
             completed_at = completions.get(record.rid)
             if completed_at is None:
-                failed += 1
                 continue
             latency = completed_at - (start + record.t_us)
             if self.timeout_us is not None and latency > self.timeout_us:
-                failed += 1
                 continue
             latencies.append(latency)
         latencies.sort()
@@ -635,8 +643,8 @@ class Workload:
             arm=arm,
             seed=seed_label,
             offered=len(records),
-            completed=len(completions),
-            failed=failed,
+            completed=len(latencies),
+            failed=len(records) - len(latencies),
             latencies_us=tuple(latencies),
             duration_us=duration,
             offered_rate_per_s=offered_rate,

@@ -18,7 +18,6 @@ service_us]``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -70,11 +69,10 @@ def trace_fingerprint(records: Iterable[RequestRecord]) -> str:
     Two plans with the same fingerprint offered byte-identical load;
     this is the seeded-determinism anchor the tests pin.
     """
-    digest = hashlib.sha256()
-    for record in records:
-        digest.update(record.line().encode("utf-8"))
-        digest.update(b"\n")
-    return digest.hexdigest()
+    # Imported here: repro.exp imports this package.
+    from repro.exp.records import sha256_lines
+
+    return sha256_lines(record.line() for record in records)
 
 
 def dump_trace(

@@ -12,15 +12,18 @@ from repro import (
     FaultRegime,
     LinkGroupFailure,
     NetworkPartition,
+    PoissonArrivals,
     RecoveryPolicy,
     SLO,
     Simulator,
+    Workload,
     boundary_cut_sites,
     create_fabric,
     validate_chaos_row,
 )
 from repro.chaos import FAULT_FREE
 from repro.chaos.slo import SLOObjective, SLOReport, SLOVerdict
+from repro.exp import validate_row
 
 
 def fabric(topology="hypercube", n_endpoints=32, **options):
@@ -282,8 +285,38 @@ def test_validate_chaos_row_rejects_tampering():
         validate_chaos_row(bad)
     with pytest.raises(ValueError, match="failure_rate"):
         validate_chaos_row({**row, "failure_rate": 1.5})
-    with pytest.raises(ValueError, match="exceeds offered"):
-        validate_chaos_row({**row, "completed": row["offered"] + 1})
+    with pytest.raises(ValueError, match="!= offered"):
+        validate_chaos_row({**row, "completed": row["completed"] + 1})
+    with pytest.raises(ValueError, match="!= offered"):
+        validate_chaos_row({**row, "failed": row["failed"] + 1})
+
+
+def test_chaos_rows_are_runtable_rows_plus_three_columns():
+    for row in small_campaign().run().rows():
+        base = {key: value for key, value in row.items()
+                if key not in ("campaign", "policy", "regime")}
+        validate_row({**base, "schema": "runtable/v1"})
+        assert row["arm"] == (f"{row['topology']}/{row['n_endpoints']}"
+                              f"|{row['policy']}|{row['regime']}")
+        assert row["chaos"] == (row["regime"] != "fault-free")
+
+
+BAD_RETRY_KNOBS = [
+    dict(retries=-1),
+    dict(retries=1),
+    dict(retries=1, retry_timeout_us=0.0),
+    dict(retry_backoff=0.5),
+]
+
+
+@pytest.mark.parametrize("knobs", BAD_RETRY_KNOBS)
+def test_policy_and_workload_share_the_retry_check(knobs):
+    with pytest.raises(ValueError) as policy_error:
+        RecoveryPolicy("p", **knobs)
+    with pytest.raises(ValueError) as workload_error:
+        Workload(arrivals=PoissonArrivals(rate_per_s=1000.0), **knobs)
+    assert (str(policy_error.value).replace("RecoveryPolicy", "Workload")
+            == str(workload_error.value))
 
 
 def test_chaos_cli_smoke_roundtrip(tmp_path):

@@ -130,6 +130,44 @@ def test_validate_row_rejects_bad_rows():
     del missing["p95_us"]
     with pytest.raises(ValueError, match="p95_us"):
         validate_row(missing)
+    with pytest.raises(ValueError, match="!= offered"):
+        validate_row(dict(good, failed=good["failed"] + 1))
+    with pytest.raises(ValueError, match="chaos"):
+        validate_row(dict(good, chaos=0))
+    with pytest.raises(ValueError, match="offered"):
+        validate_row(dict(good, offered=True))
+
+
+def test_runtable_cli_smoke_roundtrip(tmp_path):
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    repo = Path(__file__).resolve().parent.parent
+    env = {"PYTHONPATH": str(repo / "src"), "PATH": "/usr/bin:/bin"}
+    out = tmp_path / "runtable.jsonl"
+    proc = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "runtable.py"),
+         "--smoke", "--quiet", "--out", str(out)],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "digest:" in proc.stdout
+    check = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "runtable.py"),
+         "--validate", str(out)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert check.returncode == 0, check.stderr
+    assert "12 rows OK (runtable/v1)" in check.stdout
+    out.write_text(out.read_text().replace('"failed":0', '"failed":1', 1))
+    tampered = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "runtable.py"),
+         "--validate", str(out)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert tampered.returncode == 1
+    assert "!= offered" in tampered.stderr
 
 
 # ----------------------------------------------------------------------

@@ -212,7 +212,8 @@ def test_crashed_backend_fails_requests_instead_of_hanging():
     result = workload.run(fabric, seed="crash:0", arm="crash")
     assert result.offered == 40
     assert result.failed > 0
-    assert result.completed + result.failed <= result.offered + result.failed
+    assert result.completed + result.failed == result.offered
+    assert result.completed == len(result.latencies_us)
 
 
 def test_retries_with_reroute_recover_crashed_backends():

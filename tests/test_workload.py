@@ -139,7 +139,19 @@ def test_timeout_counts_slow_requests_as_failed():
                   n_requests=20, timeout_us=1.0)
     result = wl.run(_fresh_fabric(), seed=2, arm="t")
     assert result.failed == result.offered
+    assert result.completed == 0
     assert result.failure_rate == 1.0
+
+
+def test_late_replies_count_as_failed_only():
+    # Replies arrive, but after the deadline: each request is failed
+    # once and not also completed.
+    wl = Workload(arrivals=PoissonArrivals(rate_per_s=4000),
+                  n_requests=100, timeout_us=60.0)
+    result = wl.run(_fresh_fabric(n=64), seed=1, arm="late")
+    assert len(result.completions_us) == result.offered == 100
+    assert result.completed == len(result.latencies_us) == 0
+    assert result.failed == 100
 
 
 def test_workload_needs_exactly_one_source():
