@@ -319,7 +319,14 @@ class BoundaryLink:
         self._m_bytes = self.metrics.counter("link.bytes_carried")
         self._m_busy = self.metrics.counter("link.busy_us")
         self._m_queue = self.metrics.gauge("link.queue_depth")
-        sim.process(self._pump())
+        self._dest = (dest_shard, dest_cluster, dest_port)
+        #: The message on the wire: its size, done event and wire time.
+        self._size = 0
+        self._done: Optional[Event] = None
+        self._wire = 0.0
+        self._on_request = self._take
+        self._on_carried = self._carried
+        sim.start(self._listen)
 
     @property
     def messages_carried(self) -> int:
@@ -343,29 +350,36 @@ class BoundaryLink:
         self._requests.try_put((packet, done))
         return done
 
-    def _pump(self):
+    # The same callback chain as :class:`~repro.hpc.link.Link` (see its
+    # comment): each callback hangs on the event a generator process
+    # would wait on, so the schedule is a process's.
+    def _listen(self, _event: Optional[Event] = None) -> None:
+        self._requests.get().callbacks.append(self._on_request)
+
+    def _take(self, event: Event) -> None:
+        packet, done = event._value
+        self._m_queue.set(len(self._requests))
+        size = self._size = packet.size
+        self._done = done
         sim = self.sim
-        wire_time = self.costs.hpc_wire_time
-        hop_latency = self.costs.hpc_hop_latency
-        outbox = self.outbox
-        dest = (self.dest_shard, self.dest_cluster, self.dest_port)
-        while True:
-            packet, done = yield self._requests.get()
-            self._m_queue.set(len(self._requests))
-            size = packet.size
-            wire = wire_time(size) + hop_latency
-            # Capture at pickup, not after the wire: the arrival stamp
-            # must stay >= (window start + lookahead) even for messages
-            # still "in flight" when the window closes.
-            outbox.append(
-                (sim.now + wire,) + dest
-                + (encode_packet(packet, packet.hops + 1),)
-            )
-            yield sim.timeout(wire)
-            self._m_busy.value += wire
-            self._m_messages.value += 1.0
-            self._m_bytes.value += size
-            done.succeed()
+        wire = self._wire = (
+            self.costs.hpc_wire_time(size) + self.costs.hpc_hop_latency
+        )
+        # Capture at pickup, not after the wire: the arrival stamp must
+        # stay >= (window start + lookahead) even for messages still "in
+        # flight" when the window closes.
+        self.outbox.append(
+            (sim.now + wire,) + self._dest
+            + (encode_packet(packet, packet.hops + 1),)
+        )
+        sim.timeout(wire).callbacks.append(self._on_carried)
+
+    def _carried(self, _event: Event) -> None:
+        self._m_busy.value += self._wire
+        self._m_messages.value += 1.0
+        self._m_bytes.value += self._size
+        self._done.succeed()
+        self._listen()
 
 
 # ---------------------------------------------------------------------------
@@ -461,20 +475,32 @@ class ShardFabric(Fabric):
     ) -> None:
         """Deliver a boundary message into a local cluster input.
 
-        Spawned per message in batch order; the injector honours the
+        Started per message in batch order; the injection honours the
         port's buffer credits (FIFO), so in-shard flow control survives
-        the shard boundary.
+        the shard boundary.  It is three callbacks -- start, arrival,
+        credit granted -- on the events an injector process would wait
+        on (urgent start, arrival timeout, ``reserve()``), and it ends by
+        triggering the event such a process triggers when it exits, so
+        the schedule and ``Simulator.processed`` are the process's.
         """
-        self.sim.process(self._inject(arrival, cid, port, packet))
-
-    def _inject(self, arrival: float, cid: int, port: int, packet: Packet):
         sim = self.sim
-        delay = arrival - sim.now
-        if delay > 0:
-            yield sim.timeout(delay)
         binput = self.clusters[cid].inputs[port]
-        yield binput.reserve()
-        binput.deliver(packet)
+
+        def deliver(_event: Event) -> None:
+            binput.deliver(packet)
+            Event(sim).succeed()
+
+        def reserve(_event: Optional[Event] = None) -> None:
+            binput.reserve().callbacks.append(deliver)
+
+        def arrive(_event: Event) -> None:
+            delay = arrival - sim.now
+            if delay > 0:
+                sim.timeout(delay).callbacks.append(reserve)
+            else:
+                reserve()
+
+        sim.start(arrive)
 
     # -- overrides for the sparse cluster list -------------------------------
     def _local(self):

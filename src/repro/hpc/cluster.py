@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.hpc.port import BufferedInput
+from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
@@ -50,8 +51,7 @@ class Cluster:
         self.routing: dict[int, int] = {}
         #: Messages forwarded, for statistics.
         self.messages_forwarded = 0
-        for port in range(n_ports):
-            sim.process(self._forward(port))
+        self._forwarders = [_Forwarder(self, source) for source in self.inputs]
 
     def wired_ports(self) -> list[int]:
         """Indices of ports with an outgoing link attached."""
@@ -66,23 +66,53 @@ class Cluster:
                 f"cluster {self.cluster_id} has no route to address {dst}"
             ) from None
 
-    def _forward(self, port: int):
-        """Forwarding engine for one input port."""
-        source = self.inputs[port]
-        while True:
-            packet = yield source.get()
-            out_port = self.route_port(packet.dst)
-            link = self.out_links[out_port]
-            if link is None:
-                raise RuntimeError(
-                    f"cluster {self.cluster_id}: route for {packet.dst} uses "
-                    f"unwired port {out_port}"
-                )
-            # Store-and-forward: hold our input buffer until the next hop
-            # has accepted the whole message, then free it.
-            yield link.send(packet)
-            source.free()
-            self.messages_forwarded += 1
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Cluster {self.cluster_id} ports={self.n_ports}>"
+
+
+class _Forwarder:
+    """The forwarding engine of one input port, as two event callbacks.
+
+    ``_forward`` runs when the input's ``get`` fires and hands the
+    message to the output link; ``_accepted`` runs when that link's
+    ``send`` event fires, frees the input buffer and parks on the next
+    ``get``.  These are the events a generator process would wait on, in
+    the same order, so the schedule is a process's.
+    """
+
+    __slots__ = ("cluster", "source", "_get", "_on_packet", "_on_accepted")
+
+    def __init__(self, cluster: Cluster, source: BufferedInput) -> None:
+        self.cluster = cluster
+        self.source = source
+        # The input's buffer queue, bound past ``BufferedInput.get``
+        # (a pass-through): one frame less per forwarded message.
+        self._get = source._queue.get
+        self._on_packet = self._forward
+        self._on_accepted = self._accepted
+        cluster.sim.start(self._listen)
+
+    def _listen(self, _event: Optional[Event] = None) -> None:
+        self._get().callbacks.append(self._on_packet)
+
+    def _forward(self, event: Event) -> None:
+        packet = event._value
+        cluster = self.cluster
+        try:
+            out_port = cluster.routing[packet.dst]
+        except KeyError:
+            out_port = cluster.route_port(packet.dst)  # raises the diagnostic
+        link = cluster.out_links[out_port]
+        if link is None:
+            raise RuntimeError(
+                f"cluster {cluster.cluster_id}: route for {packet.dst} uses "
+                f"unwired port {out_port}"
+            )
+        # Store-and-forward: hold our input buffer until the next hop
+        # has accepted the whole message, then free it.
+        link.send(packet).callbacks.append(self._on_accepted)
+
+    def _accepted(self, _event: Event) -> None:
+        self.source.free()
+        self.cluster.messages_forwarded += 1
+        self._get().callbacks.append(self._on_packet)

@@ -10,7 +10,7 @@ transmitting until the downstream input has a free whole-message buffer.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 from repro.sim.events import Event, PENDING as _PENDING
 from repro.sim.resources import Store
@@ -48,7 +48,30 @@ class Link:
         self._m_bytes = self.metrics.counter("link.bytes_carried")
         self._m_busy = self.metrics.counter("link.busy_us")
         self._m_queue = self.metrics.gauge("link.queue_depth")
-        sim.process(self._pump())
+        self._wire_time = costs.hpc_wire_time
+        self._hop_latency = costs.hpc_hop_latency
+        #: The message being carried, its sender's done event, the fault
+        #: injector seen when it was taken, duplicate copies still to
+        #: carry, when the credit wait began, and the current wire time.
+        self._packet: Optional["Packet"] = None
+        self._done: Optional[Event] = None
+        self._injector = None
+        self._copies_left = 0
+        self._stall_from = 0.0
+        self._wire = 0.0
+        # Bound once: these run once or more per carried message.  The
+        # downstream credit pool's ``acquire`` is bound past
+        # ``BufferedInput.reserve`` (a pass-through): one Python frame
+        # less per message.
+        self._get = self._requests.get
+        self._acquire = downstream._credits.acquire
+        self._on_request = self._take
+        self._on_stall_end = self._decide
+        self._on_dropped = self._dropped
+        self._on_delayed = self._reserve
+        self._on_reserved = self._serialize
+        self._on_carried = self._carried
+        sim.start(self._listen)
 
     # -- counter-backed statistics ------------------------------------------
     @property
@@ -78,7 +101,7 @@ class Link:
         done._ok = None
         done._defused = False
         # ``Store.try_put`` on the unbounded request queue, inlined: the
-        # pump is usually parked as a getter, so this is one handoff
+        # link is usually parked as a getter, so this is one handoff
         # (inlined ``succeed``) per message on the wire.
         requests = self._requests
         getters = requests._getters
@@ -97,79 +120,122 @@ class Link:
         """Transmissions waiting for the wire."""
         return len(self._requests)
 
-    def _pump(self):
-        # Everything loop-invariant is bound once: this generator resumes
-        # several times per carried message and the attribute chains showed
-        # up in engine profiles.
-        sim = self.sim
-        requests = self._requests
-        request_items = requests._items  # Store's deque, len() per message
+    # -- the wire, as event callbacks ------------------------------------
+    #
+    # One message's trip is a chain of callbacks, each appended to the
+    # event a generator process would wait on at that point: the request
+    # ``Store.get``, the stall/drop/delay timeouts, the downstream
+    # ``reserve()`` credit and the wire timeout.  The events, their
+    # creation order and so the whole ``(time, priority, seq)`` schedule
+    # are those of a process; only the ``Process`` resume between them
+    # is gone (interrupt-level code, paper Section 5).
+
+    def _listen(self, _event: Optional[Event] = None) -> None:
+        """Park on the request queue for the next message."""
+        self._get().callbacks.append(self._on_request)
+
+    def _take(self, event: Event) -> None:
+        """A request arrived: check faults, then claim a downstream buffer."""
+        packet, done = event._value
+        self._packet = packet
+        self._done = done
+        depth = len(self._requests._items)
         m_queue = self._m_queue
-        wire_time = self.costs.hpc_wire_time
-        hop_latency = self.costs.hpc_hop_latency
-        downstream = self.downstream
-        # Metric objects (not their ``inc``/``set`` methods): the pump
-        # updates the counter fields directly -- same observable values,
+        m_queue.value = depth
+        if depth > m_queue.max_value:
+            m_queue.max_value = depth
+        injector = self._injector = self.sim.faults
+        self._copies_left = 0
+        if injector is None:
+            # ``_reserve`` inlined: this is every message's path.
+            self._stall_from = self.sim._now
+            self._acquire().callbacks.append(self._on_reserved)
+            return
+        stall = injector.stall_remaining(self.name)
+        if stall > 0:
+            # NIC stall window: the wire sits idle until it ends.
+            self.sim.timeout(stall).callbacks.append(self._on_stall_end)
+            return
+        self._decide()
+
+    def _decide(self, _event: Optional[Event] = None) -> None:
+        """Apply the fault injector's verdict on the current message."""
+        injector = self._injector
+        packet = self._packet
+        if injector.crash_drop(self.name, packet):
+            self._done.succeed()
+            self._listen()
+            return
+        decision = injector.link_decision(self.name, packet)
+        if decision.drop:
+            # Lost on the wire: serialization happened, but the
+            # downstream end discarded the damaged message immediately,
+            # so no buffer is held.
+            wire = self._wire = (
+                self._wire_time(packet.size) + self._hop_latency
+            )
+            self.sim.timeout(wire).callbacks.append(self._on_dropped)
+            return
+        if decision.corrupt:
+            packet.corrupted = True
+        if decision.duplicate:
+            self._copies_left = 1
+        if decision.delay_us > 0:
+            self.sim.timeout(decision.delay_us).callbacks.append(
+                self._on_delayed
+            )
+            return
+        self._reserve()
+
+    def _dropped(self, _event: Event) -> None:
+        self._m_busy.value += self._wire
+        self._done.succeed()
+        self._listen()
+
+    def _reserve(self, _event: Optional[Event] = None) -> None:
+        """Hardware flow control: wait for a whole-message buffer
+        downstream before occupying the wire."""
+        self._stall_from = self.sim._now
+        self._acquire().callbacks.append(self._on_reserved)
+
+    def _serialize(self, _event: Event) -> None:
+        """The buffer is ours: put the message on the wire."""
+        sim = self.sim
+        stalled = sim._now - self._stall_from
+        if stalled > 0:
+            self.metrics.counter("link.reserve_stalls").inc()
+            self.metrics.counter("link.reserve_stall_us").inc(stalled)
+        wire = self._wire_time(self._packet.size) + self._hop_latency
+        injector = self._injector
+        if injector is not None:
+            # Degraded link: a brownout window stretches the
+            # serialization itself, so busy time reflects it.
+            wire += injector.brownout_extra_us(self.name, wire)
+        self._wire = wire
+        sim.timeout(wire).callbacks.append(self._on_carried)
+
+    def _carried(self, _event: Event) -> None:
+        """The message is across: hand it downstream, free the sender."""
+        packet = self._packet
+        # Metric objects are updated field-wise: same observable values,
         # three fewer Python frames per carried message.
-        m_busy = self._m_busy
-        m_messages = self._m_messages
-        m_bytes = self._m_bytes
-        while True:
-            packet, done = yield requests.get()
-            depth = len(request_items)
-            m_queue.value = depth
-            if depth > m_queue.max_value:
-                m_queue.max_value = depth
-            injector = sim.faults
-            decision = None
-            if injector is not None:
-                stall = injector.stall_remaining(self.name)
-                if stall > 0:
-                    # NIC stall window: the wire sits idle until it ends.
-                    yield sim.timeout(stall)
-                if injector.crash_drop(self.name, packet):
-                    done.succeed()
-                    continue
-                decision = injector.link_decision(self.name, packet)
-                if decision.drop:
-                    # Lost on the wire: serialization happened, but the
-                    # downstream end discarded the damaged message
-                    # immediately, so no buffer is held.
-                    wire = wire_time(packet.size) + hop_latency
-                    yield sim.timeout(wire)
-                    m_busy.value += wire
-                    done.succeed()
-                    continue
-                if decision.corrupt:
-                    packet.corrupted = True
-                if decision.delay_us > 0:
-                    yield sim.timeout(decision.delay_us)
-            copies = 2 if decision is not None and decision.duplicate else 1
-            for copy in range(copies):
-                # Hardware flow control: wait for a whole-message buffer
-                # downstream before occupying the wire.
-                stall_from = sim._now
-                yield downstream.reserve()
-                stalled = sim._now - stall_from
-                if stalled > 0:
-                    self.metrics.counter("link.reserve_stalls").inc()
-                    self.metrics.counter("link.reserve_stall_us").inc(stalled)
-                size = packet.size
-                wire = wire_time(size) + hop_latency
-                if injector is not None:
-                    # Degraded link: a brownout window stretches the
-                    # serialization itself, so busy time reflects it.
-                    wire += injector.brownout_extra_us(self.name, wire)
-                yield sim.timeout(wire)
-                m_busy.value += wire
-                m_messages.value += 1.0
-                m_bytes.value += size
-                packet.hops += 1
-                downstream.deliver(packet)
-                if copy == 0:
-                    # ``Event.succeed`` inlined: the request's done event
-                    # is still pending here.
-                    done._ok = True
-                    done._value = None
-                    sim._imm_normal.append((sim._now, sim._seq, done))
-                    sim._seq += 1
+        self._m_busy.value += self._wire
+        self._m_messages.value += 1.0
+        self._m_bytes.value += packet.size
+        packet.hops += 1
+        self.downstream.deliver(packet)
+        done = self._done
+        if done._ok is None:
+            # First copy: ``Event.succeed`` inlined (the request's done
+            # event is still pending here).
+            sim = self.sim
+            done._ok = True
+            done._value = None
+            sim._imm_normal.append((sim._now, sim._seq, done))
+            sim._seq += 1
+        if self._copies_left:
+            # An injected duplicate: the same message crosses again.
+            self._copies_left -= 1
+            self._reserve()
+        else:
+            self._get().callbacks.append(self._on_request)

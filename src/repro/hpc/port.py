@@ -46,16 +46,29 @@ class BufferedInput:
 
     def deliver(self, packet: "Packet") -> None:
         """Place a message in a previously reserved buffer."""
-        # The Store's deque is read directly here and in ``free``/
+        # The Store's deques are read directly here and in ``free``/
         # ``pending``: these run once per carried message and the
         # ``len(Store)`` protocol call showed up in engine profiles.
-        queued = len(self._queue._items)
+        queue = self._queue
+        items = queue._items
+        queued = len(items)
         if queued >= self.capacity:
             raise RuntimeError(
                 f"{self.name}: delivery without reservation "
                 f"({queued} >= {self.capacity})"
             )
-        self._queue.try_put(packet)
+        # ``Store.try_put`` on the unbounded queue, inlined: hand the
+        # message to a parked consumer (``succeed`` inlined) or queue it.
+        getters = queue._getters
+        if getters:
+            getter = getters.popleft()
+            getter._ok = True
+            getter._value = packet
+            sim = self.sim
+            sim._imm_normal.append((sim._now, sim._seq, getter))
+            sim._seq += 1
+        else:
+            items.append(packet)
         if self.on_deliver is not None:
             self.on_deliver(packet)
 

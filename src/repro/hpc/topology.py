@@ -301,7 +301,7 @@ class Fabric(FabricBackend):
                 yield link
 
     def fault_sites(self) -> list[str]:
-        """Sorted link names -- the sites the pump hands the injector.
+        """Sorted link names -- the sites links hand the injector.
 
         Covers both directions of every wire: endpoint entry/exit links
         (``"node0->c0"``, ``"c0.p1->node0"``) and cluster-to-cluster

@@ -1,9 +1,12 @@
 """A deterministic discrete-event simulation (DES) engine.
 
-This is the foundational substrate for the HPC/VORX reproduction: every
-piece of hardware (links, clusters, fifos, buses) and software (kernels,
-protocols, applications) in the paper is modelled as generator-based
-simulated processes scheduled by :class:`~repro.sim.engine.Simulator`.
+This is the foundational substrate for the HPC/VORX reproduction: the
+software (kernels, protocols, applications) and most hardware (fifos,
+buses) in the paper are modelled as generator-based simulated processes
+scheduled by :class:`~repro.sim.engine.Simulator`.  The fabric's hop
+path (links, cluster forwarders) runs as event callbacks instead -- the
+interrupt-level alternative of paper Section 5 -- on the same events a
+process would wait on.
 
 Highlights
 ----------

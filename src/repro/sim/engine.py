@@ -92,6 +92,11 @@ class Handle:
 
     __slots__ = ("fn", "args", "cancelled", "time", "_sim")
 
+    #: A handle has no callback list; :meth:`Simulator._drain` reads
+    #: ``callbacks is None`` as "run ``fn`` instead" (a queued event's
+    #: list is never ``None`` until it is processed).
+    callbacks = None
+
     def __init__(
         self, sim: "Simulator", time: float, fn: Callable[..., None],
         args: tuple,
@@ -494,6 +499,24 @@ class Simulator:
         """Start a new simulated process running ``generator``."""
         return Process(self, generator)
 
+    def start(self, callback: Callable[[Event], None]) -> Event:
+        """Run ``callback(event)`` now, ahead of normal occurrences.
+
+        This is the urgent zero-delay start event every :class:`Process`
+        begins with, so a state machine of callbacks started here (the
+        interrupt-level counterpart of :meth:`process`) keeps the
+        schedule of the process it stands in for.
+        """
+        start = Event.__new__(Event)
+        start.sim = self
+        start.callbacks = [callback]
+        start._ok = True
+        start._value = None
+        start._defused = False
+        self._imm_urgent.append((self._now, self._seq, start))
+        self._seq += 1
+        return start
+
     # -- execution -------------------------------------------------------------
     def peek(self) -> float:
         """Time of the next occurrence, or ``inf`` if the queue is empty."""
@@ -675,7 +698,18 @@ class Simulator:
                     keys_pop()
                     order_pop()
                     item = items_pop()
-                item._process()
+                # ``Event._process`` / ``Handle._process`` inlined: the
+                # hop path runs as event callbacks, so a frame per
+                # processed occurrence is a frame per link traversal.
+                callbacks = item.callbacks
+                if callbacks is None:
+                    item.fn(*item.args)
+                    continue
+                item.callbacks = None
+                for callback in callbacks:
+                    callback(item)
+                if item._ok is False and not item._defused:
+                    raise item._value
         finally:
             self.processed += processed
 

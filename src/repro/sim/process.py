@@ -58,19 +58,8 @@ class Process(Event):
         #: The event this process is currently waiting on (None if running
         #: or finished).
         self._target: Optional[Event] = None
-        # Kick off at the current time via an initial event, appended
-        # straight onto the urgent immediate lane (the inlined zero-delay
-        # tail of ``Simulator._schedule_event`` -- one process start per
-        # ISR burst makes this a hot call).  The event constructor is
-        # inlined too (mirror of ``Event.__init__``'s slot stores).
-        start = Event.__new__(Event)
-        start.sim = sim
-        start.callbacks = [self._wake]
-        start._ok = True
-        start._value = None
-        start._defused = False
-        sim._imm_urgent.append((sim._now, sim._seq, start))
-        sim._seq += 1
+        # Kick off at the current time via an urgent start event.
+        sim.start(self._wake)
 
     # -- state ---------------------------------------------------------------
     @property
@@ -135,6 +124,10 @@ class Process(Event):
                     event.defuse()
                     next_event = self._throw(event._value)
             except StopIteration as stop:
+                # Dropping ``_wake`` breaks the process -> bound method ->
+                # process cycle, so a finished process is freed by
+                # reference counting instead of the cyclic collector.
+                self._wake = None
                 # ``succeed`` inlined: ``is_alive`` was checked on entry,
                 # so this process event is still pending here.
                 self._ok = True
@@ -144,6 +137,7 @@ class Process(Event):
                 sim._seq += 1
                 return
             except BaseException as exc:
+                self._wake = None
                 self.fail(exc)
                 return
 
@@ -158,6 +152,7 @@ class Process(Event):
                     f"process {self.name!r} yielded a non-event: "
                     f"{next_event!r} (missing `yield from`?)"
                 )
+                self._wake = None
                 self.fail(error)
                 return
 

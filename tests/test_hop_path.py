@@ -1,0 +1,226 @@
+"""The fabric hop path: links, cluster forwarders and shard boundaries.
+
+Links and cluster forwarders run as event callbacks, not generator
+processes.  These tests pin what that must not change and what it must
+still report:
+
+* a fault golden on hypercube/64 covering every ``Link`` fault branch
+  (NIC stall, crash drop, drop, corrupt, delay, duplicate, brownout),
+  recorded with generator-process links, so it pins the callbacks'
+  equivalence to them;
+* errors raised inside a hop (a route over an unwired port, a delivery
+  without reservation) still surface from ``Simulator.run()``;
+* ``run()`` and repeated ``step()`` reach callbacks by different code
+  and must give the same schedule;
+* finished processes leave no reference cycles behind.
+"""
+
+import gc
+
+import pytest
+
+from repro import FaultPlan, create_fabric, run_all_pairs
+from repro.fabric.partition import (
+    TopologySpec,
+    build_shard_fabric,
+    partition_spec,
+)
+from repro.hpc import MessageKind, Packet
+from repro.model.costs import CostModel
+from repro.sim import Process, Simulator
+from repro.sim.engine import EmptySchedule
+
+from tests.test_determinism import fingerprint
+
+#: :func:`fingerprint` of :func:`run_link_faults`, recorded with
+#: generator-process links: the callback hop path must reproduce it.
+GOLDEN_LINK_FAULTS = (
+    "dc678ad13aaf2b83aac9a2fad15e030d345d316827a4b18d0d489ff0c9096ed0"
+)
+
+#: The plan behind :data:`GOLDEN_LINK_FAULTS`: every fault branch of
+#: ``Link`` fires at least once on hypercube/64.
+LINK_FAULT_PLAN = dict(
+    seed=15,
+    drop=0.04,
+    corrupt=0.04,
+    delay=0.08,
+    duplicate=0.04,
+    delay_us=(5.0, 40.0),
+    kinds=("user-object",),
+    nic_stalls=[("c0.p*", 20.0, 60.0), ("node5.*", 0.0, 45.0)],
+    link_brownouts=[("c1.*", 10.0, 300.0, 3.0)],
+    node_crashes={13: 40.0},
+)
+
+
+def make_fabric(n_endpoints=64):
+    sim = Simulator()
+    fabric = create_fabric(
+        "hypercube", sim, CostModel(), n_endpoints=n_endpoints
+    )
+    return sim, fabric
+
+
+def run_link_faults():
+    sim, fabric = make_fabric()
+    FaultPlan(**LINK_FAULT_PLAN).attach(fabric)
+    result = run_all_pairs(fabric, size=64, partners=8)
+    return sim, result
+
+
+def test_link_fault_plan_hits_every_branch():
+    sim, result = run_link_faults()
+    counters = sim.vstat.registry("faults").snapshot()["counters"]
+    for name in (
+        "faults.nic_stalls", "faults.crash_drops", "faults.brownouts",
+    ):
+        assert counters[name] > 0, name
+    by_kind = {
+        key: value for key, value in counters.items()
+        if key.startswith("faults.injected_by_kind")
+    }
+    for kind in ("drop", "corrupt", "delay", "duplicate"):
+        assert any(kind in key for key in by_kind), (kind, by_kind)
+    assert result.delivered < result.sent
+
+
+def test_link_fault_golden():
+    sim, _result = run_link_faults()
+    assert fingerprint(sim) == GOLDEN_LINK_FAULTS
+
+
+def test_fabric_hop_path_spawns_no_processes():
+    sim, fabric = make_fabric()
+    spec = TopologySpec.of(fabric)
+    shard = build_shard_fabric(
+        sim, fabric.costs, spec, partition_spec(spec, 4, fabric.costs), 1
+    )
+    shard.inject(3.0, shard.local_clusters[0], 0, Packet(
+        src=0, dst=9, size=64, kind=MessageKind.USER_OBJECT,
+    ))
+    assert shard.boundary_out
+    assert not [
+        obj for obj in gc.get_objects()
+        if isinstance(obj, Process) and obj.sim is sim
+    ]
+
+
+# ---------------------------------------------------------------------------
+# errors raised inside a hop surface from run()
+# ---------------------------------------------------------------------------
+def send_one(sim, fabric, src, dst):
+    def sender():
+        yield from fabric.send(src, Packet(
+            src=src, dst=dst, size=64, kind=MessageKind.USER_OBJECT,
+        ))
+
+    sim.process(sender())
+
+
+def unwired_route():
+    """A fabric whose first-hop cluster routes ``0 -> 9`` over a port
+    with no link attached."""
+    sim, fabric = make_fabric()
+    cluster = fabric.home_cluster(0)
+    unwired = [
+        port for port, link in enumerate(cluster.out_links) if link is None
+    ]
+    cluster.routing[9] = unwired[0]
+    send_one(sim, fabric, 0, 9)
+    return sim
+
+
+def unreserved_delivery():
+    """A fabric whose endpoint 9 has every rx buffer filled behind the
+    credits' back, so the last hop's delivery finds no room."""
+    sim, fabric = make_fabric()
+    rx = fabric.iface(9).rx
+    for _ in range(rx.capacity):
+        rx.deliver(Packet(src=1, dst=9, size=8, kind=MessageKind.USER_OBJECT))
+    send_one(sim, fabric, 0, 9)
+    return sim
+
+
+def run_by_steps(sim):
+    while True:
+        try:
+            sim.step()
+        except EmptySchedule:
+            return
+
+
+@pytest.mark.parametrize("drive", [Simulator.run, run_by_steps])
+def test_route_over_unwired_port_raises(drive):
+    with pytest.raises(RuntimeError, match="unwired port"):
+        drive(unwired_route())
+
+
+@pytest.mark.parametrize("drive", [Simulator.run, run_by_steps])
+def test_delivery_without_reservation_raises(drive):
+    with pytest.raises(RuntimeError, match="delivery without reservation"):
+        drive(unreserved_delivery())
+
+
+def test_route_to_unknown_address_raises():
+    sim, fabric = make_fabric()
+    del fabric.home_cluster(0).routing[9]
+    send_one(sim, fabric, 0, 9)
+    with pytest.raises(KeyError, match="no route to address 9"):
+        sim.run()
+
+
+# ---------------------------------------------------------------------------
+# run() and step() reach callbacks by different code: same schedule
+# ---------------------------------------------------------------------------
+class SteppedSimulator(Simulator):
+    """A simulator whose ``run()`` is a loop of ``step()`` calls."""
+
+    def run(self, until=None):
+        assert until is None
+        run_by_steps(self)
+
+
+@pytest.mark.parametrize("faults", [False, True])
+def test_step_and_run_give_the_same_schedule(faults):
+    prints = []
+    for sim in (Simulator(), SteppedSimulator()):
+        fabric = create_fabric("hypercube", sim, CostModel(), n_endpoints=32)
+        if faults:
+            FaultPlan(**LINK_FAULT_PLAN).attach(fabric)
+        result = run_all_pairs(fabric, size=64, partners=4)
+        prints.append((fingerprint(sim), sim.processed, result.fingerprint()))
+    assert prints[0] == prints[1]
+
+
+@pytest.mark.parametrize("drive", [Simulator.run, run_by_steps])
+def test_undefused_failure_raises_from_both_drivers(drive):
+    sim = Simulator()
+    sim.event().fail(ValueError("nobody waits for this"))
+    with pytest.raises(ValueError, match="nobody waits"):
+        drive(sim)
+
+
+# ---------------------------------------------------------------------------
+# finished processes are freed by reference counting
+# ---------------------------------------------------------------------------
+def test_fabric_workload_leaves_no_cyclic_garbage():
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    # Hold every object that already exists, so only the workload's own
+    # objects can turn into garbage (other tests' leftovers may lose
+    # their last reference on a background thread meanwhile).
+    existing = gc.get_objects()
+    try:
+        sim, fabric = make_fabric()
+        result = run_all_pairs(fabric, size=64, partners=8)
+        found = gc.collect()
+        garbage = [type(obj).__name__ for obj in gc.garbage]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        del existing
+        gc.enable()
+    assert result.delivered == result.sent == 512
+    assert found == 0, sorted(set(garbage))
