@@ -70,6 +70,7 @@ from repro.fabric import (
     partition_fabric,
     run_all_pairs,
     run_hot_spot,
+    run_plan,
 )
 from repro.faults import FaultPlan, LinkFaults, fault_summary
 from repro.meglos import MeglosSystem, SnetSystem
@@ -151,6 +152,7 @@ __all__ = [
     "partition_fabric",
     "run_all_pairs",
     "run_hot_spot",
+    "run_plan",
     # building blocks
     "Simulator",
     "ShardedSimulator",

@@ -2,7 +2,8 @@
 
 See :mod:`repro.fabric.base` for the :class:`FabricBackend` contract,
 :mod:`repro.fabric.registry` for name-based construction, and
-:mod:`repro.fabric.traffic` for the all-pairs / hot-spot drivers.
+:mod:`repro.fabric.traffic` for the all-pairs / hot-spot drivers and
+:func:`run_plan`, which runs any src -> destination-list plan.
 
 Quick start::
 
@@ -30,7 +31,12 @@ from repro.fabric.registry import (
     create_fabric,
     register_backend,
 )
-from repro.fabric.traffic import TrafficResult, run_all_pairs, run_hot_spot
+from repro.fabric.traffic import (
+    TrafficResult,
+    run_all_pairs,
+    run_hot_spot,
+    run_plan,
+)
 
 __all__ = [
     "FabricBackend",
@@ -46,4 +52,5 @@ __all__ = [
     "TrafficResult",
     "run_all_pairs",
     "run_hot_spot",
+    "run_plan",
 ]

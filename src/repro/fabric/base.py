@@ -48,11 +48,6 @@ class FabricBackend(ABC):
     sim: "Simulator"
     costs: "CostModel"
     topology_name: str = "custom"
-    #: Set by ``create_fabric(..., shards=N)``: the cluster-to-shard
-    #: assignment (:class:`repro.fabric.partition.FabricPartition`) a
-    #: conservative-parallel run would use.  ``None`` on unpartitioned
-    #: fabrics; shard-aware consumers (workload placement) test this.
-    partition = None
 
     # -- endpoints ---------------------------------------------------------
     @property

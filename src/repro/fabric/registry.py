@@ -56,7 +56,6 @@ def create_fabric(
     """
     from repro.fabric.base import FabricBackend
 
-    shards = options.pop("shards", None)
     if isinstance(topology, FabricBackend):
         if topology.sim is not sim:
             raise ValueError(
@@ -68,7 +67,7 @@ def create_fabric(
                 f"built fabric has {len(topology.addresses)} endpoints, "
                 f"need {n_endpoints}"
             )
-        return _with_partition(topology, shards)
+        return topology
     try:
         builder = _BACKENDS[topology]
     except KeyError:
@@ -76,22 +75,7 @@ def create_fabric(
             f"unknown fabric topology {topology!r}; "
             f"available: {', '.join(available_topologies())}"
         ) from None
-    return _with_partition(builder(sim, costs, n_endpoints, **options), shards)
-
-
-def _with_partition(backend: "FabricBackend", shards) -> "FabricBackend":
-    """Attach a shard partition (``shards=N``) to a built backend.
-
-    The partition marks the fabric for conservative-parallel execution
-    (:class:`repro.sim.parallel.ShardedSimulator`) and makes shard-aware
-    consumers -- router-hub placement in :mod:`repro.workload` -- spread
-    their work across shard boundaries.
-    """
-    if shards is not None:
-        from repro.fabric.partition import partition_fabric
-
-        backend.partition = partition_fabric(backend, shards)
-    return backend
+    return builder(sim, costs, n_endpoints, **options)
 
 
 # -- built-in topologies ----------------------------------------------------

@@ -12,20 +12,26 @@ Two patterns the interconnect literature leans on:
   messages block others" tree saturation); a bus fifo rejects and
   forces software recovery (S/NET).
 
-Both return a :class:`TrafficResult` whose :attr:`~TrafficResult.digest`
-covers only what the *application* observes -- the sorted set of
-``(src, dst, size, payload)`` deliveries -- so the same traffic on two
-different topologies yields the same digest (the backend-parity
-property).  :meth:`TrafficResult.fingerprint` additionally folds in the
-schedule-sensitive outcomes (finish time, hop counts) for determinism
-goldens.
+Both build a src -> destination-list plan and hand it to
+:func:`run_plan`, which runs any such plan.  :func:`spawn_plan` is the
+one receiver/sender driver behind it; the sharded engine
+(:mod:`repro.sim.parallel`) calls it too, restricted to the endpoints
+each shard hosts.
+
+Every drive returns a :class:`TrafficResult` whose
+:attr:`~TrafficResult.digest` covers only what the *application*
+observes -- the sorted set of ``(src, dst, size, payload)`` deliveries
+-- so the same traffic on two different topologies yields the same
+digest (the backend-parity property).  :meth:`TrafficResult.fingerprint`
+additionally folds in the schedule-sensitive outcomes (finish time, hop
+counts) for determinism goldens.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Container, Optional
 
 from repro.hpc.message import MessageKind, Packet
 
@@ -51,14 +57,32 @@ class TrafficResult:
     #: records: topology-independent (the backend-parity digest).
     digest: str
 
-    def fingerprint(self) -> str:
-        """Schedule-sensitive digest for determinism goldens."""
-        tail = (
+    @classmethod
+    def summarize(cls, records: list, hops: list[int], **fields):
+        """Build a result from the receivers' delivery records and hop
+        counts; ``fields`` gives ``sent``, ``duration_us`` and any
+        subclass fields."""
+        delivered = len(records)
+        return cls(
+            delivered=delivered,
+            payload_bytes=sum(record[2] for record in records),
+            avg_hops=(sum(hops) / delivered) if delivered else 0.0,
+            max_hops=max(hops, default=0),
+            digest=_digest(records),
+            **fields,
+        )
+
+    def _tail(self) -> str:
+        """The schedule-sensitive fields :meth:`fingerprint` folds in."""
+        return (
             f"|t={self.duration_us!r}|hops={self.avg_hops!r}"
             f"|max={self.max_hops}|n={self.delivered}"
         )
+
+    def fingerprint(self) -> str:
+        """Schedule-sensitive digest for determinism goldens."""
         return hashlib.sha256(
-            (self.digest + tail).encode("utf-8")
+            (self.digest + self._tail()).encode("utf-8")
         ).hexdigest()
 
 
@@ -88,17 +112,60 @@ def _digest(records: list) -> str:
     return digest.hexdigest()
 
 
-def _drive(
+def all_pairs_plan(
+    addresses: list[int], partners: Optional[int] = None
+) -> dict[int, list[int]]:
+    """Each address sends to ``partners`` others spread around the ring
+    (every other address when ``None``)."""
+    n = len(addresses)
+    if n < 2:
+        raise ValueError(f"all-pairs needs at least 2 endpoints, got {n}")
+    offsets = _partner_offsets(n, partners if partners is not None else n - 1)
+    return {
+        addresses[i]: [addresses[(i + offset) % n] for offset in offsets]
+        for i in range(n)
+    }
+
+
+def hot_spot_plan(
+    addresses: list[int], messages_per_sender: int, hot: Optional[int]
+) -> dict[int, list[int]]:
+    """Every address but ``hot`` (default: the lowest) sends it
+    ``messages_per_sender`` messages."""
+    if len(addresses) < 2:
+        raise ValueError(
+            f"hot-spot needs at least 2 endpoints, got {len(addresses)}"
+        )
+    hot_address = addresses[0] if hot is None else hot
+    if hot_address not in addresses:
+        raise ValueError(f"hot endpoint {hot_address} is not on the fabric")
+    return {
+        address: [hot_address] * messages_per_sender
+        for address in addresses
+        if address != hot_address
+    }
+
+
+def spawn_plan(
     backend: "FabricBackend",
     plan: dict[int, list[int]],
     size: int,
-) -> TrafficResult:
-    """Run one traffic plan (src -> destination list) to completion."""
+    local: Optional[Container[int]] = None,
+) -> tuple[int, list, list[int]]:
+    """Spawn the receivers and senders of ``plan`` on ``backend.sim``.
+
+    ``local`` restricts the drive to the endpoints this engine hosts (a
+    shard's attachments); ``None`` means every endpoint.  Returns
+    ``(sent, records, hops)``: the messages injected here, and the lists
+    the receivers fill with ``(src, dst, size, payload)`` records and
+    hop counts as the simulation runs.
+    """
     sim = backend.sim
     expected: dict[int, int] = {}
-    for src, dsts in plan.items():
+    for dsts in plan.values():
         for dst in dsts:
-            expected[dst] = expected.get(dst, 0) + 1
+            if local is None or dst in local:
+                expected[dst] = expected.get(dst, 0) + 1
     records: list = []
     hops: list[int] = []
 
@@ -123,20 +190,24 @@ def _drive(
     sent = 0
     for src in sorted(plan):
         dsts = plan[src]
-        if dsts:
+        if dsts and (local is None or src in local):
             sim.process(sender(src, dsts))
             sent += len(dsts)
+    return sent, records, hops
+
+
+def run_plan(
+    backend: "FabricBackend",
+    plan: dict[int, list[int]],
+    size: int = 64,
+) -> TrafficResult:
+    """Run one traffic plan (src -> destination list) to completion."""
+    sim = backend.sim
+    sent, records, hops = spawn_plan(backend, plan, size)
     start = sim.now
     sim.run()
-    delivered = len(records)
-    return TrafficResult(
-        sent=sent,
-        delivered=delivered,
-        payload_bytes=sum(record[2] for record in records),
-        duration_us=sim.now - start,
-        avg_hops=(sum(hops) / delivered) if delivered else 0.0,
-        max_hops=max(hops, default=0),
-        digest=_digest(records),
+    return TrafficResult.summarize(
+        records, hops, sent=sent, duration_us=sim.now - start
     )
 
 
@@ -152,16 +223,7 @@ def run_all_pairs(
     spread around the address ring) so the drive stays tractable at
     1000+ endpoints, where full all-pairs would be ~10^6 messages.
     """
-    addresses = backend.addresses
-    n = len(addresses)
-    if n < 2:
-        raise ValueError(f"all-pairs needs at least 2 endpoints, got {n}")
-    offsets = _partner_offsets(n, partners if partners is not None else n - 1)
-    plan = {
-        addresses[i]: [addresses[(i + offset) % n] for offset in offsets]
-        for i in range(n)
-    }
-    return _drive(backend, plan, size)
+    return run_plan(backend, all_pairs_plan(backend.addresses, partners), size)
 
 
 def run_hot_spot(
@@ -172,17 +234,5 @@ def run_hot_spot(
     hot: Optional[int] = None,
 ) -> TrafficResult:
     """Hot-spot traffic: every endpoint sends to one destination."""
-    addresses = backend.addresses
-    if len(addresses) < 2:
-        raise ValueError(
-            f"hot-spot needs at least 2 endpoints, got {len(addresses)}"
-        )
-    hot_address = addresses[0] if hot is None else hot
-    if hot_address not in addresses:
-        raise ValueError(f"hot endpoint {hot_address} is not on the fabric")
-    plan = {
-        address: [hot_address] * messages_per_sender
-        for address in addresses
-        if address != hot_address
-    }
-    return _drive(backend, plan, size)
+    plan = hot_spot_plan(backend.addresses, messages_per_sender, hot)
+    return run_plan(backend, plan, size)

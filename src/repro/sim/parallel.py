@@ -26,11 +26,13 @@ per window instead of per null message):
    overruns an uncaptured message.  Progress: the global minimum
    advances by at least the lookahead per round.
 
-``workers=1`` runs every shard in-process (single thread, zero IPC) --
-the debugging and determinism mode; ``workers=N`` forks worker
-processes that each own a subset of shards and exchange compact
-tuple-encoded batches over pipes (no live simulator ever crosses a
-process boundary).  The round structure is computed only from shard
+Each shard drives its part of the traffic plan with the unsharded
+driver, :func:`repro.fabric.traffic.spawn_plan`, limited to the
+endpoints it hosts.  ``workers=1`` runs every shard in-process (single
+thread, zero IPC) -- the debugging and determinism mode; ``workers=N``
+forks worker processes that each own a subset of shards and exchange
+compact tuple-encoded batches over pipes (no live simulator ever
+crosses a process boundary).  The round structure is computed only from shard
 state, never from worker assignment, so results -- including the
 schedule-sensitive :meth:`ShardedTrafficResult.fingerprint` -- are
 identical for every worker count; the delivered-message
@@ -52,8 +54,8 @@ from __future__ import annotations
 
 import heapq
 import multiprocessing
+import traceback
 from dataclasses import dataclass
-from hashlib import sha256
 from typing import TYPE_CHECKING, Optional
 
 from repro.fabric.partition import (
@@ -61,10 +63,9 @@ from repro.fabric.partition import (
     ShardFabric,
     TopologySpec,
     decode_packet,
-    partition_spec,
+    partition_fabric,
 )
-from repro.fabric.traffic import _digest, _partner_offsets
-from repro.hpc.message import MessageKind, Packet
+from repro.fabric.traffic import TrafficResult, all_pairs_plan, spawn_plan
 from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -74,21 +75,14 @@ _INFINITY = float("inf")
 
 
 @dataclass(frozen=True)
-class ShardedTrafficResult:
+class ShardedTrafficResult(TrafficResult):
     """Outcome of one sharded traffic drive.
 
-    The first seven fields match :class:`~repro.fabric.traffic
-    .TrafficResult` (same semantics, same digest construction), so the
-    parity assertion is simply ``sharded.digest == unsharded.digest``.
+    The inherited fields have :class:`~repro.fabric.traffic
+    .TrafficResult`'s semantics and digest construction, so the parity
+    assertion is simply ``sharded.digest == unsharded.digest``.
     """
 
-    sent: int
-    delivered: int
-    payload_bytes: int
-    duration_us: float
-    avg_hops: float
-    max_hops: int
-    digest: str
     #: Synchronization rounds the window protocol took.
     rounds: int
     shards: int
@@ -102,62 +96,24 @@ class ShardedTrafficResult:
     #: plan; crash isolation drops are not injections).
     injections: int = 0
 
-    def fingerprint(self) -> str:
-        """Schedule-sensitive digest for sharded-run goldens.
-
-        Folds in everything deterministic for a fixed seed and shard
+    def _tail(self) -> str:
+        """Folds in everything deterministic for a fixed seed and shard
         count but *excludes* ``workers``: the window protocol is
         worker-assignment-independent, and the cross-worker-count
-        equality of this fingerprint is exactly what the parallel
-        determinism tests pin.
-        """
-        tail = (
-            f"|t={self.duration_us!r}|hops={self.avg_hops!r}"
-            f"|max={self.max_hops}|n={self.delivered}"
+        equality of :meth:`fingerprint` is exactly what the parallel
+        determinism tests pin."""
+        return (
+            f"{super()._tail()}"
             f"|rounds={self.rounds}|shards={self.shards}"
             f"|events={self.events}|bm={self.boundary_messages}"
         )
-        return sha256((self.digest + tail).encode("utf-8")).hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# Drive plans (picklable descriptions, expanded identically everywhere)
-# ---------------------------------------------------------------------------
-def _expand_plan(spec: TopologySpec, drive: dict) -> dict[int, list[int]]:
-    """Expand a drive description into the global src -> dsts plan.
-
-    Every worker recomputes the *global* plan from the spec (cheap,
-    deterministic) and then drives only its local senders/receivers --
-    simpler and smaller on the wire than shipping per-shard plan
-    slices.
-    """
-    kind = drive["kind"]
-    if kind == "all_pairs":
-        addresses = spec.addresses
-        n = len(addresses)
-        if n < 2:
-            raise ValueError(f"all-pairs needs at least 2 endpoints, got {n}")
-        partners = drive.get("partners")
-        offsets = _partner_offsets(
-            n, partners if partners is not None else n - 1
-        )
-        return {
-            addresses[i]: [addresses[(i + o) % n] for o in offsets]
-            for i in range(n)
-        }
-    if kind == "plan":
-        return {
-            int(src): [int(dst) for dst in dsts]
-            for src, dsts in drive["plan"].items()
-        }
-    raise ValueError(f"unknown drive kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
 # One shard's runtime (lives in whichever process owns the shard)
 # ---------------------------------------------------------------------------
 class _ShardRuntime:
-    """A shard's simulator, fabric slice, and traffic bookkeeping."""
+    """A shard's simulator, fabric slice, and its part of the drive."""
 
     def __init__(
         self,
@@ -165,6 +121,8 @@ class _ShardRuntime:
         partition: FabricPartition,
         shard_id: int,
         costs: "CostModel",
+        plan: dict[int, list[int]],
+        size: int,
         faults=None,
     ) -> None:
         self.shard_id = shard_id
@@ -175,49 +133,9 @@ class _ShardRuntime:
         )
         if faults is not None:
             faults.attach_shard(self.fabric)
-        self.records: list = []
-        self.hops: list[int] = []
-        self.sent = 0
-
-    def start_drive(self, drive: dict) -> None:
-        """Spawn this shard's receivers and senders (mirrors
-        :func:`repro.fabric.traffic._drive`: receivers first, then
-        senders, both in address order)."""
-        plan = _expand_plan(self.fabric.spec, drive)
-        size = drive["size"]
-        local = self.fabric.attachments
-        expected: dict[int, int] = {}
-        for src, dsts in plan.items():
-            for dst in dsts:
-                if dst in local:
-                    expected[dst] = expected.get(dst, 0) + 1
-        fabric = self.fabric
-        records = self.records
-        hops = self.hops
-
-        def receiver(address: int, count: int):
-            for _ in range(count):
-                packet = yield from fabric.recv(address)
-                records.append(
-                    (packet.src, packet.dst, packet.size, packet.payload)
-                )
-                hops.append(packet.hops)
-
-        def sender(src: int, dsts: list[int]):
-            for dst in dsts:
-                packet = Packet(
-                    src=src, dst=dst, size=size,
-                    kind=MessageKind.USER_OBJECT, payload=f"{src}->{dst}",
-                )
-                yield from fabric.send(src, packet)
-
-        for address, count in sorted(expected.items()):
-            self.sim.process(receiver(address, count))
-        for src in sorted(plan):
-            dsts = plan[src]
-            if src in local and dsts:
-                self.sim.process(sender(src, dsts))
-                self.sent += len(dsts)
+        self.sent, self.records, self.hops = spawn_plan(
+            self.fabric, plan, size, local=self.fabric.attachments
+        )
 
     def run_round(self, bound: float, incoming: list) -> tuple[float, list]:
         """Deliver ``incoming``, drain strictly below ``bound``, and
@@ -243,19 +161,22 @@ class _ShardRuntime:
 
 
 # ---------------------------------------------------------------------------
-# Worker transports
+# Shard hosts
 # ---------------------------------------------------------------------------
-class _InProcessWorkers:
-    """All shards in this process -- the ``workers=1`` debug/golden mode."""
+class _ShardHost:
+    """The shards one process owns, built and served round by round.
+
+    ``workers=1`` drives one host holding every shard directly; each
+    worker process holds one and forwards its pipe messages to it.
+    """
 
     def __init__(
-        self, spec, partition, costs, shard_ids, drive, faults=None
+        self, spec, partition, costs, shard_ids, plan, size, faults=None
     ) -> None:
-        self.runtimes: dict[int, _ShardRuntime] = {}
-        for sid in shard_ids:
-            runtime = _ShardRuntime(spec, partition, sid, costs, faults)
-            runtime.start_drive(drive)
-            self.runtimes[sid] = runtime
+        self.runtimes = {
+            sid: _ShardRuntime(spec, partition, sid, costs, plan, size, faults)
+            for sid in shard_ids
+        }
 
     def ready(self) -> dict[int, float]:
         return {sid: rt.sim.peek() for sid, rt in self.runtimes.items()}
@@ -273,41 +194,28 @@ class _InProcessWorkers:
         pass
 
 
-def _worker_main(
-    conn, spec, partition, costs, shard_ids, drive, faults=None
-) -> None:
-    """Worker-process entry: build the owned shards, then serve rounds."""
-    runtimes: dict[int, _ShardRuntime] = {}
-    for sid in shard_ids:
-        runtime = _ShardRuntime(spec, partition, sid, costs, faults)
-        runtime.start_drive(drive)
-        runtimes[sid] = runtime
-    conn.send(("ready", {sid: rt.sim.peek() for sid, rt in runtimes.items()}))
-    while True:
-        message = conn.recv()
-        if message[0] == "round":
-            conn.send((
-                "round",
-                {
-                    sid: runtimes[sid].run_round(bound, incoming)
-                    for sid, (bound, incoming) in message[1].items()
-                },
-            ))
-        elif message[0] == "finish":
-            conn.send(
-                ("result", {sid: rt.result() for sid, rt in runtimes.items()})
-            )
-            conn.close()
-            return
-        else:  # pragma: no cover - protocol guard
-            raise RuntimeError(f"unknown worker message {message[0]!r}")
+def _worker_main(conn, *host_args) -> None:
+    """Worker-process entry: forward ``(method, *args)`` messages to a
+    :class:`_ShardHost` until ``finish``.  An exception goes back as
+    ``("error", traceback)`` so the orchestrator can raise it."""
+    try:
+        host = _ShardHost(*host_args)
+        while True:
+            method, *args = conn.recv()
+            conn.send(("ok", getattr(host, method)(*args)))
+            if method == "finish":
+                return
+    except Exception:
+        conn.send(("error", traceback.format_exc()))
+    finally:
+        conn.close()
 
 
 class _ProcessWorkers:
     """Shards spread over ``multiprocessing`` worker processes."""
 
     def __init__(
-        self, spec, partition, costs, assignment, drive, faults=None
+        self, spec, partition, costs, assignment, plan, size, faults=None
     ) -> None:
         methods = multiprocessing.get_all_start_methods()
         ctx = multiprocessing.get_context(
@@ -318,10 +226,12 @@ class _ProcessWorkers:
         self.procs = []
         for index, shard_ids in enumerate(assignment):
             parent_conn, child_conn = ctx.Pipe()
+            # Under fork the plan reaches the worker by copy-on-write
+            # memory; only the spawn fallback pickles it.
             proc = ctx.Process(
                 target=_worker_main,
-                args=(child_conn, spec, partition, costs, shard_ids, drive,
-                      faults),
+                args=(child_conn, spec, partition, costs, shard_ids, plan,
+                      size, faults),
                 daemon=True,
             )
             proc.start()
@@ -331,36 +241,39 @@ class _ProcessWorkers:
             for sid in shard_ids:
                 self.owner[sid] = index
 
-    def _recv(self, conn, expect: str):
-        kind, payload = conn.recv()
-        if kind != expect:  # pragma: no cover - protocol guard
-            raise RuntimeError(f"expected {expect!r} reply, got {kind!r}")
-        return payload
+    def _ask(self, messages: dict[int, tuple]) -> dict:
+        """Send each worker in ``messages`` its ``(method, *args)``
+        message and merge the replies.  A worker's exception stops every
+        worker and is raised here with the worker's traceback."""
+        for index, message in messages.items():
+            self.conns[index].send(message)
+        merged: dict = {}
+        for index in messages:
+            kind, payload = self.conns[index].recv()
+            if kind == "error":
+                for proc in self.procs:
+                    proc.terminate()
+                raise RuntimeError(f"shard worker {index} failed:\n{payload}")
+            merged.update(payload)
+        return merged
 
     def ready(self) -> dict[int, float]:
-        merged: dict[int, float] = {}
-        for conn in self.conns:
-            merged.update(self._recv(conn, "ready"))
-        return merged
+        return self._ask(
+            {index: ("ready",) for index in range(len(self.conns))}
+        )
 
     def round(self, batch: dict) -> dict:
         per_worker: dict[int, dict] = {}
         for sid, work in batch.items():
             per_worker.setdefault(self.owner[sid], {})[sid] = work
-        for index, sub in per_worker.items():
-            self.conns[index].send(("round", sub))
-        merged: dict = {}
-        for index in per_worker:
-            merged.update(self._recv(self.conns[index], "round"))
-        return merged
+        return self._ask(
+            {index: ("round", sub) for index, sub in per_worker.items()}
+        )
 
     def finish(self) -> dict:
-        for conn in self.conns:
-            conn.send(("finish",))
-        merged: dict = {}
-        for conn in self.conns:
-            merged.update(self._recv(conn, "result"))
-        return merged
+        return self._ask(
+            {index: ("finish",) for index in range(len(self.conns))}
+        )
 
     def close(self) -> None:
         for conn in self.conns:
@@ -400,7 +313,6 @@ class ShardedSimulator:
         **options,
     ) -> None:
         from repro.fabric.registry import create_fabric
-        from repro.hpc.topology import Fabric
         from repro.model import DEFAULT_COSTS
 
         if workers < 1:
@@ -410,13 +322,8 @@ class ShardedSimulator:
         fabric = create_fabric(
             topology, scratch, self.costs, n_endpoints, **options
         )
-        if not isinstance(fabric, Fabric):
-            raise ValueError(
-                f"sharding needs a cluster fabric, got "
-                f"{fabric.topology_name!r} (no cluster structure)"
-            )
+        self.partition = partition_fabric(fabric, shards)
         self.spec = TopologySpec.of(fabric)
-        self.partition = partition_spec(self.spec, shards, self.costs)
         self.workers = workers
         self.faults = faults
         if faults is not None:
@@ -433,59 +340,50 @@ class ShardedSimulator:
                     f"({len(known)} endpoints)"
                 )
 
-    @property
-    def n_shards(self) -> int:
-        return self.partition.n_shards
-
-    @property
-    def lookahead_us(self) -> float:
-        return self.partition.lookahead_us
-
     # -- drives ---------------------------------------------------------------
     def run_all_pairs(
         self, *, size: int = 64, partners: Optional[int] = None
     ) -> ShardedTrafficResult:
         """Sharded :func:`repro.fabric.traffic.run_all_pairs`."""
-        return self._run(
-            {"kind": "all_pairs", "size": size, "partners": partners}
+        return self.run_plan(
+            all_pairs_plan(self.spec.addresses, partners), size=size
         )
 
     def run_plan(
         self, plan: dict[int, list[int]], *, size: int = 64
     ) -> ShardedTrafficResult:
-        """Run an explicit src -> destination-list plan."""
-        return self._run(
-            {
-                "kind": "plan",
-                "plan": {src: list(dsts) for src, dsts in plan.items()},
-                "size": size,
-            }
-        )
+        """Sharded :func:`repro.fabric.traffic.run_plan`.
 
-    # -- the window protocol --------------------------------------------------
-    def _run(self, drive: dict) -> ShardedTrafficResult:
-        partition = self.partition
-        shard_ids = list(range(partition.n_shards))
+        Every plan address is checked here, once: a shard drives only
+        the endpoints it hosts, so an address no shard hosts would
+        otherwise be dropped without a word.
+        """
+        known = set(self.spec.addresses)
+        for src, dsts in plan.items():
+            for address in (src, *dsts):
+                if address not in known:
+                    raise ValueError(
+                        f"no interface at address {address} on this fabric"
+                    )
+        shard_ids = list(range(self.partition.n_shards))
         n_workers = min(self.workers, len(shard_ids))
+        args = (self.spec, self.partition, self.costs)
         if n_workers == 1:
-            transport = _InProcessWorkers(
-                self.spec, partition, self.costs, shard_ids, drive,
-                self.faults,
-            )
+            host = _ShardHost(*args, shard_ids, plan, size, self.faults)
         else:
             assignment = [shard_ids[w::n_workers] for w in range(n_workers)]
-            transport = _ProcessWorkers(
-                self.spec, partition, self.costs, assignment, drive,
-                self.faults,
+            host = _ProcessWorkers(
+                *args, assignment, plan, size, self.faults
             )
         try:
             rounds, boundary_messages, results = self._window_loop(
-                transport, shard_ids
+                host, shard_ids
             )
         finally:
-            transport.close()
+            host.close()
         return self._aggregate(rounds, boundary_messages, results)
 
+    # -- the window protocol --------------------------------------------------
     def _window_loop(self, transport, shard_ids) -> tuple[int, int, dict]:
         partition = self.partition
         neighbours = partition.neighbours()
@@ -559,35 +457,17 @@ class ShardedSimulator:
     def _aggregate(
         self, rounds: int, boundary_messages: int, results: dict
     ) -> ShardedTrafficResult:
-        records: list = []
-        hops: list[int] = []
-        sent = 0
-        events = 0
-        injections = 0
-        duration = 0.0
-        for sid in sorted(results):
-            shard = results[sid]
-            records.extend(shard["records"])
-            hops.extend(shard["hops"])
-            sent += shard["sent"]
-            events += shard["processed"]
-            injections += shard.get("injections", 0)
-            if shard["now"] > duration:
-                duration = shard["now"]
-        delivered = len(records)
-        return ShardedTrafficResult(
-            sent=sent,
-            delivered=delivered,
-            payload_bytes=sum(record[2] for record in records),
-            duration_us=duration,
-            avg_hops=(sum(hops) / delivered) if delivered else 0.0,
-            max_hops=max(hops, default=0),
-            digest=_digest(records),
+        shards = [results[sid] for sid in sorted(results)]
+        return ShardedTrafficResult.summarize(
+            [record for shard in shards for record in shard["records"]],
+            [hops for shard in shards for hops in shard["hops"]],
+            sent=sum(shard["sent"] for shard in shards),
+            duration_us=max(shard["now"] for shard in shards),
             rounds=rounds,
             shards=self.partition.n_shards,
             workers=self.workers,
-            events=events,
+            events=sum(shard["processed"] for shard in shards),
             boundary_messages=boundary_messages,
             lookahead_us=self.partition.lookahead_us,
-            injections=injections,
+            injections=sum(shard["injections"] for shard in shards),
         )

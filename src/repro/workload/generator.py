@@ -194,38 +194,6 @@ class _RouterHub:
             self._completions.pop(rid, None)
 
 
-def _placement_order(fabric: "FabricBackend") -> list[int]:
-    """Address order binding plan endpoint indices to real endpoints.
-
-    Unpartitioned fabrics bind indices to sorted addresses -- the
-    historical order every plan fingerprint and golden pins.  A fabric
-    built with ``create_fabric(..., shards=N)`` instead interleaves the
-    shards round-robin, so consecutive plan indices (and the router-hub
-    processes spawned in this order) spread across shard boundaries:
-    under conservative-parallel execution no single shard hosts all the
-    front-ends of a contiguous index range, which is what keeps shard
-    load balanced.  The *plan* (index-based) is identical either way.
-    """
-    addresses = fabric.addresses
-    partition = getattr(fabric, "partition", None)
-    attachments = getattr(fabric, "attachments", None)
-    if partition is None or attachments is None:
-        return addresses
-    shard_of = partition.shard_of_cluster
-    groups: dict[int, list[int]] = {}
-    for address in addresses:
-        shard = shard_of[attachments[address][0]]
-        groups.setdefault(shard, []).append(address)
-    lanes = [groups[shard] for shard in sorted(groups)]
-    order: list[int] = []
-    depth = 0
-    while lanes:
-        lanes = [lane for lane in lanes if depth < len(lane)]
-        order.extend(lane[depth] for lane in lanes)
-        depth += 1
-    return order
-
-
 #: fabric -> hub; weak so dropping a fabric drops its hub.
 _HUBS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
@@ -513,7 +481,7 @@ class Workload:
         can tell their arms apart.
         """
         sim = fabric.sim
-        addresses = _placement_order(fabric)
+        addresses = fabric.addresses
         records = self.plan(len(addresses), seed)
         self._check_indices(records, len(addresses))
         arm = arm or self.name

@@ -21,7 +21,9 @@ from repro import (
     Simulator,
     create_fabric,
     run_all_pairs,
+    run_plan,
 )
+from repro.sim.parallel import _ShardRuntime
 
 #: workers=1, shards=4, 64-endpoint hypercube, all-pairs partners=2.
 #: Changing the engine, the sync protocol, the partitioner, or the
@@ -93,24 +95,79 @@ def test_single_shard_degenerates_to_serial():
     assert result.boundary_messages == 0
 
 
-def test_run_plan_parity():
-    from repro.fabric.traffic import _drive
-
-    sim = Simulator()
-    fabric = create_fabric("hypercube", sim, DEFAULT_COSTS, n_endpoints=64)
-    addr = fabric.addresses
-    plan = {
+def _sparse_plan(addr):
+    return {
         addr[0]: [addr[9], addr[33]],
         addr[9]: [addr[0]],
         addr[3]: [addr[60]],
         addr[17]: [addr[42], addr[1], addr[63]],
     }
-    reference = _drive(fabric, plan, 64)
+
+
+def _hot_spot_plan(addr):
+    # Every shard's endpoints converge on one destination, four messages
+    # each: the many-to-one load that backs up boundary credits.
+    return {a: [addr[5]] * 4 for a in addr if a != addr[5]}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "make_plan,delivered",
+    [
+        pytest.param(_sparse_plan, 7, id="sparse"),
+        pytest.param(_hot_spot_plan, 252, id="hot_spot"),
+    ],
+)
+def test_run_plan_parity(make_plan, delivered, workers):
+    sim = Simulator()
+    fabric = create_fabric("hypercube", sim, DEFAULT_COSTS, n_endpoints=64)
+    plan = make_plan(fabric.addresses)
+    reference = run_plan(fabric, plan, 64)
     sharded = ShardedSimulator(
-        "hypercube", n_endpoints=64, shards=4, workers=1
+        "hypercube", n_endpoints=64, shards=4, workers=workers
     ).run_plan(plan, size=64)
     assert sharded.digest == reference.digest
-    assert sharded.delivered == reference.delivered == 7
+    assert sharded.sent == reference.sent == delivered
+    assert sharded.delivered == reference.delivered == delivered
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "plan",
+    [
+        pytest.param({9999: [1]}, id="bad_source"),
+        pytest.param({1: [9999]}, id="bad_destination"),
+    ],
+)
+def test_run_plan_rejects_addresses_on_no_shard(workers, plan):
+    # The unsharded driver fails on the unknown endpoint; the sharded
+    # one must too, not drop a source no shard hosts.
+    with pytest.raises(ValueError, match="no interface at address 9999"):
+        run_plan(create_fabric(
+            "hypercube", Simulator(), DEFAULT_COSTS, n_endpoints=64
+        ), plan)
+    sharded = ShardedSimulator(
+        "hypercube", n_endpoints=64, shards=4, workers=workers
+    )
+    with pytest.raises(ValueError, match="no interface at address 9999"):
+        sharded.run_plan(plan)
+
+
+def test_worker_exception_reaches_the_caller(monkeypatch):
+    original = _ShardRuntime.run_round
+
+    def run_round(self, bound, incoming):
+        if self.shard_id == 1:
+            raise ZeroDivisionError("shard 1 broke mid-round")
+        return original(self, bound, incoming)
+
+    # Forked workers inherit the patched class.
+    monkeypatch.setattr(_ShardRuntime, "run_round", run_round)
+    sharded = ShardedSimulator(
+        "hypercube", n_endpoints=64, shards=4, workers=2
+    )
+    with pytest.raises(RuntimeError, match="shard 1 broke mid-round"):
+        sharded.run_all_pairs(partners=2)
 
 
 def test_larger_scale_parity_smoke():

@@ -146,13 +146,10 @@ def test_partition_spec_round_trips_through_pickle():
         assert pickle.loads(pickle.dumps(obj)) == obj
 
 
-def test_create_fabric_shards_option_attaches_partition():
-    sim = Simulator()
-    fabric = create_fabric(
-        "hypercube", sim, DEFAULT_COSTS, n_endpoints=64, shards=4
-    )
-    assert fabric.partition is not None
-    assert fabric.partition.n_shards == 4
-    plain = create_fabric("hypercube", Simulator(), DEFAULT_COSTS,
-                          n_endpoints=64)
-    assert plain.partition is None
+def test_create_fabric_has_no_shards_option():
+    # Sharding is ShardedSimulator's job; create_fabric must reject the
+    # option rather than ignore it.
+    with pytest.raises(TypeError, match="shards"):
+        create_fabric(
+            "hypercube", Simulator(), DEFAULT_COSTS, n_endpoints=64, shards=4
+        )
