@@ -1,12 +1,12 @@
 #!/usr/bin/env python
-"""Wall-clock performance harness for the simulator core.
+"""Engine-rate record for the simulator core, plus the CI smoke floor.
 
-The paper's core claim is that *software overhead* bounds communication
-performance; one level up, the DES engine's Python overhead bounds how
-far this reproduction can push paper-scale experiments.  This harness
-measures that overhead directly: it runs four representative workloads
-to completion and reports, for each, engine events per wall-clock second
-and microseconds of simulated time per second of wall time.
+Wall-clock claims belong to ``perfbench/`` (``python3 perfbench/run.py``):
+fresh child interpreters, a host-speed probe and alternating pairs.  This
+script covers what perfbench does not: six small workloads recorded into
+``BENCH_simcore.json`` and a smoke floor over nine code paths, which CI
+fails on when the engine falls more than 5x below it.  Every workload
+runs with the default instrumentation, as perfbench runs its own.
 
 Workloads
 ---------
@@ -18,11 +18,6 @@ Workloads
 ``stream_1024b_k8``
     The Table 1 sliding-window protocol, k=8 buffers, 1024-byte
     messages (user-defined communication objects, semaphores, ISRs).
-``paper_scale_70x10``
-    Boot the paper's full machine -- 70 processing nodes + 10 host
-    workstations (Section 1) -- and run all-pairs-style neighbour
-    traffic: every node streams messages to each of its ``fanout``
-    successors.
 ``faultstorm``
     Channel pairs exchanging messages under a seeded drop/corrupt/
     duplicate fault plan: timeout retransmission, watchdogs and
@@ -32,35 +27,27 @@ Workloads
     (the ``call_later().cancel()`` retransmission-timer pattern).
     Exercises the flat queue's push path, lazy cancellation and
     compaction; almost no scheduled callback ever fires.
-``hypercube_1024``
-    Boot the [Katseff 88] incomplete hypercube at 1024 endpoints (256
-    clusters) and drive bounded all-pairs traffic through it, then run
-    the same traffic over the HyperX and 2D-mesh backends for a
-    routing-hops / link-contention comparison.  The engine measurement
-    is the hypercube run; the ``*_hyperx`` / ``*_mesh`` keys ride
-    alongside it.
-``hypercube_1024_mm``
-    The multi-million-event production-scale run: the same 1024-endpoint
-    hypercube under the conservative-parallel sharded engine
-    (``repro.sim.parallel``), ~100 partners per endpoint (>= 2M engine
-    events), measured at ``workers=1`` (in-process) and ``workers=N``
-    (multiprocessing).  The engine measurement is the parallel run;
-    serial/parallel rates, the speedup, round count and the
-    cross-worker determinism check ride alongside.  ``host_cpus``
-    records how many cores the measurement had -- the parallel speedup
-    is only meaningful on a multi-core host.
+``large_write_1mb`` / ``large_write_1mb_adaptive``
+    The E20 and E23 bulk writes: 1 MB in 64 KB writes over the batched
+    and the adaptive channel window.
 
-Results land in ``BENCH_simcore.json`` at the repo root so future PRs
-have a wall-clock trajectory.  Record the pre-change baseline with
-``--baseline``; plain runs fill the ``current`` slot and compute the
-speedup against the stored baseline.
+Three more run in smoke mode only, so the floor still covers their
+code paths; each entry's ``"perfbench"`` key names the perfbench
+workload that owns its full-size claim.  They are
+``paper_scale_70x10`` (the 70-node + 10-host machine),
+``hypercube_1024`` (all-pairs traffic over the incomplete hypercube)
+and ``hypercube_1024_mm`` (the same traffic on the sharded engine at
+``workers=2``).
+
+Each record holds ``events`` and ``sim_us``, which must repeat exactly
+across ``--repeat`` runs, and ``wall_s`` and ``events_per_sec`` as
+``{min, median, max}``.  To compare two commits, run both back to back
+on one host; overlapping ``[min, max]`` ranges read as "no change".
 
 Usage::
 
-    python scripts/perf.py                  # full run -> BENCH_simcore.json
-    python scripts/perf.py --baseline       # record the baseline slot
+    python scripts/perf.py --repeat 5       # full run -> BENCH_simcore.json
     python scripts/perf.py --smoke --output /tmp/b.json --check-floor
-    python scripts/perf.py --profile --smoke --output /tmp/b.json
     python scripts/perf.py --validate BENCH_simcore.json
 """
 
@@ -68,8 +55,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -87,7 +74,7 @@ from repro.vorx.sliding_window import run_large_write, run_sliding_window
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_simcore.json"
-SCHEMA = "simcore-bench/v1"
+SCHEMA = "simcore-bench/v2"
 
 #: CI floor (events/sec, smoke mode): the job fails when a workload runs
 #: more than 5x slower than this.  Set well below the slowest machine's
@@ -96,39 +83,9 @@ SMOKE_FLOOR_EVENTS_PER_SEC = 50_000.0
 FLOOR_HEADROOM = 5.0
 
 
-def _disable_tracing(sim, system=None) -> None:
-    """Quiesce optional instrumentation: trace stream + CPU timelines.
-
-    Counters, gauges and histograms stay on (they are part of the
-    simulation's observable results); the structured trace stream and the
-    oscilloscope timelines are recording-only and the benchmark measures
-    the engine with them off.  Guarded with ``getattr`` so the harness
-    also runs against engine revisions that predate the tracing gate
-    (baseline measurements).
-    """
-    disable = getattr(sim.vstat.events, "disable", None)
-    if disable is not None:
-        disable()
-    if system is not None:
-        for kernel in getattr(system, "nodes", []) + getattr(
-            system, "workstations", []
-        ):
-            timeline = getattr(kernel.cpu, "timeline", None)
-            if timeline is not None and hasattr(timeline, "enabled"):
-                timeline.enabled = False
-
-
 def _result(sim, wall_s: float) -> dict:
-    events = int(getattr(sim, "processed", 0))
-    return {
-        "events": events,
-        "wall_s": round(wall_s, 6),
-        "sim_us": round(sim.now, 3),
-        "events_per_sec": round(events / wall_s, 1) if wall_s > 0 else 0.0,
-        "sim_us_per_wall_s": (
-            round(sim.now / wall_s, 1) if wall_s > 0 else 0.0
-        ),
-    }
+    return {"events": sim.processed, "sim_us": round(sim.now, 3),
+            "wall_s": wall_s}
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +95,6 @@ def wl_pingpong(params: dict) -> dict:
     n = params["messages"]
     t0 = time.perf_counter()
     system = VorxSystem(n_nodes=2)
-    _disable_tracing(system.sim, system)
 
     def client(env):
         with (yield from env.channel("pp")) as ch:
@@ -163,10 +119,7 @@ def wl_stream(params: dict) -> dict:
     result = run_sliding_window(
         n_buffers=8, message_bytes=1024, n_messages=params["messages"]
     )
-    wall = time.perf_counter() - t0
-    if result.sim is None:  # pragma: no cover - old StreamResult shape
-        raise RuntimeError("run_sliding_window() did not return its sim")
-    return _result(result.sim, wall)
+    return _result(result.sim, time.perf_counter() - t0)
 
 
 def wl_paper_scale(params: dict) -> dict:
@@ -174,7 +127,6 @@ def wl_paper_scale(params: dict) -> dict:
     messages, nbytes = params["messages"], 64
     t0 = time.perf_counter()
     system = VorxSystem(n_nodes=n_nodes, n_workstations=10)
-    _disable_tracing(system.sim, system)
 
     def sender(env, name):
         with (yield from env.channel(name)) as ch:
@@ -203,8 +155,7 @@ def wl_large_write(params: dict) -> dict:
     ``CostModel.batched(window)`` -- and reports the engine statistics of
     the batched run plus both simulated throughputs.  The extra
     ``kbytes_per_sec_*`` keys ride alongside the standard measurement
-    keys (``validate()`` ignores extras); ``batched_speedup_kbytes`` is
-    the tentpole's acceptance number (>= 1.3x).
+    keys (``validate()`` ignores extras).
     """
     total, window = params["total_bytes"], params["window"]
     unbatched = run_large_write(
@@ -214,10 +165,7 @@ def wl_large_write(params: dict) -> dict:
     batched = run_large_write(
         total_bytes=total, costs=CostModel().batched(window=window)
     )
-    wall = time.perf_counter() - t0
-    if batched.sim is None:  # pragma: no cover - old StreamResult shape
-        raise RuntimeError("run_large_write() did not return its sim")
-    result = _result(batched.sim, wall)
+    result = _result(batched.sim, time.perf_counter() - t0)
     result["kbytes_per_sec_unbatched"] = round(unbatched.kbytes_per_sec, 1)
     result["kbytes_per_sec_batched"] = round(batched.kbytes_per_sec, 1)
     result["batched_speedup_kbytes"] = round(
@@ -303,7 +251,6 @@ def wl_faultstorm(params: dict) -> dict:
         channel_retry_timeout_us=2_000.0,
     )
     system = VorxSystem(n_nodes=2 * pairs, faults=plan)
-    _disable_tracing(system.sim, system)
 
     def sender(env, pair):
         with (yield from env.channel(f"storm{pair}")) as ch:
@@ -354,111 +301,27 @@ def wl_cancel_churn(params: dict) -> dict:
 
 
 def wl_hypercube(params: dict) -> dict:
-    """1024-endpoint incomplete hypercube vs HyperX vs 2D mesh.
-
-    The hypercube drive is the engine measurement (it is the paper
-    lineage's topology and the largest fabric the harness boots); the
-    HyperX and mesh runs repeat the identical traffic plan for the
-    hop-count / contention comparison keys.  Extra keys ride alongside
-    the standard measurement keys -- ``validate()`` checks them for
-    this workload via ``_WORKLOAD_EXTRA_KEYS``.
-    """
-    n, partners = params["endpoints"], params["partners"]
-    size = params["message_bytes"]
-    comparison: dict = {}
-    primary = None
-    for topology in ("hypercube", "hyperx", "mesh"):
-        t0 = time.perf_counter()
-        sim = Simulator()
-        _disable_tracing(sim)
-        fabric = create_fabric(topology, sim, CostModel(), n_endpoints=n)
-        traffic = run_all_pairs(fabric, size=size, partners=partners)
-        wall = time.perf_counter() - t0
-        contention = fabric.contention()
-        comparison[f"avg_hops_{topology}"] = round(traffic.avg_hops, 3)
-        comparison[f"max_hops_{topology}"] = traffic.max_hops
-        comparison[f"reserve_stalls_{topology}"] = int(
-            contention["reserve_stalls"]
-        )
-        comparison[f"reserve_stall_us_{topology}"] = round(
-            contention["reserve_stall_us"], 1
-        )
-        if traffic.delivered != traffic.sent:  # pragma: no cover
-            raise RuntimeError(
-                f"{topology}: delivered {traffic.delivered} of "
-                f"{traffic.sent} messages"
-            )
-        if topology == "hypercube":
-            primary = _result(sim, wall)
-            comparison["delivered"] = traffic.delivered
-    primary.update(comparison)
-    return primary
+    """Bounded all-pairs traffic over the incomplete hypercube."""
+    t0 = time.perf_counter()
+    sim = Simulator()
+    fabric = create_fabric("hypercube", sim, CostModel(),
+                           n_endpoints=params["endpoints"])
+    run_all_pairs(fabric, size=params["message_bytes"],
+                  partners=params["partners"])
+    return _result(sim, time.perf_counter() - t0)
 
 
 def wl_hypercube_mm(params: dict) -> dict:
-    """Multi-million-event hypercube on the sharded parallel engine.
-
-    Runs the identical all-pairs plan twice through
-    :class:`~repro.sim.parallel.ShardedSimulator` -- ``workers=1``
-    (in-process shards, the determinism reference) and ``workers=N``
-    (multiprocessing) -- and requires the two result fingerprints to be
-    identical.  In smoke mode (``verify_unsharded``) the
-    delivered-message digest is additionally checked against a plain
-    single-:class:`Simulator` run of the same plan.  The engine
-    measurement is the parallel run; serial/parallel rates, the
-    speedup, and the sync-protocol round count ride alongside.
-    ``host_cpus`` records the core budget the speedup was measured
-    under -- on a single-core host the parallel run cannot beat the
-    serial one and ``parallel_speedup`` reports that honestly.
-    """
-    n, partners = params["endpoints"], params["partners"]
-    size, shards = params["message_bytes"], params["shards"]
-    n_workers = params["workers"]
-    runs = {}
-    for workers in (1, n_workers):
-        t0 = time.perf_counter()
-        sharded = ShardedSimulator(
-            "hypercube", n_endpoints=n, shards=shards, workers=workers
-        )
-        traffic = sharded.run_all_pairs(size=size, partners=partners)
-        runs[workers] = (traffic, time.perf_counter() - t0)
-    serial, serial_wall = runs[1]
-    parallel, parallel_wall = runs[n_workers]
-    if parallel.fingerprint() != serial.fingerprint():  # pragma: no cover
-        raise RuntimeError(
-            f"workers={n_workers} fingerprint diverged from workers=1"
-        )
-    if params.get("verify_unsharded"):
-        sim = Simulator()
-        _disable_tracing(sim)
-        fabric = create_fabric("hypercube", sim, CostModel(), n_endpoints=n)
-        reference = run_all_pairs(fabric, size=size, partners=partners)
-        if reference.digest != parallel.digest:  # pragma: no cover
-            raise RuntimeError("sharded digest diverged from unsharded run")
-    serial_rate = serial.events / serial_wall if serial_wall > 0 else 0.0
-    parallel_rate = (
-        parallel.events / parallel_wall if parallel_wall > 0 else 0.0
+    """The same traffic on the sharded engine, one process per worker."""
+    t0 = time.perf_counter()
+    sharded = ShardedSimulator(
+        "hypercube", n_endpoints=params["endpoints"],
+        shards=params["shards"], workers=params["workers"],
     )
-    return {
-        "events": parallel.events,
-        "wall_s": round(parallel_wall, 6),
-        "sim_us": round(parallel.duration_us, 3),
-        "events_per_sec": round(parallel_rate, 1),
-        "sim_us_per_wall_s": (
-            round(parallel.duration_us / parallel_wall, 1)
-            if parallel_wall > 0 else 0.0
-        ),
-        "events_per_sec_serial": round(serial_rate, 1),
-        "events_per_sec_parallel": round(parallel_rate, 1),
-        "parallel_workers": n_workers,
-        "parallel_speedup": (
-            round(parallel_rate / serial_rate, 2) if serial_rate > 0 else 0.0
-        ),
-        "shards": parallel.shards,
-        "rounds": parallel.rounds,
-        "boundary_messages": parallel.boundary_messages,
-        "host_cpus": os.cpu_count() or 1,
-    }
+    traffic = sharded.run_all_pairs(size=params["message_bytes"],
+                                    partners=params["partners"])
+    return {"events": traffic.events, "sim_us": round(traffic.duration_us, 3),
+            "wall_s": time.perf_counter() - t0}
 
 
 WORKLOADS = {
@@ -477,7 +340,7 @@ WORKLOADS = {
     "paper_scale_70x10": {
         "fn": wl_paper_scale,
         "description": "70 nodes + 10 hosts boot, all-pairs neighbour traffic",
-        "full": {"messages": 6, "fanout": 3},
+        "perfbench": "chanrpc_70x10",
         "smoke": {"messages": 1, "fanout": 1},
     },
     "faultstorm": {
@@ -510,19 +373,17 @@ WORKLOADS = {
     },
     "hypercube_1024": {
         "fn": wl_hypercube,
-        "description": "1024-endpoint incomplete hypercube all-pairs "
-                       "traffic vs HyperX and 2D mesh",
-        "full": {"endpoints": 1024, "partners": 4, "message_bytes": 64},
+        "description": "incomplete-hypercube all-pairs traffic",
+        "perfbench": "openloop_hc1024",
         "smoke": {"endpoints": 64, "partners": 2, "message_bytes": 64},
     },
     "hypercube_1024_mm": {
         "fn": wl_hypercube_mm,
-        "description": "multi-million-event 1024-endpoint hypercube on the "
-                       "sharded parallel engine, workers=1 vs workers=N",
-        "full": {"endpoints": 1024, "partners": 100, "message_bytes": 64,
-                 "shards": 8, "workers": 4},
+        "description": "incomplete-hypercube all-pairs traffic on the "
+                       "sharded engine, workers=2",
+        "perfbench": "sharded_hc1024",
         "smoke": {"endpoints": 64, "partners": 2, "message_bytes": 64,
-                  "shards": 4, "workers": 2, "verify_unsharded": True},
+                  "shards": 4, "workers": 2},
     },
 }
 
@@ -530,25 +391,10 @@ WORKLOADS = {
 # ---------------------------------------------------------------------------
 # schema
 # ---------------------------------------------------------------------------
-_MEASUREMENT_KEYS = {
-    "events": (int,),
-    "wall_s": (int, float),
-    "sim_us": (int, float),
-    "events_per_sec": (int, float),
-    "sim_us_per_wall_s": (int, float),
-}
-
 #: Extra per-workload measurement keys (beyond the engine-rate keys every
 #: workload reports).  Unknown extras are still tolerated; these are the
 #: ones a measurement of the named workload must carry to be useful.
 _WORKLOAD_EXTRA_KEYS: dict[str, dict] = {
-    "hypercube_1024": {
-        f"{metric}_{topology}": (int, float)
-        for topology in ("hypercube", "hyperx", "mesh")
-        for metric in (
-            "avg_hops", "max_hops", "reserve_stalls", "reserve_stall_us",
-        )
-    },
     "large_write_1mb_adaptive": {
         "kbytes_per_sec_fixed": (int, float),
         "kbytes_per_sec_adaptive": (int, float),
@@ -559,17 +405,11 @@ _WORKLOAD_EXTRA_KEYS: dict[str, dict] = {
         "adaptive_p95_gain": (int, float),
         "window_shrinks_slow": (int,),
     },
-    "hypercube_1024_mm": {
-        "events_per_sec_serial": (int, float),
-        "events_per_sec_parallel": (int, float),
-        "parallel_workers": (int,),
-        "parallel_speedup": (int, float),
-        "shards": (int,),
-        "rounds": (int,),
-        "boundary_messages": (int,),
-        "host_cpus": (int,),
-    },
 }
+
+
+def _bad(value, types=(int, float)) -> bool:
+    return not isinstance(value, types) or isinstance(value, bool)
 
 
 def validate(doc: dict) -> list[str]:
@@ -586,138 +426,84 @@ def validate(doc: dict) -> list[str]:
             continue
         if not isinstance(entry.get("description"), str):
             problems.append(f"{name}: missing description")
-        slots = [s for s in ("baseline", "current") if entry.get(s)]
-        if not slots:
-            problems.append(f"{name}: needs a baseline or current measurement")
-        for slot in slots:
-            measurement = entry[slot]
-            expected = dict(_MEASUREMENT_KEYS)
-            expected.update(_WORKLOAD_EXTRA_KEYS.get(name, {}))
-            for key, types in expected.items():
-                value = measurement.get(key)
-                if not isinstance(value, types) or isinstance(value, bool):
-                    problems.append(f"{name}.{slot}.{key}: bad value {value!r}")
-                elif key in ("events", "events_per_sec") and value <= 0:
-                    problems.append(f"{name}.{slot}.{key}: must be positive")
-    # Every workload must fill the same slots: a file where some
-    # workloads carry a baseline and others do not cannot support the
-    # baseline-vs-current speedup story the trajectory chart tells.
-    shapes: dict[str, tuple] = {
-        name: tuple(s for s in ("baseline", "current") if entry.get(s))
-        for name, entry in workloads.items()
-        if isinstance(entry, dict)
-    }
-    if len(set(shapes.values())) > 1:
-        by_shape: dict[tuple, list[str]] = {}
-        for name, shape in shapes.items():
-            by_shape.setdefault(shape, []).append(name)
-        detail = "; ".join(
-            f"[{'+'.join(shape) or 'none'}] {', '.join(sorted(members))}"
-            for shape, members in sorted(by_shape.items())
-        )
-        problems.append(
-            f"workloads carry mismatched measurement slots: {detail}"
-        )
+        expected = {"events": (int,), "sim_us": (int, float), "repeat": (int,)}
+        expected.update(_WORKLOAD_EXTRA_KEYS.get(name, {}))
+        for key, types in expected.items():
+            if _bad(entry.get(key), types):
+                problems.append(f"{name}.{key}: bad value {entry.get(key)!r}")
+        if not _bad(entry.get("events"), (int,)) and entry["events"] <= 0:
+            problems.append(f"{name}.events: must be positive")
+        for key in ("wall_s", "events_per_sec"):
+            spread = entry.get(key)
+            values = [spread.get(s) for s in ("min", "median", "max")] \
+                if isinstance(spread, dict) else [None]
+            if any(_bad(v) for v in values):
+                problems.append(f"{name}.{key}: needs numeric min/median/max,"
+                                f" got {spread!r}")
+            elif not 0 < values[0] <= values[1] <= values[2]:
+                problems.append(f"{name}.{key}: must be positive with "
+                                f"min <= median <= max, got {spread!r}")
     return problems
 
 
 # ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
+def _spread(values) -> dict:
+    return {"min": min(values), "median": statistics.median(values),
+            "max": max(values)}
+
+
+def measure(name: str, mode: str, repeat: int) -> dict:
+    """Run one workload ``repeat`` times into a single record.
+
+    Everything but the host clock must repeat exactly: a rep whose
+    events, simulated time or extra keys differ from the first rep's is
+    a determinism break, and raises.
+    """
+    spec = WORKLOADS[name]
+    walls, first = [], None
+    for _ in range(repeat):
+        rep = spec["fn"](dict(spec[mode]))
+        walls.append(rep.pop("wall_s"))
+        if first is None:
+            first = rep
+        elif rep != first:
+            diff = sorted(k for k in first.keys() | rep.keys()
+                          if first.get(k) != rep.get(k))
+            raise RuntimeError(f"{name}: reps differ in {diff}, "
+                               "the workload is not deterministic")
+    return {
+        "description": spec["description"],
+        "params": spec[mode],
+        "repeat": repeat,
+        **first,
+        "wall_s": _spread([round(w, 6) for w in walls]),
+        "events_per_sec": _spread(
+            [round(first["events"] / w, 1) for w in walls]
+        ),
+    }
+
+
 def run_workloads(names, mode: str, repeat: int) -> dict[str, dict]:
     measured: dict[str, dict] = {}
     for name in names:
-        spec = WORKLOADS[name]
-        params = spec[mode]
-        best = None
-        for _ in range(repeat):
-            result = spec["fn"](dict(params))
-            # Best-of-N selects the rep with the highest engine rate
-            # (tie broken by wall time) and keeps that rep's WHOLE
-            # measurement, so the extra keys (hops, stalls, speedups)
-            # always describe the run the rate came from.
-            if (
-                best is None
-                or result["events_per_sec"] > best["events_per_sec"]
-                or (
-                    result["events_per_sec"] == best["events_per_sec"]
-                    and result["wall_s"] < best["wall_s"]
-                )
-            ):
-                best = result
-        measured[name] = best
+        record = measured[name] = measure(name, mode, repeat)
+        rate = record["events_per_sec"]
         print(
-            f"{name:20s} {best['events']:>9d} events  "
-            f"{best['wall_s']:>8.3f} s  "
-            f"{best['events_per_sec']:>12,.0f} ev/s  "
-            f"{best['sim_us_per_wall_s']:>14,.0f} sim-us/s",
+            f"{name:24s} {record['events']:>9d} events  "
+            f"{record['wall_s']['median']:>8.3f} s  ev/s "
+            f"{rate['min']:>10,.0f} {rate['median']:>10,.0f} "
+            f"{rate['max']:>10,.0f} (min median max)",
             file=sys.stderr,
         )
     return measured
-
-
-def profile_workloads(names, mode: str) -> None:
-    """cProfile each workload; write top-25 cumulative stats per workload.
-
-    Profiles are a diagnosis artifact, not a measurement: profiler
-    overhead distorts the rates, so nothing is recorded into the
-    results JSON.  One ``BENCH_profile_<workload>.txt`` lands at the
-    repo root per workload.
-    """
-    import cProfile
-    import io
-    import pstats
-
-    for name in names:
-        spec = WORKLOADS[name]
-        profiler = cProfile.Profile()
-        profiler.enable()
-        spec["fn"](dict(spec[mode]))
-        profiler.disable()
-        stream = io.StringIO()
-        pstats.Stats(profiler, stream=stream) \
-            .sort_stats("cumulative").print_stats(25)
-        path = REPO_ROOT / f"BENCH_profile_{name}.txt"
-        path.write_text(stream.getvalue())
-        print(f"{name:20s} -> {path.name}", file=sys.stderr)
-
-
-def merge(existing: dict, measured: dict, mode: str, slot: str) -> dict:
-    doc = existing if existing.get("schema") == SCHEMA else {}
-    workloads = doc.get("workloads", {})
-    for name, measurement in measured.items():
-        entry = workloads.get(name, {})
-        entry["description"] = WORKLOADS[name]["description"]
-        entry["params"] = WORKLOADS[name][mode]
-        entry[slot] = measurement
-        other = "current" if slot == "baseline" else "baseline"
-        if not entry.get(other):
-            # First recording of a workload seeds BOTH slots, so the
-            # file is always slot-symmetric (validate() enforces this):
-            # the speedup starts at 1.0 and moves once either slot is
-            # re-recorded.
-            entry[other] = measurement
-        baseline = entry.get("baseline")
-        current = entry.get("current")
-        if baseline and current:
-            entry["speedup_events_per_sec"] = round(
-                current["events_per_sec"] / baseline["events_per_sec"], 2
-            )
-        workloads[name] = entry
-    return {
-        "schema": SCHEMA,
-        "mode": mode,
-        "python": platform.python_version(),
-        "workloads": workloads,
-    }
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="tiny iteration counts (CI)")
-    parser.add_argument("--baseline", action="store_true",
-                        help="record into the baseline slot")
     parser.add_argument("--output", type=Path, default=None,
                         help=f"output JSON (default {DEFAULT_OUTPUT.name}; "
                              "required in --smoke mode to avoid clobbering "
@@ -725,16 +511,13 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", default=None,
                         help="comma-separated subset of: "
                              + ",".join(WORKLOADS))
-    parser.add_argument("--repeat", type=int, default=1,
-                        help="run each workload N times, keep the "
-                             "highest-rate rep")
-    parser.add_argument("--profile", action="store_true",
-                        help="cProfile each workload, write top-25 cumulative "
-                             "stats to BENCH_profile_<workload>.txt, and skip "
-                             "recording measurements")
+    parser.add_argument("--repeat", type=int, default=3,
+                        help="runs per workload, reported as "
+                             "min/median/max (default 3)")
     parser.add_argument("--check-floor", action="store_true",
-                        help="exit non-zero if any workload is more than "
-                             f"{FLOOR_HEADROOM:.0f}x below the events/sec floor")
+                        help="exit non-zero if any workload's median is more "
+                             f"than {FLOOR_HEADROOM:.0f}x below the events/sec "
+                             "floor")
     parser.add_argument("--validate", type=Path, metavar="PATH",
                         help="validate an existing results file and exit")
     args = parser.parse_args(argv)
@@ -751,23 +534,28 @@ def main(argv=None) -> int:
     mode = "smoke" if args.smoke else "full"
     output = args.output
     if output is None:
-        if args.smoke and not args.profile:
+        if args.smoke:
             print("--smoke requires --output (committed BENCH_simcore.json "
                   "holds full-run numbers)", file=sys.stderr)
             return 2
         output = DEFAULT_OUTPUT
 
-    names = list(WORKLOADS)
+    names = [n for n in WORKLOADS if mode in WORKLOADS[n]]
     if args.workloads:
         names = [n.strip() for n in args.workloads.split(",") if n.strip()]
         unknown = [n for n in names if n not in WORKLOADS]
         if unknown:
             print(f"unknown workloads: {unknown}", file=sys.stderr)
             return 2
-
-    if args.profile:
-        profile_workloads(names, mode)
-        return 0
+        refused = [n for n in names if mode not in WORKLOADS[n]]
+        if refused:
+            for name in refused:
+                owner = WORKLOADS[name]["perfbench"]
+                print(f"{name} runs in --smoke mode only; its full-size "
+                      f"wall-clock claim is perfbench's {owner}: "
+                      f"python3 perfbench/run.py --workload {owner}",
+                      file=sys.stderr)
+            return 2
 
     measured = run_workloads(names, mode, max(1, args.repeat))
 
@@ -777,8 +565,12 @@ def main(argv=None) -> int:
             existing = json.loads(output.read_text())
         except ValueError:
             existing = {}
-    doc = merge(existing, measured, mode,
-                "baseline" if args.baseline else "current")
+    workloads = {}
+    if existing.get("schema") == SCHEMA and existing.get("mode") == mode:
+        workloads = existing.get("workloads", {})
+    workloads.update(measured)
+    doc = {"schema": SCHEMA, "mode": mode,
+           "python": platform.python_version(), "workloads": workloads}
     problems = validate(doc)
     if problems:
         for problem in problems:
@@ -790,14 +582,15 @@ def main(argv=None) -> int:
     if args.check_floor:
         floor = SMOKE_FLOOR_EVENTS_PER_SEC / FLOOR_HEADROOM
         slow = {
-            name: m["events_per_sec"]
+            name: m["events_per_sec"]["median"]
             for name, m in measured.items()
-            if m["events_per_sec"] < floor
+            if m["events_per_sec"]["median"] < floor
         }
         if slow:
             print(f"FLOOR FAIL (< {floor:,.0f} ev/s): {slow}", file=sys.stderr)
             return 1
-        print(f"floor ok (all >= {floor:,.0f} ev/s)", file=sys.stderr)
+        print(f"floor ok (all {len(measured)} medians >= {floor:,.0f} ev/s)",
+              file=sys.stderr)
     return 0
 
 

@@ -1,17 +1,19 @@
 #!/usr/bin/env python
-"""Regenerate EXPERIMENTS.md: every table/figure, paper vs. measured.
+"""Regenerate the E1-E18 block of EXPERIMENTS.md: paper vs. measured.
 
-Runs the full experiment suite at publication fidelity (1000-message
-streams etc.) and writes the paper-comparison report.  Takes a few
-minutes.
+Runs those experiments at publication fidelity (1000-message streams
+etc.) and rewrites only the text between the BEGIN/END marker lines;
+everything outside them (the introduction and E19 onwards) is kept as
+written.  Takes under a minute.
 
 Usage:  python scripts/run_experiments.py [output-path]
 """
 
 from __future__ import annotations
 
-import sys
+import argparse
 import time
+from pathlib import Path
 
 from repro.bench.experiments import (
     experiment_allocation,
@@ -32,76 +34,28 @@ from repro.bench.experiments import (
     experiment_userdefined_latency,
 )
 
-HEADER = """\
-# EXPERIMENTS — paper versus measured
-
-Reproduction of every table, figure, and in-text measurement in
-*The Evolution of HPC/VORX* (Katseff, Gaglianello, Robinson, PPOPP 1990)
-on the `repro` simulator.  Regenerate with:
-
-```
-python scripts/run_experiments.py
-```
-
-or run the per-experiment benchmarks:
-
-```
-pytest benchmarks/ --benchmark-only
-```
-
-The substrate is a calibrated discrete-event simulator, not the authors'
-1988 testbed, so the goal is *shape* fidelity: who wins, by what factor,
-and where the crossovers fall.  Absolute latencies are calibrated against
-the paper's anchor numbers (Table 2's 303 us / 4-byte channel message,
-the 80 us context switch, the 3.2 Mbyte/s bitmap stream, the 12 s / 2 s
-download times); everything else is emergent.
-
-"""
-
-FOOTER = """\
-## E19: Faultstorm: the §2 lockout, per recovery policy
-
-The fault-injection subsystem (`repro.faults`) reproduces Section 2's
-retransmission lockout and the recovery-policy spectrum AT&T weighed.
-Six processors send 1000-byte messages to one receiver over the S/NET
-(2048-byte receive fifo, partial prefixes retained on overflow, 2%
-forced-overflow injection), under each policy selectable via
-`SnetSystem(recovery=...)`:
-
-* **busy-retransmit** (the original Meglos scheme): livelocks.  The
-  receiver spends the whole run reading and discarding partial message
-  prefixes, so free fifo space never reaches a full message's worth --
-  the paper's *"system-wide communication lockouts"*.
-* **random-backoff**: everything delivered, but paced by the timeout
-  rate rather than the bus rate.
-* **reservation**: everything delivered with zero overflow; every
-  message pays the request/grant round trip.
-
-The same fault plan (plus 2% link drop/corrupt/duplicate) aimed at the
-HPC/VORX machine is absorbed by hardware flow control and the channel
-layer's stop-and-wait recovery (ack watchdog, CTRL_RETRY on corruption,
-transfer-id duplicate suppression): all messages delivered, payloads
-intact.  Regenerate with `python scripts/faultstorm.py`:
-
-```
-[1] S/NET many-to-one burst (6 senders -> 1 receiver, forced-overflow p=0.02)
-   busy-retransmit: 2/6 delivered, LOCKOUT (livelocked at deadline)
-                    retries=19005, partials discarded=18999 (6892108 bytes), injected: forced-overflow=393
-    random-backoff: 6/6 delivered, recovered in 4.9 ms
-                    retries=4, partials discarded=4 (1612 bytes), injected: none
-       reservation: 6/6 delivered, recovered in 6.4 ms
-                    retries=0, partials discarded=0 (0 bytes), injected: none
-
-[2] HPC/VORX under the same storm (drop=0.02, corrupt=0.02, duplicate=0.02; 4 pairs x 25 msgs)
-      hardware f/c: 100/100 delivered, payloads intact=True, finished at 34.6 ms
-                    recovery: timeout-retransmits=12, corrupt-drops=6, duplicate-drops=11
-                    injected: corrupt=6, drop=6, duplicate=8
-```
-"""
+BEGIN = "<!-- BEGIN GENERATED: python scripts/run_experiments.py -->"
+END = "<!-- END GENERATED -->"
+DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
 
 
-def main() -> None:
-    output = sys.argv[1] if len(sys.argv) > 1 else "EXPERIMENTS.md"
+def splice(text: str, block: str) -> str:
+    """``text`` with the lines between its BEGIN and END markers
+    replaced by ``block``; raises ``ValueError`` without both markers."""
+    start, end = text.find(BEGIN), text.find(END)
+    if start < 0 or end < start:
+        raise ValueError(f"no {BEGIN!r} ... {END!r} block to regenerate")
+    return f"{text[:start + len(BEGIN)]}\n\n{block.strip()}\n\n{text[end:]}"
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("output", nargs="?", type=Path, default=DEFAULT_OUTPUT,
+                        help="markdown file holding the marker block "
+                             "(default: EXPERIMENTS.md)")
+    output = parser.parse_args(argv).output
+    text = output.read_text()
+    splice(text, "")  # no markers: fail now, not after the long run
     runs = [
         (experiment_table1, dict(n_messages=1000)),
         (experiment_table2, dict(n_messages=1000)),
@@ -120,17 +74,14 @@ def main() -> None:
         (experiment_stubs, {}),
         (experiment_decentralized_syscalls, {}),
     ]
-    sections = [HEADER]
+    sections = []
     for runner, kwargs in runs:
         t0 = time.time()
         result = runner(**kwargs)
         wall = time.time() - t0
         print(f"{result.experiment_id:>4}  {result.title}  ({wall:.1f}s)")
         sections.append(result.markdown())
-        sections.append("")
-    sections.append(FOOTER)
-    with open(output, "w") as handle:
-        handle.write("\n".join(sections))
+    output.write_text(splice(text, "\n\n".join(sections)))
     print(f"\nwrote {output}")
 
 

@@ -190,8 +190,8 @@ class Simulator:
         self._imm_normal: deque[tuple[float, int, Any]] = deque()
         #: Cancelled handles still sitting in a queue (lazy cancellation).
         self._cancelled: int = 0
-        #: Occurrences processed so far (read by ``scripts/perf.py`` to
-        #: report events/sec).
+        #: Occurrences processed so far (the event count behind the
+        #: events/sec rates of ``perfbench`` and ``scripts/perf.py``).
         self.processed: int = 0
         #: Unified instrumentation hub: every component sharing this
         #: simulator registers its metrics and trace events here.

@@ -39,8 +39,8 @@ class StreamResult:
     elapsed_us: float
     #: The run's metrics/trace hub (``Vstat``), for post-hoc inspection.
     vstat: Optional[object] = None
-    #: The run's simulator, for engine-level statistics (``scripts/perf.py``
-    #: reads ``sim.processed`` to report events/sec).
+    #: The run's simulator, for engine-level statistics such as
+    #: ``sim.processed``.
     sim: Optional[object] = None
 
     @property

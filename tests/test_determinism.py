@@ -43,11 +43,11 @@ GOLDEN_FAULTSTORM = (
     "52b49476c0db0c01c7c33b96099e8e0e0eaa8a9d3ddf83fa65f6c348d8d5c23f"
 )
 
-#: Schedule-sensitive :meth:`TrafficResult.fingerprint` of the
-#: ``hypercube_1024`` perf workload: 1024 endpoints on the 256-cluster
-#: incomplete hypercube, bounded all-pairs traffic (4 partners, 64-byte
-#: messages, 4096 deliveries).  Pins the fabric layer's routing, link
-#: arbitration and flow-control schedule at paper-plus scale.
+#: Schedule-sensitive :meth:`TrafficResult.fingerprint` of 1024
+#: endpoints on the 256-cluster incomplete hypercube, bounded all-pairs
+#: traffic (4 partners, 64-byte messages, 4096 deliveries).  Pins the
+#: fabric layer's routing, link arbitration and flow-control schedule
+#: at paper-plus scale.
 GOLDEN_HYPERCUBE_1024 = (
     "45b0e74688f4bbf6182a47e103f9ce6baf52137087d7b27e50e43efd64d40243"
 )
@@ -119,9 +119,8 @@ def test_faultstorm_fingerprint_golden():
 
 
 def run_hypercube_1024():
-    """The ``hypercube_1024`` perf workload, exactly as scripts/perf.py
-    runs it (traffic drive only; the engine-rate wrapper is not part of
-    the fingerprint)."""
+    """The hypercube side of README's 1024-endpoint topology comparison
+    (the HyperX and mesh sides are pinned in test_fabric_backends)."""
     sim = Simulator()
     sim.vstat.events.disable()
     fabric = create_fabric("hypercube", sim, CostModel(), n_endpoints=1024)

@@ -112,6 +112,25 @@ def test_all_pairs_golden_64_node_hypercube():
     assert result.max_hops == 6
 
 
+@pytest.mark.parametrize("topology, avg_hops, max_hops, stalls, stall_us", [
+    ("hyperx", 3.004, 4, 784, 7920.0),
+    ("mesh", 7.482, 32, 2126, 140040.0),
+], ids=["hyperx", "mesh"])
+def test_1024_endpoint_topology_comparison(
+    topology, avg_hops, max_hops, stalls, stall_us
+):
+    """The README's 1024-endpoint comparison (4 partners, 64-byte
+    messages); the hypercube side is test_determinism's golden."""
+    fabric = make_fabric(topology, 1024)
+    result = run_all_pairs(fabric, size=64, partners=4)
+    assert result.delivered == result.sent == 4096
+    assert round(result.avg_hops, 3) == avg_hops
+    assert result.max_hops == max_hops
+    contention = fabric.contention()
+    assert contention["reserve_stalls"] == stalls
+    assert contention["reserve_stall_us"] == stall_us
+
+
 # ---------------------------------------------------------------------------
 # incomplete hypercube edge cases
 # ---------------------------------------------------------------------------

@@ -1,168 +1,88 @@
-"""Unit tests for scripts/perf.py: repeat selection, slot-symmetry
-validation, slot seeding in merge(), and the profile mode."""
+"""Unit tests for scripts/perf.py: the min/median/max record, the
+determinism check across reps, smoke-only workloads and the v2 schema."""
 
+import json
 import sys
 from pathlib import Path
+
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 
 import perf  # noqa: E402  (path setup above)
 
 
-def measurement(events_per_sec, wall_s=1.0, **extra):
-    m = {
-        "events": 1000,
-        "wall_s": wall_s,
-        "sim_us": 10.0,
-        "events_per_sec": events_per_sec,
-        "sim_us_per_wall_s": 10.0,
+def fake_workload(monkeypatch, reps):
+    reps = iter(reps)
+    monkeypatch.setitem(
+        perf.WORKLOADS, "fake",
+        {"fn": lambda params: dict(next(reps)), "description": "fake",
+         "full": {"n": 1}, "smoke": {}},
+    )
+
+
+def rep(wall_s, events=1000, **extra):
+    return {"events": events, "sim_us": 10.0, "wall_s": wall_s, **extra}
+
+
+def test_record_is_min_median_max_over_reps(monkeypatch):
+    fake_workload(monkeypatch, [rep(2.0), rep(1.0), rep(4.0)])
+    record = perf.measure("fake", "full", repeat=3)
+    assert record["events"] == 1000 and record["sim_us"] == 10.0
+    assert record["repeat"] == 3
+    assert record["wall_s"] == {"min": 1.0, "median": 2.0, "max": 4.0}
+    assert record["events_per_sec"] == {
+        "min": 250.0, "median": 500.0, "max": 1000.0,
     }
-    m.update(extra)
-    return m
+    assert perf.validate({"schema": perf.SCHEMA,
+                          "workloads": {"fake": record}}) == []
 
 
-def doc_with(workloads):
-    return {"schema": perf.SCHEMA, "workloads": workloads}
+def test_rep_with_different_events_raises(monkeypatch):
+    fake_workload(monkeypatch, [rep(1.0), rep(1.0, events=1001)])
+    with pytest.raises(RuntimeError, match=r"reps differ in \['events'\]"):
+        perf.measure("fake", "full", repeat=2)
 
 
-def entry(*slots):
-    e = {"description": "d"}
-    for slot in slots:
-        e[slot] = measurement(100.0)
-    return e
+def test_smoke_only_workload_refused_in_full_mode(tmp_path, capsys):
+    out = tmp_path / "b.json"
+    assert perf.main(["--workloads", "hypercube_1024",
+                      "--output", str(out)]) == 2
+    assert "openloop_hc1024" in capsys.readouterr().err
+    assert not out.exists()
 
 
-# -- run_workloads repeat selection -----------------------------------------
-def test_repeat_keeps_highest_rate_rep_whole(monkeypatch):
-    reps = iter([
-        measurement(100.0, wall_s=1.0, tag=1),
-        measurement(300.0, wall_s=9.0, tag=2),  # best rate, slowest wall
-        measurement(200.0, wall_s=0.5, tag=3),
-    ])
-    monkeypatch.setitem(
-        perf.WORKLOADS, "fake",
-        {"fn": lambda params: next(reps), "description": "fake",
-         "full": {}, "smoke": {}},
-    )
-    best = perf.run_workloads(["fake"], "full", repeat=3)["fake"]
-    # The whole best-rate measurement survives, extras included -- not
-    # the lowest-wall rep, and not a hybrid of reps.
-    assert best["tag"] == 2
-    assert best["events_per_sec"] == 300.0
-    assert best["wall_s"] == 9.0
+def test_validate_rejects_v1_file(tmp_path):
+    v1 = {"schema": "simcore-bench/v1", "workloads": {"a": {
+        "description": "d",
+        "current": {"events": 1000, "wall_s": 1.0, "sim_us": 10.0,
+                    "events_per_sec": 1000.0, "sim_us_per_wall_s": 10.0},
+    }}}
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(v1))
+    assert perf.main(["--validate", str(path)]) == 1
+    assert any("simcore-bench/v2" in p for p in perf.validate(v1))
 
 
-def test_repeat_breaks_rate_ties_by_wall(monkeypatch):
-    reps = iter([
-        measurement(100.0, wall_s=2.0, tag=1),
-        measurement(100.0, wall_s=1.0, tag=2),
-    ])
-    monkeypatch.setitem(
-        perf.WORKLOADS, "fake",
-        {"fn": lambda params: next(reps), "description": "fake",
-         "full": {}, "smoke": {}},
-    )
-    assert perf.run_workloads(["fake"], "full", repeat=2)["fake"]["tag"] == 2
-
-
-# -- validate: slot symmetry ------------------------------------------------
-def test_validate_accepts_symmetric_slots():
-    doc = doc_with({
-        "a": entry("baseline", "current"),
-        "b": entry("baseline", "current"),
-    })
-    assert perf.validate(doc) == []
-
-
-def test_validate_rejects_mismatched_slots():
-    doc = doc_with({
-        "a": entry("baseline", "current"),
-        "b": entry("current"),
-    })
-    problems = perf.validate(doc)
-    assert any("mismatched measurement slots" in p for p in problems)
-    # The message names the offenders and their shapes.
-    assert any("b" in p and "a" in p for p in problems)
-
-
-def test_validate_accepts_current_only_everywhere():
-    doc = doc_with({"a": entry("current"), "b": entry("current")})
-    assert perf.validate(doc) == []
-
-
-def test_validate_rejects_bool_and_nonpositive_values():
-    bad = entry("current")
-    bad["current"]["events_per_sec"] = True
-    problems = perf.validate(doc_with({"a": bad}))
-    assert any("events_per_sec" in p for p in problems)
-    bad2 = entry("current")
-    bad2["current"]["events"] = 0
-    problems = perf.validate(doc_with({"a": bad2}))
+def test_validate_rejects_bool_and_nonpositive_values(monkeypatch):
+    fake_workload(monkeypatch, [rep(1.0)])
+    good = perf.measure("fake", "full", repeat=1)
+    bad = dict(good, events=True)
+    problems = perf.validate({"schema": perf.SCHEMA, "workloads": {"a": bad}})
+    assert any("events" in p for p in problems)
+    bad = dict(good, events=0)
+    problems = perf.validate({"schema": perf.SCHEMA, "workloads": {"a": bad}})
     assert any("must be positive" in p for p in problems)
-
-
-# -- merge: first recording seeds both slots --------------------------------
-def test_merge_seeds_both_slots_for_new_workload(monkeypatch):
-    monkeypatch.setitem(
-        perf.WORKLOADS, "fresh",
-        {"fn": None, "description": "fresh", "full": {"n": 1}, "smoke": {}},
-    )
-    doc = perf.merge({}, {"fresh": measurement(100.0)}, "full", "baseline")
-    e = doc["workloads"]["fresh"]
-    assert e["baseline"] == e["current"] == measurement(100.0)
-    assert e["speedup_events_per_sec"] == 1.0
-    assert perf.validate(doc) == []
-
-
-def test_merge_does_not_clobber_existing_other_slot(monkeypatch):
-    monkeypatch.setitem(
-        perf.WORKLOADS, "w",
-        {"fn": None, "description": "w", "full": {}, "smoke": {}},
-    )
-    existing = doc_with({"w": {
-        "description": "w", "params": {},
-        "baseline": measurement(100.0), "current": measurement(100.0),
-    }})
-    doc = perf.merge(existing, {"w": measurement(150.0)}, "full", "current")
-    e = doc["workloads"]["w"]
-    assert e["baseline"]["events_per_sec"] == 100.0
-    assert e["current"]["events_per_sec"] == 150.0
-    assert e["speedup_events_per_sec"] == 1.5
-
-
-# -- profile mode -----------------------------------------------------------
-def test_profile_workloads_writes_stats(monkeypatch, tmp_path):
-    def busy(params):
-        return sum(i * i for i in range(params["n"]))
-
-    monkeypatch.setitem(
-        perf.WORKLOADS, "busy",
-        {"fn": busy, "description": "busy",
-         "full": {"n": 50_000}, "smoke": {"n": 1_000}},
-    )
-    monkeypatch.setattr(perf, "REPO_ROOT", tmp_path)
-    perf.profile_workloads(["busy"], "smoke")
-    out = tmp_path / "BENCH_profile_busy.txt"
-    assert out.exists()
-    text = out.read_text()
-    assert "cumulative" in text
-    assert "busy" in text
-
-
-# -- the real workload registry ---------------------------------------------
-def test_mm_workload_registered_with_extra_keys():
-    assert "hypercube_1024_mm" in perf.WORKLOADS
-    full = perf.WORKLOADS["hypercube_1024_mm"]["full"]
-    assert full["shards"] > 1 and full["workers"] > 1
-    extras = perf._WORKLOAD_EXTRA_KEYS["hypercube_1024_mm"]
-    for key in ("events_per_sec_serial", "events_per_sec_parallel",
-                "parallel_workers", "parallel_speedup", "shards", "rounds",
-                "host_cpus"):
-        assert key in extras
+    bad = dict(good, wall_s={"min": 2.0, "median": 1.0, "max": 3.0})
+    problems = perf.validate({"schema": perf.SCHEMA, "workloads": {"a": bad}})
+    assert any("min <= median <= max" in p for p in problems)
 
 
 def test_committed_bench_file_validates():
     bench = Path(__file__).resolve().parent.parent / "BENCH_simcore.json"
-    import json
-
-    assert perf.validate(json.loads(bench.read_text())) == []
+    doc = json.loads(bench.read_text())
+    assert perf.validate(doc) == []
+    assert doc["mode"] == "full"
+    assert set(doc["workloads"]) == {
+        name for name, spec in perf.WORKLOADS.items() if "full" in spec
+    }
