@@ -34,6 +34,9 @@ def main() -> None:
                 received.append(payload)
         return received
 
+    # The software oscilloscope records only once it exists, so create
+    # it before the run.
+    scope = SoftwareOscilloscope.for_system(system)
     system.spawn(0, producer, name="producer")
     consumer_sp = system.spawn(1, consumer, name="consumer")
     system.run()
@@ -42,12 +45,13 @@ def main() -> None:
     print(f"\nsimulated time: {system.sim.now / 1000:.2f} ms")
 
     print("\n--- software oscilloscope (Section 6.2) ---")
-    scope = SoftwareOscilloscope.for_system(system)
     print(scope.render(bins=40))
 
     print("\n--- prof (Section 6.2) ---")
     print(Prof(system.nodes).format())
 
+    # The summary's USER-US/SYS-US columns come from every CPU's
+    # always-on busy sums, so they need no scope.
     print("\n--- vstat metrics ---")
     print(summarize(system))
 

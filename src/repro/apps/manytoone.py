@@ -8,13 +8,15 @@ processor at nearly the same time."*
 compute for (deliberately imbalanced) durations, then all report to one
 master over channels.  It exercises the HPC's hardware flow control under
 the paper's problem pattern, and its skewed load makes it the demo
-workload for the software oscilloscope (experiment E15).
+workload for the software oscilloscope (experiment E15): the run arms a
+scope before it starts and returns it on the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.tools.oscilloscope import SoftwareOscilloscope
 from repro.vorx.system import VorxSystem
 
 
@@ -25,7 +27,9 @@ class ManyToOneResult:
     message_bytes: int
     elapsed_us: float
     received: int
-    system: VorxSystem  # exposed for tool demos (oscilloscope, prof)
+    system: VorxSystem  # exposed for tool demos (prof, cdb)
+    #: Armed before the run, over every processing node.
+    scope: SoftwareOscilloscope
 
 
 def run_many_to_one(
@@ -45,6 +49,7 @@ def run_many_to_one(
     from repro.model.costs import DEFAULT_COSTS
 
     system = VorxSystem(n_nodes=n_workers + 1, costs=costs or DEFAULT_COSTS)
+    scope = SoftwareOscilloscope.for_system(system)
     state = {"received": 0}
 
     def worker(env, index):
@@ -82,4 +87,5 @@ def run_many_to_one(
         elapsed_us=system.sim.now,
         received=state["received"],
         system=system,
+        scope=scope,
     )

@@ -574,10 +574,9 @@ def experiment_topology() -> ExperimentResult:
 # ---------------------------------------------------------------------------
 def experiment_oscilloscope() -> ExperimentResult:
     from repro.apps.manytoone import run_many_to_one
-    from repro.tools import SoftwareOscilloscope
 
     result = run_many_to_one(n_workers=5, rounds=4, imbalance=3.0)
-    scope = SoftwareOscilloscope.for_system(result.system)
+    scope = result.scope
     view = scope.capture(bins=48)
     report = scope.render(view, bins=48)
     return ExperimentResult(

@@ -52,7 +52,8 @@ def render_histogram(histogram: Histogram, width: int = 40) -> str:
 
 def node_summary_rows(system) -> list[dict]:
     """Per-node key counters: packets, context switches, syscalls, channel
-    traffic.  ``system`` is any object with ``all_kernels``."""
+    traffic, and where the CPU time went (the CPU's always-on user and
+    system busy sums).  ``system`` is any object with ``all_kernels``."""
     rows = []
     for kernel in system.all_kernels:
         metrics = kernel.metrics
@@ -67,6 +68,8 @@ def node_summary_rows(system) -> list[dict]:
                 "chan_frags_received": int(
                     metrics.value("chan.fragments_received")
                 ),
+                "cpu_user_us": kernel.cpu.user_us,
+                "cpu_system_us": kernel.cpu.system_us,
             }
         )
     return rows
@@ -75,7 +78,8 @@ def node_summary_rows(system) -> list[dict]:
 def format_node_summary(rows: list[dict]) -> str:
     header = (
         f"{'NODE':<10} {'PKT-TX':>7} {'PKT-RX':>7} {'CTXSW':>6} "
-        f"{'SYSCALL':>8} {'CH-TX':>6} {'CH-RX':>6}"
+        f"{'SYSCALL':>8} {'CH-TX':>6} {'CH-RX':>6} {'USER-US':>10} "
+        f"{'SYS-US':>10}"
     )
     lines = [header, "-" * len(header)]
     for row in rows:
@@ -83,7 +87,8 @@ def format_node_summary(rows: list[dict]) -> str:
             f"{row['node']:<10} {row['packets_sent']:>7} "
             f"{row['packets_received']:>7} {row['context_switches']:>6} "
             f"{row['syscalls']:>8} {row['chan_frags_sent']:>6} "
-            f"{row['chan_frags_received']:>6}"
+            f"{row['chan_frags_received']:>6} {row['cpu_user_us']:>10.0f} "
+            f"{row['cpu_system_us']:>10.0f}"
         )
     return "\n".join(lines)
 

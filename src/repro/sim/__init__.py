@@ -17,9 +17,9 @@ Highlights
 * **Determinism** -- the event queue is ordered by ``(time, priority,
   sequence)``; two runs of the same seeded simulation are bit-identical.
 * **Preemptive CPUs** -- :class:`~repro.sim.cpu.CPU` charges simulated
-  execution time with priority-preemptive scheduling and records a
-  per-category timeline consumed by the software oscilloscope
-  (:mod:`repro.tools.oscilloscope`).
+  execution time with priority-preemptive scheduling, keeps user and
+  system busy sums, and records a per-category timeline once the
+  software oscilloscope (:mod:`repro.tools.oscilloscope`) arms it.
 """
 
 from repro.sim.engine import Simulator, Handle

@@ -4,7 +4,9 @@ Every processing node and workstation owns one :class:`CPU`.  Simulated
 software charges execution time by yielding :meth:`CPU.execute`; the CPU
 serializes all charges, preempts lower-priority work when higher-priority
 work arrives (the VORX scheduler is preemptive, paper Section 5), and
-records a :class:`~repro.sim.trace.Timeline` for the software oscilloscope.
+always keeps two O(1) busy sums, :attr:`CPU.user_us` and
+:attr:`CPU.system_us`.  Its :class:`~repro.sim.trace.Timeline` records
+full segments for the software oscilloscope only once a scope arms it.
 
 Priority convention: **lower number = higher priority**.  The stack uses:
 
@@ -39,6 +41,8 @@ PRIORITY_ISR = 0
 PRIORITY_KERNEL = 2
 #: Default priority for application subprocesses.
 PRIORITY_USER = 10
+
+_USER = Category.USER
 
 
 class Job:
@@ -131,6 +135,10 @@ class CPU:
         # One bound method for every completion handle, instead of
         # allocating ``self._complete`` fresh on each dispatch.
         self._complete_cb = self._complete
+        #: Busy time charged so far, split USER / SYSTEM (context
+        #: switches count as SYSTEM).  Always kept, scope or not.
+        self.user_us: float = 0.0
+        self.system_us: float = 0.0
         #: Count of context switches charged (paper: 80 us each), backed
         #: by this node's vstat registry.
         self._m_switches = sim.vstat.registry(name).counter(
@@ -225,8 +233,12 @@ class CPU:
         self._end_handle = None
         now = self.sim._now
         elapsed = now - self._started_at
+        if job.category is _USER:
+            self.user_us += elapsed
+        else:
+            self.system_us += elapsed
         timeline = self.timeline
-        if timeline.enabled:
+        if timeline.armed_at is not None:
             timeline.record(self._started_at, now, job.category, job.owner)
         job.remaining = max(0.0, job.remaining - elapsed)
         # Preserve FIFO order among equals: it keeps its original seq.
@@ -310,9 +322,14 @@ class CPU:
         job = self._current
         assert job is not None
         now = self.sim._now
+        started = self._started_at
+        if job.category is _USER:
+            self.user_us += now - started
+        else:
+            self.system_us += now - started
         timeline = self.timeline
-        if timeline.enabled:
-            timeline.record(self._started_at, now, job.category, job.owner)
+        if timeline.armed_at is not None:
+            timeline.record(started, now, job.category, job.owner)
         self._current = None
         self._end_handle = None
         self._last_owner = job.owner if job.owner is not None else self._last_owner

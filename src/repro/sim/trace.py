@@ -2,8 +2,9 @@
 
 The software oscilloscope (Section 6.2 of the paper) partitions each
 processor's time into *user*, *system* and several flavours of *idle*
-time.  :class:`Timeline` records exactly that raw data while a simulation
-runs; :mod:`repro.tools.oscilloscope` renders it.
+time.  :class:`Timeline` records exactly that raw data once it is armed
+(:meth:`Timeline.arm`, called by the oscilloscope when it is created);
+:mod:`repro.tools.oscilloscope` renders it.
 
 :class:`TraceLog` is the per-node view over the unified structured trace
 stream (:mod:`repro.metrics.events`): the legacy ``log(time, tag, data)``
@@ -88,6 +89,11 @@ class Timeline:
     changes.  Idle intervals are derived as the complement of busy
     segments, subdivided at reason marks.
 
+    A timeline records nothing until :meth:`arm` is called, so a CPU
+    that no oscilloscope watches pays nothing for it.  Window queries
+    that start before the arming instant raise :class:`ValueError`
+    rather than report time that was never recorded.
+
     Like :class:`~repro.metrics.events.TraceStream`, a timeline can run
     in ring-buffer mode (:meth:`set_capacity`): only the most recent
     ``capacity`` busy segments are retained and :attr:`dropped` counts
@@ -99,10 +105,10 @@ class Timeline:
 
     def __init__(self, name: str = "cpu", capacity: Optional[int] = None) -> None:
         self.name = name
-        #: Recording gate (same contract as ``TraceStream.enabled``):
-        #: benchmarks that do not read the oscilloscope turn it off and
-        #: every ``record``/``mark_idle_reason`` becomes a no-op.
-        self.enabled: bool = True
+        #: Simulated time recording started, or ``None`` while unarmed:
+        #: until :meth:`arm`, every ``record``/``mark_idle_reason`` is a
+        #: no-op.
+        self.armed_at: Optional[float] = None
         #: Raw (start, end, category, owner) tuples.  One is appended per
         #: CPU charge, so the hot path stores bare tuples; the
         #: :attr:`segments` property materialises :class:`Segment` objects
@@ -119,6 +125,11 @@ class Timeline:
         self._idle_marks: list[tuple[float, Category]] = [(0.0, Category.IDLE_OTHER)]
 
     # -- recording ---------------------------------------------------------
+    def arm(self, time: float) -> None:
+        """Start recording at simulated ``time`` (no-op if already armed)."""
+        if self.armed_at is None:
+            self.armed_at = time
+
     def record(
         self,
         start: float,
@@ -127,7 +138,7 @@ class Timeline:
         owner: Optional[str] = None,
     ) -> None:
         """Append a busy segment (zero-length segments are dropped)."""
-        if not self.enabled:
+        if self.armed_at is None:
             return
         if end < start:
             raise ValueError(f"segment ends before it starts: [{start}, {end})")
@@ -163,7 +174,7 @@ class Timeline:
 
     def mark_idle_reason(self, time: float, reason: Category) -> None:
         """Record that *subsequent* idle time has the given cause."""
-        if not self.enabled:
+        if self.armed_at is None:
             return
         if reason not in IDLE_CATEGORIES:
             raise ValueError(f"not an idle category: {reason}")
@@ -175,6 +186,21 @@ class Timeline:
         self._idle_marks.append((time, reason))
 
     # -- queries -----------------------------------------------------------
+    def check_window(self, t0: float) -> None:
+        """Raise unless this timeline was recording from ``t0`` on."""
+        armed_at = self.armed_at
+        if armed_at is None:
+            raise ValueError(
+                f"{self.name}: the timeline never recorded; create the "
+                f"SoftwareOscilloscope before run()"
+            )
+        if t0 < armed_at:
+            raise ValueError(
+                f"{self.name}: window starts at {t0} us but recording began "
+                f"at {armed_at} us; create the SoftwareOscilloscope before "
+                f"run()"
+            )
+
     @property
     def segments(self) -> tuple[Segment, ...]:
         return tuple(Segment(s, e, c, o) for s, e, c, o in self._segments)
@@ -191,6 +217,7 @@ class Timeline:
         t1: float = float("inf"),
     ) -> float:
         """Total busy time (optionally one category) within ``[t0, t1)``."""
+        self.check_window(t0)
         total = 0.0
         for start, end, cat, _owner in self._segments:
             if category is not None and cat is not category:
@@ -212,6 +239,7 @@ class Timeline:
 
     def idle_segments(self, t0: float, t1: float) -> Iterator[Segment]:
         """Idle intervals within ``[t0, t1)``, subdivided at reason marks."""
+        self.check_window(t0)
         gaps: list[tuple[float, float]] = []
         cursor = t0
         for start, end, _cat, _owner in self._segments:
@@ -237,6 +265,7 @@ class Timeline:
         """Time in every category within ``[t0, t1)`` (sums to ``t1 - t0``)."""
         if t1 <= t0:
             raise ValueError(f"empty window [{t0}, {t1})")
+        self.check_window(t0)
         result = {cat: 0.0 for cat in Category}
         for start, end, cat, _owner in self._segments:
             lo = start if start > t0 else t0

@@ -12,10 +12,13 @@ synchronizes all the graphs with each other ...  It is possible to freeze
 the display, run faster or slower than real-time, or seek to any moment
 in execution time."*
 
-Execution data is recorded while the application runs (every
-:class:`~repro.sim.cpu.CPU` keeps a :class:`~repro.sim.trace.Timeline`);
-the oscilloscope is a pure viewer.  The colour display becomes an ASCII
-strip chart; freeze/seek become the ``t0``/``t1`` window of
+Recording is opt-in: creating a :class:`SoftwareOscilloscope` arms the
+:class:`~repro.sim.trace.Timeline` of every processor it displays, and
+from then on each :class:`~repro.sim.cpu.CPU` records its segments.  So
+create the scope before ``run()``; a window that starts before the scope
+existed raises :class:`ValueError`.  A CPU no scope watches keeps only
+its ``user_us``/``system_us`` busy sums.  The colour display becomes an
+ASCII strip chart; freeze/seek become the ``t0``/``t1`` window of
 :meth:`capture`.
 """
 
@@ -62,11 +65,25 @@ class OscilloscopeView:
         return (b[Category.USER] + b[Category.SYSTEM]) / self.window
 
     def load_imbalance(self) -> float:
-        """Max/mean ratio of user time across processors (1.0 = balanced)."""
+        """Max/mean ratio of user time across processors (1.0 = balanced).
+
+        A window in which no processor ran user code is balanced (1.0).
+        """
         user = [b[Category.USER] for b in self.breakdown.values()]
         mean = sum(user) / len(user) if user else 0.0
-        return (max(user) / mean) if mean > 0 else float("inf")
+        return (max(user) / mean) if mean > 0 else 1.0
 
+
+#: :meth:`SoftwareOscilloscope.metrics_overlay` columns:
+#: (title, vstat counter, width).
+_OVERLAY_COLUMNS = (
+    ("POSTED", "kernel.packets_posted", 7),
+    ("INTR", "kernel.interrupts", 6),
+    ("CTXSW", "kernel.context_switches", 6),
+    ("SYSCALL", "kernel.syscalls", 8),
+    ("NAK", "chan.naks", 5),
+    ("RETX", "chan.retransmits", 5),
+)
 
 #: Shade ramp for aggregated utilisation strips (0% .. 100% busy).
 _SHADES = " .:-=+*#%@"
@@ -112,12 +129,19 @@ class AggregateView:
 
 
 class SoftwareOscilloscope:
-    """Viewer over the recorded per-processor timelines."""
+    """Viewer over the per-processor timelines it arms when created.
+
+    Each timeline records from the simulated time the scope is created.
+    Create the scope before ``run()``: when it is armed mid-run, a VORX
+    node's idle time reads as idle-other until its next block or wakeup.
+    """
 
     def __init__(self, kernels: Sequence["NodeKernel"]) -> None:
         if not kernels:
             raise ValueError("need at least one processor to display")
         self.kernels = list(kernels)
+        for kernel in self.kernels:
+            kernel.cpu.timeline.arm(kernel.cpu.sim.now)
 
     @classmethod
     def for_system(cls, system: "VorxSystem",
@@ -128,6 +152,17 @@ class SoftwareOscilloscope:
         return cls(kernels)
 
     # ------------------------------------------------------------------
+    def _window_end(self, t0: float, t1: Optional[float]) -> float:
+        """Check every timeline recorded from ``t0`` on; default ``t1``.
+
+        ``t1`` defaults to the last busy instant on any processor.
+        """
+        for kernel in self.kernels:
+            kernel.cpu.timeline.check_window(t0)
+        if t1 is None:
+            t1 = max(k.cpu.timeline.end_time for k in self.kernels)
+        return t1
+
     def capture(
         self,
         t0: float = 0.0,
@@ -141,8 +176,7 @@ class SoftwareOscilloscope:
         synchronization property.  ``bins`` controls the strip-chart
         resolution (each character shows the bin's dominant category).
         """
-        if t1 is None:
-            t1 = max(k.cpu.timeline.end_time for k in self.kernels)
+        t1 = self._window_end(t0, t1)
         if t1 <= t0:
             raise ValueError(f"empty window [{t0}, {t1})")
         breakdown = {}
@@ -175,8 +209,7 @@ class SoftwareOscilloscope:
         """
         if group_size < 1:
             raise ValueError(f"group size must be >= 1, got {group_size}")
-        if t1 is None:
-            t1 = max(k.cpu.timeline.end_time for k in self.kernels)
+        t1 = self._window_end(t0, t1)
         if t1 <= t0:
             raise ValueError(f"empty window [{t0}, {t1})")
         groups: dict[str, list[str]] = {}
@@ -244,27 +277,20 @@ class SoftwareOscilloscope:
         Pairs with :meth:`render`: the strip chart shows *where* the time
         went; this overlay shows *what* each processor was doing to the
         network while it went (messages posted, interrupts taken, context
-        switches charged, channel retransmissions).
+        switches charged, channel retransmissions).  A counter the
+        kernel does not keep (Meglos has no VORX channels) prints ``-``.
         """
-        header = (
-            f"{'PROCESSOR':>10} {'POSTED':>7} {'INTR':>6} {'CTXSW':>6} "
-            f"{'SYSCALL':>8} {'NAK':>5} {'RETX':>5}"
+        header = " ".join(
+            f"{title:>{width}}" for title, _name, width in _OVERLAY_COLUMNS
         )
-        lines = [header]
+        lines = [f"{'PROCESSOR':>10} {header}"]
         for kernel in self.kernels:
-            metrics = getattr(kernel, "metrics", None)
-            if metrics is None:  # e.g. Meglos kernels predate vstat
-                lines.append(f"{kernel.name:>10} {'-':>7} {'-':>6} {'-':>6} "
-                             f"{'-':>8} {'-':>5} {'-':>5}")
-                continue
-            lines.append(
-                f"{kernel.name:>10} {kernel.packets_posted:>7} "
-                f"{int(metrics.value('kernel.interrupts')):>6} "
-                f"{kernel.context_switches:>6} "
-                f"{int(metrics.value('kernel.syscalls')):>8} "
-                f"{int(metrics.value('chan.naks')):>5} "
-                f"{int(metrics.value('chan.retransmits')):>5}"
-            )
+            cells = []
+            for _title, name, width in _OVERLAY_COLUMNS:
+                counter = kernel.metrics.get(name)
+                cell = "-" if counter is None else int(counter.value)
+                cells.append(f"{cell:>{width}}")
+            lines.append(f"{kernel.name:>10} {' '.join(cells)}")
         return "\n".join(lines)
 
     def playback(
@@ -289,8 +315,7 @@ class SoftwareOscilloscope:
         step = step_us if step_us is not None else window_us
         if step <= 0:
             raise ValueError(f"step must be positive: {step}")
-        if t1 is None:
-            t1 = max(k.cpu.timeline.end_time for k in self.kernels)
+        t1 = self._window_end(t0, t1)
         cursor = t0
         while cursor < t1:
             end = min(cursor + window_us, t1)

@@ -303,16 +303,16 @@ class NodeKernel:
             self._m_blocks_by_reason[reason] = counter
         counter.value += 1.0
         # Hoist ``_update_idle_reason``'s oscilloscope gate to the call
-        # site: block/unblock is per message, and with the timeline off
-        # (the common batch configuration) the call is a no-op.
-        if self.cpu.timeline.enabled:
+        # site: block/unblock is per message, and until a scope arms the
+        # timeline (the default) the call is a no-op.
+        if self.cpu.timeline.armed_at is not None:
             self._update_idle_reason()
         try:
             value = yield event
         finally:
             sp.state = SubprocessState.READY
             sp.blocked_on = None
-            if self.cpu.timeline.enabled:
+            if self.cpu.timeline.armed_at is not None:
                 self._update_idle_reason()
         yield self.cpu.execute(
             self.costs.wakeup_overhead + self.costs.context_switch,
@@ -329,9 +329,9 @@ class NodeKernel:
         # Runs on every block/unblock: a single allocation-free pass over
         # the subprocess table, tracking whether every live subprocess is
         # blocked and which of the INPUT/OUTPUT/other reasons occur.
-        # Purely observational -- skipped entirely when the oscilloscope
-        # timeline is not recording.
-        if not self.cpu.timeline.enabled:
+        # Purely observational -- skipped entirely until an oscilloscope
+        # arms the timeline.
+        if self.cpu.timeline.armed_at is None:
             return
         any_live = False
         inputs = outputs = others = 0

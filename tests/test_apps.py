@@ -132,10 +132,7 @@ def test_many_to_one_delivers_every_report():
 
 
 def test_many_to_one_imbalance_visible_to_oscilloscope():
-    from repro.tools import SoftwareOscilloscope
-
     result = run_many_to_one(n_workers=4, rounds=3, imbalance=3.0)
-    scope = SoftwareOscilloscope.for_system(result.system)
-    view = scope.capture()
+    view = result.scope.capture()
     # The most-loaded worker computes ~4x the least-loaded one.
     assert view.load_imbalance() > 1.5

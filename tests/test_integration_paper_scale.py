@@ -10,7 +10,10 @@ from repro.vorx.download import download_tree
 
 @pytest.fixture(scope="module")
 def machine():
-    return VorxSystem(n_nodes=70, n_workstations=10)
+    machine = VorxSystem(n_nodes=70, n_workstations=10)
+    # Arm the oscilloscope before any phase runs.
+    SoftwareOscilloscope.for_system(machine)
+    return machine
 
 
 def test_paper_machine_shape(machine):

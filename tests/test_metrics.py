@@ -12,7 +12,11 @@ from repro.metrics import (
     TraceStream,
     Vstat,
 )
-from repro.metrics.report import render_histogram
+from repro.metrics.report import (
+    format_node_summary,
+    node_summary_rows,
+    render_histogram,
+)
 from repro.sim.trace import TraceLog
 
 
@@ -189,3 +193,39 @@ def test_histogram_out_of_range_observations_clamp():
     assert h.counts[0] == 1
     assert h.count == 2
     assert h.snapshot()["buckets"]["+inf"] == 1
+
+
+# ---------------------------------------------------------------------------
+# report rows
+# ---------------------------------------------------------------------------
+def test_node_summary_rows_say_where_cpu_time_went():
+    from repro import VorxSystem
+
+    system = VorxSystem(n_nodes=2)
+
+    def producer(env):
+        with (yield from env.channel("rows")) as ch:
+            yield from env.compute(1_000.0)
+            yield from env.write(ch, 64)
+
+    def consumer(env):
+        with (yield from env.channel("rows")) as ch:
+            yield from env.read(ch)
+
+    system.spawn(0, producer)
+    system.spawn(1, consumer)
+    system.run()
+    rows = node_summary_rows(system)
+    assert [row["node"] for row in rows] == ["node0", "node1"]
+    for row, kernel in zip(rows, system.nodes):
+        assert row["cpu_user_us"] == kernel.cpu.user_us
+        assert row["cpu_system_us"] == kernel.cpu.system_us
+        assert row["cpu_system_us"] > 0.0
+        assert row["syscalls"] == int(kernel.metrics.value("kernel.syscalls"))
+    assert rows[0]["cpu_user_us"] == pytest.approx(1_000.0)
+    assert rows[0]["chan_frags_sent"] == 1
+    assert rows[1]["chan_frags_received"] == 1
+    table = format_node_summary(rows).splitlines()
+    assert table[0].split()[-2:] == ["USER-US", "SYS-US"]
+    assert table[2].split()[-2] == "1000"
+

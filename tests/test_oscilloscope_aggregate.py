@@ -9,7 +9,9 @@ from repro.tools import SoftwareOscilloscope
 
 
 def build_busy_system(n_nodes=12):
+    """Run ``n_nodes`` unequal workers under a scope armed before the run."""
     system = VorxSystem(n_nodes=n_nodes)
+    scope = SoftwareOscilloscope.for_system(system)
 
     def worker(env, amount):
         yield from env.compute(amount)
@@ -17,12 +19,11 @@ def build_busy_system(n_nodes=12):
     for i in range(n_nodes):
         system.spawn(i, lambda env, i=i: worker(env, 1_000.0 * (i + 1)))
     system.run()
-    return system
+    return system, scope
 
 
 def test_aggregation_groups_processors():
-    system = build_busy_system(12)
-    scope = SoftwareOscilloscope.for_system(system)
+    _system, scope = build_busy_system(12)
     view = scope.capture_aggregated(group_size=4, bins=20)
     assert len(view.groups) == 3
     assert all(len(members) == 4 for members in view.groups.values())
@@ -32,8 +33,7 @@ def test_aggregation_groups_processors():
 
 
 def test_aggregation_uneven_group_sizes():
-    system = build_busy_system(10)
-    scope = SoftwareOscilloscope.for_system(system)
+    _system, scope = build_busy_system(10)
     view = scope.capture_aggregated(group_size=4)
     sizes = [len(members) for members in view.groups.values()]
     assert sizes == [4, 4, 2]
@@ -42,8 +42,7 @@ def test_aggregation_uneven_group_sizes():
 def test_aggregate_breakdown_is_mean_of_members():
     from repro.sim.trace import Category
 
-    system = build_busy_system(4)
-    scope = SoftwareOscilloscope.for_system(system)
+    system, scope = build_busy_system(4)
     view = scope.capture_aggregated(group_size=4)
     (label,) = view.groups
     per_node = [
@@ -56,8 +55,7 @@ def test_aggregate_breakdown_is_mean_of_members():
 
 
 def test_utilisation_percentiles():
-    system = build_busy_system(8)
-    scope = SoftwareOscilloscope.for_system(system)
+    _system, scope = build_busy_system(8)
     view = scope.capture_aggregated(group_size=3)
     stats = view.utilisation_percentiles()
     assert 0.0 <= stats["min"] <= stats["median"] <= stats["max"] <= 1.0
@@ -67,16 +65,14 @@ def test_utilisation_percentiles():
 
 def test_render_aggregated_fits_large_machine():
     result = run_many_to_one(n_workers=12, rounds=3)
-    scope = SoftwareOscilloscope.for_system(result.system)
-    text = scope.render_aggregated(group_size=5, bins=30)
+    text = result.scope.render_aggregated(group_size=5, bins=30)
     # 13 processors collapse to 3 group lines + header + summary.
     assert len(text.splitlines()) <= 6
     assert "utilisation across 13 processors" in text
 
 
 def test_aggregation_validates_arguments():
-    system = build_busy_system(2)
-    scope = SoftwareOscilloscope.for_system(system)
+    _system, scope = build_busy_system(2)
     with pytest.raises(ValueError):
         scope.capture_aggregated(group_size=0)
     with pytest.raises(ValueError):

@@ -6,9 +6,11 @@ from repro import VorxSystem
 from repro.tools import SoftwareOscilloscope
 
 
-def build_phased_system():
-    """Node computes for 10 ms, idles for 10 ms, computes for 10 ms."""
+def build_phased_scope():
+    """Node computes for 10 ms, idles for 10 ms, computes for 10 ms; the
+    scope is armed before the run."""
     system = VorxSystem(n_nodes=1)
+    scope = SoftwareOscilloscope.for_system(system)
 
     def program(env):
         yield from env.compute(10_000.0)
@@ -17,12 +19,11 @@ def build_phased_system():
 
     system.spawn(0, program)
     system.run()
-    return system
+    return scope
 
 
 def test_playback_yields_consecutive_frames():
-    system = build_phased_system()
-    scope = SoftwareOscilloscope.for_system(system)
+    scope = build_phased_scope()
     frames = list(scope.playback(window_us=10_000.0, bins=5))
     assert len(frames) >= 3
     # Frames tile the run in order.
@@ -31,8 +32,7 @@ def test_playback_yields_consecutive_frames():
 
 
 def test_playback_shows_the_phases():
-    system = build_phased_system()
-    scope = SoftwareOscilloscope.for_system(system)
+    scope = build_phased_scope()
     frames = list(scope.playback(window_us=10_000.0))
     busy = [frame.utilisation("node0") for frame in frames[:3]]
     # Busy, idle, busy.
@@ -42,8 +42,7 @@ def test_playback_shows_the_phases():
 
 
 def test_playback_slow_motion_overlapping_frames():
-    system = build_phased_system()
-    scope = SoftwareOscilloscope.for_system(system)
+    scope = build_phased_scope()
     frames = list(scope.playback(window_us=10_000.0, step_us=5_000.0))
     # Half-window steps: roughly twice the frame count.
     plain = list(scope.playback(window_us=10_000.0))
@@ -51,8 +50,7 @@ def test_playback_slow_motion_overlapping_frames():
 
 
 def test_playback_seek():
-    system = build_phased_system()
-    scope = SoftwareOscilloscope.for_system(system)
+    scope = build_phased_scope()
     frames = list(scope.playback(window_us=5_000.0, t0=12_000.0,
                                  t1=18_000.0))
     assert frames[0].t0 == 12_000.0
@@ -61,8 +59,7 @@ def test_playback_seek():
 
 
 def test_playback_validation():
-    system = build_phased_system()
-    scope = SoftwareOscilloscope.for_system(system)
+    scope = build_phased_scope()
     with pytest.raises(ValueError):
         list(scope.playback(window_us=0.0))
     with pytest.raises(ValueError):

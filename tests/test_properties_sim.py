@@ -105,23 +105,36 @@ def test_semaphore_conservation(n_waiters, units):
 # ---------------------------------------------------------------- CPU
 @given(jobs=st.lists(
     st.tuples(st.floats(min_value=0.1, max_value=100.0, allow_nan=False),
-              st.integers(0, 3)),
+              st.integers(0, 3),
+              st.sampled_from([Category.USER, Category.SYSTEM])),
     min_size=1, max_size=15))
 def test_cpu_work_is_conserved(jobs):
     """Total busy time equals total requested time, whatever the mix of
-    priorities and preemptions."""
+    priorities and preemptions -- in the timeline and in the CPU's
+    always-on busy sums alike."""
     sim = Simulator()
     cpu = CPU(sim)
+    cpu.timeline.arm(0.0)
 
-    def submit(duration, priority, delay):
+    def submit(duration, priority, category, delay):
         yield sim.timeout(delay)
-        yield cpu.execute(duration, priority=priority)
+        yield cpu.execute(duration, priority=priority, category=category)
 
-    for i, (duration, priority) in enumerate(jobs):
-        sim.process(submit(duration, priority, i * 7.0))
+    for i, (duration, priority, category) in enumerate(jobs):
+        sim.process(submit(duration, priority, category, i * 7.0))
     sim.run()
-    total = sum(duration for duration, _ in jobs)
-    assert abs(cpu.timeline.busy_time() - total) < 1e-6 * max(1.0, total)
+
+    def close(measured, charged):
+        return abs(measured - charged) < 1e-6 * max(1.0, charged)
+
+    total = sum(duration for duration, _, _ in jobs)
+    user = sum(d for d, _, category in jobs if category is Category.USER)
+    assert close(cpu.timeline.busy_time(), total)
+    assert close(cpu.user_us, user)
+    assert close(cpu.system_us, total - user)
+    # The sums add the same intervals in the same order as the timeline.
+    assert cpu.user_us == cpu.timeline.busy_time(Category.USER)
+    assert cpu.system_us == cpu.timeline.busy_time(Category.SYSTEM)
 
 
 @given(jobs=st.lists(
@@ -131,6 +144,7 @@ def test_cpu_work_is_conserved(jobs):
 def test_cpu_timeline_segments_never_overlap(jobs):
     sim = Simulator()
     cpu = CPU(sim)
+    cpu.timeline.arm(0.0)
 
     def submit(duration, priority, delay):
         yield sim.timeout(delay)
@@ -140,6 +154,7 @@ def test_cpu_timeline_segments_never_overlap(jobs):
         sim.process(submit(duration, priority, i * 3.0))
     sim.run()
     segments = cpu.timeline.segments
+    assert segments
     for a, b in zip(segments, segments[1:]):
         assert a.end <= b.start + 1e-9
 
@@ -153,6 +168,7 @@ def test_cpu_timeline_segments_never_overlap(jobs):
 )
 def test_timeline_breakdown_sums_to_window(busy, window):
     timeline = Timeline()
+    timeline.arm(0.0)
     cursor = 0.0
     for start_offset, duration in busy:
         start = cursor + start_offset

@@ -102,6 +102,7 @@ def test_non_preemptible_job_blocks_higher_priority():
 def test_timeline_records_categories():
     sim = Simulator()
     cpu = CPU(sim)
+    cpu.timeline.arm(0.0)
 
     def proc():
         yield cpu.execute(30.0, category=Category.USER, owner="app")
@@ -117,6 +118,7 @@ def test_timeline_records_categories():
 def test_preemption_splits_timeline_segments():
     sim = Simulator()
     cpu = CPU(sim)
+    cpu.timeline.arm(0.0)
 
     def low():
         yield cpu.execute(100.0, priority=PRIORITY_USER, owner="low")
@@ -138,9 +140,30 @@ def test_preemption_splits_timeline_segments():
     assert cpu.timeline.busy_time(Category.USER) == 100.0
 
 
+def test_busy_sums_kept_without_a_timeline():
+    sim = Simulator()
+    cpu = CPU(sim)
+
+    def low():
+        yield cpu.execute(100.0, priority=PRIORITY_USER, owner="low")
+
+    def high():
+        yield sim.timeout(40.0)
+        yield cpu.execute(10.0, priority=PRIORITY_ISR,
+                          category=Category.SYSTEM)
+
+    sim.process(low())
+    sim.process(high())
+    sim.run()
+    # The preempted charge counts its 40 us of partial progress.
+    assert (cpu.user_us, cpu.system_us) == (100.0, 10.0)
+    assert cpu.timeline.segments == ()
+
+
 def test_context_switch_charged_between_owners():
     sim = Simulator()
     cpu = CPU(sim, switch_cost=lambda old, new: 80.0)
+    cpu.timeline.arm(0.0)
     ends = []
 
     def proc(owner, start):
@@ -155,6 +178,8 @@ def test_context_switch_charged_between_owners():
     assert ends == [("a", 100.0), ("b", 280.0)]
     assert cpu.context_switches == 1
     assert cpu.timeline.busy_time(Category.SYSTEM) == 80.0
+    assert cpu.system_us == 80.0  # the switch counts as SYSTEM
+    assert cpu.user_us == 200.0
 
 
 def test_no_switch_charge_for_same_owner_or_kernel():
@@ -188,6 +213,7 @@ def test_queue_length_and_busy():
 def test_idle_reason_marks():
     sim = Simulator()
     cpu = CPU(sim)
+    cpu.timeline.arm(0.0)
 
     def proc():
         yield cpu.execute(10.0)

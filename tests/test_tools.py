@@ -113,8 +113,8 @@ def test_oscilloscope_categories_on_imbalanced_app():
 
     system.spawn(0, busy)
     system.spawn(1, idle)
-    system.run()
     scope = SoftwareOscilloscope.for_system(system)
+    system.run()
     view = scope.capture()
     assert view.utilisation("node0") > 0.8
     assert view.utilisation("node1") < 0.2
@@ -131,8 +131,8 @@ def test_oscilloscope_windows_are_synchronized():
 
     for i in range(3):
         system.spawn(i, worker)
-    system.run()
     scope = SoftwareOscilloscope.for_system(system)
+    system.run()
     view = scope.capture(t0=1_000.0, t1=4_000.0, bins=10)
     assert view.t0 == 1_000.0 and view.t1 == 4_000.0
     for name, breakdown in view.breakdown.items():
@@ -148,8 +148,8 @@ def test_oscilloscope_render_is_readable():
 
     system.spawn(0, worker)
     system.spawn(1, worker)
-    system.run()
     scope = SoftwareOscilloscope.for_system(system)
+    system.run()
     text = scope.render()
     assert "node0" in text and "node1" in text
     assert "%USER" in text

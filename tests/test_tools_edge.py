@@ -84,6 +84,31 @@ def test_oscilloscope_requires_processors():
         SoftwareOscilloscope([])
 
 
+def test_metrics_overlay_on_vorx_and_meglos_nodes():
+    from repro import MeglosSystem
+
+    system = run_two_channel_app()
+    vorx = SoftwareOscilloscope(system.nodes[:1]).metrics_overlay()
+    header, row = vorx.splitlines()
+    assert header.split() == [
+        "PROCESSOR", "POSTED", "INTR", "CTXSW", "SYSCALL", "NAK", "RETX",
+    ]
+    node = system.nodes[0]
+    assert row.split() == [
+        "node0", str(node.packets_posted),
+        str(int(node.metrics.value("kernel.interrupts"))),
+        str(node.context_switches),
+        str(int(node.metrics.value("kernel.syscalls"))), "0", "0",
+    ]
+    assert node.packets_posted > 0
+    # Meglos keeps none of these counters: dashes, not a false 0.
+    meglos = MeglosSystem(n_nodes=2)
+    rows = SoftwareOscilloscope(meglos.nodes).metrics_overlay().splitlines()
+    assert [r.split() for r in rows[1:]] == [
+        [kernel.name] + ["-"] * 6 for kernel in meglos.nodes
+    ]
+
+
 def test_vdb_inspect_running_process_waits():
     system = VorxSystem(n_nodes=1)
 

@@ -5,6 +5,13 @@ import pytest
 from repro.sim.trace import Category, Segment, Timeline, TraceLog
 
 
+def _armed(*args, **kwargs) -> Timeline:
+    """A timeline recording from t=0."""
+    timeline = Timeline(*args, **kwargs)
+    timeline.arm(0.0)
+    return timeline
+
+
 def test_segment_clipping():
     seg = Segment(10.0, 20.0, Category.USER)
     assert seg.duration == 10.0
@@ -15,7 +22,7 @@ def test_segment_clipping():
 
 
 def test_timeline_rejects_bad_segments():
-    timeline = Timeline()
+    timeline = _armed()
     timeline.record(0.0, 10.0, Category.USER)
     with pytest.raises(ValueError):
         timeline.record(5.0, 15.0, Category.USER)  # overlaps
@@ -24,13 +31,13 @@ def test_timeline_rejects_bad_segments():
 
 
 def test_timeline_drops_zero_length_segments():
-    timeline = Timeline()
+    timeline = _armed()
     timeline.record(5.0, 5.0, Category.USER)
     assert timeline.segments == ()
 
 
 def test_busy_time_by_category_and_window():
-    timeline = Timeline()
+    timeline = _armed()
     timeline.record(0.0, 10.0, Category.USER)
     timeline.record(10.0, 14.0, Category.SYSTEM)
     timeline.record(20.0, 30.0, Category.USER)
@@ -40,7 +47,7 @@ def test_busy_time_by_category_and_window():
 
 
 def test_idle_reasons_partition_gaps():
-    timeline = Timeline()
+    timeline = _armed()
     timeline.record(0.0, 10.0, Category.USER)
     timeline.mark_idle_reason(10.0, Category.IDLE_INPUT)
     timeline.record(40.0, 50.0, Category.USER)
@@ -53,7 +60,7 @@ def test_idle_reasons_partition_gaps():
 
 
 def test_idle_reason_mark_dedup_and_ordering():
-    timeline = Timeline()
+    timeline = _armed()
     timeline.mark_idle_reason(5.0, Category.IDLE_INPUT)
     timeline.mark_idle_reason(5.0, Category.IDLE_INPUT)  # dedup: no-op
     assert timeline.idle_reason_at(6.0) is Category.IDLE_INPUT
@@ -64,7 +71,7 @@ def test_idle_reason_mark_dedup_and_ordering():
 
 
 def test_idle_gap_splits_at_reason_change():
-    timeline = Timeline()
+    timeline = _armed()
     timeline.record(0.0, 10.0, Category.USER)
     timeline.mark_idle_reason(10.0, Category.IDLE_INPUT)
     timeline.mark_idle_reason(25.0, Category.IDLE_MIXED)
@@ -76,7 +83,7 @@ def test_idle_gap_splits_at_reason_change():
 
 def test_breakdown_empty_window_rejected():
     with pytest.raises(ValueError):
-        Timeline().breakdown(5.0, 5.0)
+        _armed().breakdown(5.0, 5.0)
 
 
 def test_tracelog_counters_and_selection():
@@ -92,7 +99,7 @@ def test_tracelog_counters_and_selection():
 
 # ---------------------------------------------------------------- ring mode
 def test_timeline_ring_buffer_keeps_recent_segments():
-    timeline = Timeline("cpu", capacity=3)
+    timeline = _armed("cpu", capacity=3)
     for i in range(5):
         timeline.record(float(i), float(i) + 0.5, Category.USER)
     assert timeline.capacity == 3
@@ -104,7 +111,7 @@ def test_timeline_ring_buffer_keeps_recent_segments():
 
 
 def test_timeline_set_capacity_shrinks_and_unbounds():
-    timeline = Timeline()
+    timeline = _armed()
     for i in range(4):
         timeline.record(float(i), float(i) + 0.5, Category.SYSTEM)
     assert timeline.dropped == 0
@@ -121,6 +128,19 @@ def test_timeline_set_capacity_shrinks_and_unbounds():
 
 
 def test_timeline_ring_rejects_bad_capacity():
-    timeline = Timeline()
+    timeline = _armed()
     with pytest.raises(ValueError):
         timeline.set_capacity(0)
+
+
+def test_armed_timeline_refuses_windows_before_arming():
+    timeline = Timeline("cpu")
+    timeline.arm(10.0)
+    timeline.arm(20.0)  # already armed: keeps the first instant
+    timeline.record(12.0, 15.0, Category.SYSTEM)
+    assert timeline.busy_time(t0=10.0) == 3.0
+    assert timeline.breakdown(10.0, 20.0)[Category.SYSTEM] == 3.0
+    with pytest.raises(ValueError, match="recording began at 10.0"):
+        timeline.breakdown(5.0, 20.0)
+    with pytest.raises(ValueError, match="before run"):
+        list(timeline.idle_segments(0.0, 20.0))

@@ -9,9 +9,13 @@ that still want a recent-history window.
 
 import tracemalloc
 
+import pytest
+
 from repro.metrics.events import TraceStream, Vstat
 from repro.sim.trace import Timeline, TraceLog, Category
+from repro.tools import SoftwareOscilloscope
 from repro.vorx.system import VorxSystem
+from tests.test_determinism import fingerprint
 
 
 # ---------------------------------------------------------------------------
@@ -124,12 +128,73 @@ def test_set_capacity_switches_modes():
 # oscilloscope timeline gate
 # ---------------------------------------------------------------------------
 def test_timeline_gate_skips_recording():
-    timeline = Timeline("cpu")
-    timeline.enabled = False
+    timeline = Timeline("cpu")  # unarmed until a scope arms it
     timeline.record(0.0, 5.0, Category.USER)
     timeline.mark_idle_reason(1.0, Category.IDLE_INPUT)
     assert timeline.segments == ()
     assert timeline.idle_reason_at(2.0) is Category.IDLE_OTHER
-    timeline.enabled = True
+    with pytest.raises(ValueError, match="before run"):
+        timeline.busy_time()
+    timeline.arm(5.0)
     timeline.record(5.0, 6.0, Category.SYSTEM)
     assert len(timeline.segments) == 1
+
+
+def _channel_workload(armed: bool) -> VorxSystem:
+    """Two producer/consumer channel pairs, optionally under a scope."""
+    system = VorxSystem(n_nodes=4)
+    if armed:
+        SoftwareOscilloscope.for_system(system)
+
+    def producer(env, pair):
+        with (yield from env.channel(f"zc{pair}")) as ch:
+            for i in range(6):
+                yield from env.compute(300.0 * (pair + 1))
+                yield from env.write(ch, 512, payload=i)
+
+    def consumer(env, pair):
+        with (yield from env.channel(f"zc{pair}")) as ch:
+            for _ in range(6):
+                yield from env.read(ch)
+                yield from env.compute(100.0)
+
+    for pair in range(2):
+        system.spawn(2 * pair, lambda env, pair=pair: producer(env, pair))
+        system.spawn(2 * pair + 1, lambda env, pair=pair: consumer(env, pair))
+    system.run()
+    return system
+
+
+def test_oscilloscope_costs_nothing_when_off_and_changes_nothing_when_on():
+    plain = _channel_workload(armed=False)
+    scoped = _channel_workload(armed=True)
+    for kernel in plain.nodes:
+        timeline = kernel.cpu.timeline
+        assert timeline.segments == ()
+        assert timeline._idle_marks == [(0.0, Category.IDLE_OTHER)]
+    # Arming observes the run without changing it.
+    assert fingerprint(plain.sim) == fingerprint(scoped.sim)
+    assert plain.sim.processed == scoped.sim.processed
+    # The always-on sums equal what the armed timeline recorded.
+    for bare, kernel in zip(plain.nodes, scoped.nodes):
+        timeline = kernel.cpu.timeline
+        assert timeline.segments
+        assert bare.cpu.user_us == timeline.busy_time(Category.USER)
+        assert bare.cpu.system_us == timeline.busy_time(Category.SYSTEM)
+        assert bare.cpu.user_us > 0.0 and bare.cpu.system_us > 0.0
+
+
+def test_scope_created_after_the_run_refuses_to_read():
+    system = _channel_workload(armed=False)
+    scope = SoftwareOscilloscope.for_system(system)
+    reads = [
+        scope.capture,
+        scope.capture_aggregated,
+        scope.render,
+        scope.render_aggregated,
+        lambda: list(scope.playback(window_us=1_000.0)),
+    ]
+    for read in reads:
+        with pytest.raises(ValueError, match="before run"):
+            read()
+
