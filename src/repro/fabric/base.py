@@ -48,6 +48,9 @@ class FabricBackend(ABC):
     sim: "Simulator"
     costs: "CostModel"
     topology_name: str = "custom"
+    #: The workload generator's packet router for this fabric, set by
+    #: the first :class:`~repro.workload.generator.Workload` run on it.
+    workload_hub: Any = None
 
     # -- endpoints ---------------------------------------------------------
     @property

@@ -462,12 +462,14 @@ class ShardFabric(Fabric):
         adjacency = self.spec.adjacency()
         for cid in self.local_clusters:
             first_port = first_hop_ports(adjacency, cid)
-            routing = self.clusters[cid].routing
+            # Every spec address is below ``_next_address``.
+            routing: list[Optional[int]] = [None] * self._next_address
             for address, home, attach_port, _name in self.spec.attachments:
                 if home == cid:
                     routing[address] = attach_port
                 elif home in first_port:
                     routing[address] = first_port[home]
+            self.clusters[cid].routing = routing
 
     # -- cross-shard arrivals ------------------------------------------------
     def inject(

@@ -47,8 +47,10 @@ class Cluster:
         ]
         #: Outgoing links, one per wired port (None if unwired).
         self.out_links: list[Optional["Link"]] = [None] * n_ports
-        #: destination address -> output port index.
-        self.routing: dict[int, int] = {}
+        #: Output port index per destination address (``None``: no
+        #: route).  Dense: a list of N entries is under a quarter the
+        #: size of a dict of them, and the fabric builds one per cluster.
+        self.routing: list[Optional[int]] = []
         #: Messages forwarded, for statistics.
         self.messages_forwarded = 0
         self._forwarders = [_Forwarder(self, source) for source in self.inputs]
@@ -59,12 +61,14 @@ class Cluster:
 
     def route_port(self, dst: int) -> int:
         """The output port for destination address ``dst``."""
-        try:
-            return self.routing[dst]
-        except KeyError:
+        routing = self.routing
+        # A negative index would wrap round to the end of the table.
+        port = routing[dst] if 0 <= dst < len(routing) else None
+        if port is None:
             raise KeyError(
                 f"cluster {self.cluster_id} has no route to address {dst}"
-            ) from None
+            )
+        return port
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Cluster {self.cluster_id} ports={self.n_ports}>"
@@ -98,10 +102,13 @@ class _Forwarder:
     def _forward(self, event: Event) -> None:
         packet = event._value
         cluster = self.cluster
+        dst = packet.dst
         try:
-            out_port = cluster.routing[packet.dst]
-        except KeyError:
-            out_port = cluster.route_port(packet.dst)  # raises the diagnostic
+            out_port = cluster.routing[dst]
+        except IndexError:
+            out_port = None
+        if out_port is None or dst < 0:
+            out_port = cluster.route_port(dst)  # raises the diagnostic
         link = cluster.out_links[out_port]
         if link is None:
             raise RuntimeError(

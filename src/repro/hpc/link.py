@@ -106,7 +106,7 @@ class Link:
         requests = self._requests
         getters = requests._getters
         if getters:
-            getter = getters.popleft()
+            getter = getters.pop(0)
             getter._ok = True
             getter._value = (packet, done)
             sim._imm_normal.append((sim._now, sim._seq, getter))

@@ -46,7 +46,7 @@ class BufferedInput:
 
     def deliver(self, packet: "Packet") -> None:
         """Place a message in a previously reserved buffer."""
-        # The Store's deques are read directly here and in ``free``/
+        # The Store's lists are read directly here and in ``free``/
         # ``pending``: these run once per carried message and the
         # ``len(Store)`` protocol call showed up in engine profiles.
         queue = self._queue
@@ -61,7 +61,7 @@ class BufferedInput:
         # message to a parked consumer (``succeed`` inlined) or queue it.
         getters = queue._getters
         if getters:
-            getter = getters.popleft()
+            getter = getters.pop(0)
             getter._ok = True
             getter._value = packet
             sim = self.sim
@@ -93,7 +93,7 @@ class BufferedInput:
         # coexist (acquire only banks a waiter when no unit is free).
         waiters = credits._waiters
         if waiters:
-            waiters.popleft().succeed()
+            waiters.pop(0).succeed()
         else:
             credits._value = value + 1
 

@@ -155,7 +155,8 @@ class Fabric(FabricBackend):
 
     # -- routing -------------------------------------------------------------
     def build_routes(self) -> None:
-        """Compute every cluster's destination -> output-port table.
+        """Compute every cluster's output-port table, indexed by
+        destination address.
 
         BFS over the cluster graph from each cluster, visiting neighbours
         in port order, yields deterministic shortest-hop routes
@@ -167,15 +168,17 @@ class Fabric(FabricBackend):
         for (cid, port), neighbour in sorted(self._cluster_edges.items()):
             adjacency[cid].append((port, neighbour))
 
+        size = 1 + max(self.attachments, default=-1)
         for start in range(n):
             first_port = first_hop_ports(adjacency, start)
-            cluster = self.clusters[start]
+            routing: list[Optional[int]] = [None] * size
             for address, (home, attach_port) in self.attachments.items():
                 if home == start:
-                    cluster.routing[address] = attach_port
+                    routing[address] = attach_port
                 elif home in first_port:
-                    cluster.routing[address] = first_port[home]
+                    routing[address] = first_port[home]
                 # else: unreachable; route_port() raises on use.
+            self.clusters[start].routing = routing
 
     # -- inspection ------------------------------------------------------------
     @property
@@ -218,7 +221,8 @@ class Fabric(FabricBackend):
         """
         self._require_attached(src)
         self._require_attached(dst)
-        return dst in self.home_cluster(src).routing or (
+        routing = self.home_cluster(src).routing
+        return (0 <= dst < len(routing) and routing[dst] is not None) or (
             self.attachments[src][0] == self.attachments[dst][0]
         )
 
@@ -246,7 +250,8 @@ class Fabric(FabricBackend):
                     f"routing loop at cluster {current} for {src}->{dst}"
                 )
             seen.add(current)
-            port = self.clusters[current].routing.get(dst)
+            routing = self.clusters[current].routing
+            port = routing[dst] if dst < len(routing) else None
             next_cluster = (
                 None if port is None
                 else self._cluster_edges.get((current, port))

@@ -7,8 +7,7 @@ code (:mod:`repro.vorx.semaphore`), which charges CPU time on top of these.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.sim.events import Event, PENDING
 
@@ -24,6 +23,12 @@ if TYPE_CHECKING:  # pragma: no cover
 # have been triggered, so the double-trigger guard is vacuous here.
 _new_event = Event.__new__
 
+# The FIFOs below are plain lists served with ``pop(0)``.  Fabric queues
+# stay a few entries deep (``hpc.max_queue_depth`` is at most 6 on the
+# benchmark workloads), where the O(n) shift costs nothing measurable,
+# and an empty list is 56 bytes against a deque's 760: a 1024-endpoint
+# fabric holds some 28,000 of these FIFOs.
+
 
 class Semaphore:
     """A counting semaphore with FIFO wakeup order.
@@ -38,7 +43,7 @@ class Semaphore:
             raise ValueError(f"semaphore value must be >= 0, got {value}")
         self.sim = sim
         self._value = value
-        self._waiters: Deque[Event] = deque()
+        self._waiters: list[Event] = []
 
     @property
     def value(self) -> int:
@@ -86,7 +91,7 @@ class Semaphore:
             self._value -= 1
             # ``succeed`` inlined: a queued waiter is pending by
             # construction (it is only triggered when popped here).
-            waiter = waiters.popleft()
+            waiter = waiters.pop(0)
             waiter._ok = True
             waiter._value = None
             sim = self.sim
@@ -121,9 +126,9 @@ class Store:
             raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
         self.sim = sim
         self.capacity = capacity
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple[Event, Any]] = deque()
+        self._items: list[Any] = []
+        self._getters: list[Event] = []
+        self._putters: list[tuple[Event, Any]] = []
 
     def __len__(self) -> int:
         return len(self._items)
@@ -150,7 +155,7 @@ class Store:
         if getters:
             # Hand straight to the oldest waiting getter (``succeed``
             # inlined: a queued getter is pending by construction).
-            getter = getters.popleft()
+            getter = getters.pop(0)
             getter._ok = True
             getter._value = item
             sim._imm_normal.append((sim._now, sim._seq, getter))
@@ -173,7 +178,7 @@ class Store:
         getters = self._getters
         if getters:
             # ``succeed`` inlined, as in :meth:`put`.
-            getter = getters.popleft()
+            getter = getters.pop(0)
             getter._ok = True
             getter._value = item
             sim = self.sim
@@ -199,7 +204,7 @@ class Store:
         items = self._items
         if items:
             event._ok = True
-            event._value = items.popleft()
+            event._value = items.pop(0)
             sim._imm_normal.append((sim._now, sim._seq, event))
             sim._seq += 1
             if self._putters:
@@ -211,7 +216,7 @@ class Store:
     def try_get(self) -> tuple[bool, Any]:
         """``(True, item)`` if an item was available, else ``(False, None)``."""
         if self._items:
-            item = self._items.popleft()
+            item = self._items.pop(0)
             if self._putters:
                 self._admit_putter()
             return True, item
@@ -219,6 +224,6 @@ class Store:
 
     def _admit_putter(self) -> None:
         if self._putters and not self.is_full:
-            event, item = self._putters.popleft()
+            event, item = self._putters.pop(0)
             self._items.append(item)
             event.succeed()

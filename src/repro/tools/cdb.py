@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
 
-import networkx as nx
-
 if TYPE_CHECKING:  # pragma: no cover
+    from networkx import DiGraph
+
     from repro.vorx.system import VorxSystem
 
 
@@ -165,13 +165,17 @@ class Cdb:
     # ------------------------------------------------------------------
     # deadlock analysis
     # ------------------------------------------------------------------
-    def wait_graph(self) -> "nx.DiGraph":
+    def wait_graph(self) -> "DiGraph":
         """The subprocess wait-for graph implied by blocked channel ends.
 
         A blocked reader waits for the peer endpoint's subprocess to
         write (edge reader -> peer); a blocked writer waits for the
         peer's kernel/reader to drain (edge writer -> peer).
         """
+        # Imported here, not at module level: only the deadlock search
+        # needs networkx, and ``import repro`` should not pay for it.
+        import networkx as nx
+
         graph = nx.DiGraph()
         # Index endpoints by (address, eid) for peer resolution.
         owner: dict[tuple[int, int], str] = {}
@@ -191,8 +195,20 @@ class Cdb:
         return graph
 
     def find_deadlocks(self) -> list[list[str]]:
-        """Cycles in the wait-for graph (each is a deadlocked clique)."""
-        return [cycle for cycle in nx.simple_cycles(self.wait_graph())]
+        """Cycles in the wait-for graph (each is a deadlocked clique).
+
+        networkx starts each cycle at a node picked in set order, which
+        varies with the string hash seed; each cycle is rotated to begin
+        at its smallest subprocess id, and the cycles are sorted, so the
+        report is the same in every interpreter.
+        """
+        import networkx as nx
+
+        cycles = []
+        for cycle in nx.simple_cycles(self.wait_graph()):
+            first = cycle.index(min(cycle))
+            cycles.append(cycle[first:] + cycle[:first])
+        return sorted(cycles)
 
     def report_deadlocks(self) -> str:
         """Human-readable deadlock report (empty string if none)."""

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence, Union
@@ -194,15 +193,10 @@ class _RouterHub:
             self._completions.pop(rid, None)
 
 
-#: fabric -> hub; weak so dropping a fabric drops its hub.
-_HUBS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def _hub_for(fabric: "FabricBackend") -> _RouterHub:
-    hub = _HUBS.get(fabric)
+    hub = fabric.workload_hub
     if hub is None:
-        hub = _RouterHub(fabric)
-        _HUBS[fabric] = hub
+        hub = fabric.workload_hub = _RouterHub(fabric)
     return hub
 
 

@@ -164,9 +164,23 @@ def test_delivery_without_reservation_raises(drive):
 
 def test_route_to_unknown_address_raises():
     sim, fabric = make_fabric()
-    del fabric.home_cluster(0).routing[9]
+    fabric.home_cluster(0).routing[9] = None
     send_one(sim, fabric, 0, 9)
     with pytest.raises(KeyError, match="no route to address 9"):
+        sim.run()
+
+
+@pytest.mark.parametrize("dst", [-1, -3, 10**6])
+def test_route_to_out_of_range_address_raises(dst):
+    # The dense route table is a list: a negative address must not wrap
+    # round to the last entries, nor a large one escape as IndexError.
+    sim, fabric = make_fabric()
+    cluster = fabric.home_cluster(0)
+    message = f"cluster {cluster.cluster_id} has no route to address {dst}"
+    with pytest.raises(KeyError, match=message):
+        cluster.route_port(dst)
+    send_one(sim, fabric, 0, dst)
+    with pytest.raises(KeyError, match=message):
         sim.run()
 
 

@@ -87,7 +87,10 @@ def test_hypercube_routes_are_shortest(n_clusters):
     # Walk the routing tables and count cluster hops per destination.
     for src_cluster in range(n_clusters):
         cluster = fabric.clusters[src_cluster]
-        for dst_addr, first_port in cluster.routing.items():
+        # A connected hypercube routes every address: no ``None`` hole.
+        assert len(cluster.routing) == len(fabric.attachments)
+        for dst_addr, first_port in enumerate(cluster.routing):
+            assert first_port is not None
             home = fabric.attachments[dst_addr][0]
             hops = 0
             at = src_cluster

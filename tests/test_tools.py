@@ -1,7 +1,13 @@
 """Tests for the development tools: cdb, oscilloscope, prof, vdb."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro import VorxSystem
 from repro.sim.trace import Category
 from repro.tools import Cdb, Prof, SoftwareOscilloscope, Vdb
@@ -51,6 +57,26 @@ def test_cdb_finds_deadlock_cycle():
     report = cdb.report_deadlocks()
     assert "deadlock" in report
     assert sa.uid in report
+
+
+def test_cdb_deadlock_cycle_starts_at_smallest_subprocess():
+    # networkx picks each cycle's first node in hash-seed-dependent set
+    # order; cdb rotates it so reports match across interpreters.
+    system, sa, sb = build_deadlock()
+    (cycle,) = Cdb(system).find_deadlocks()
+    assert cycle == sorted([sa.uid, sb.uid])
+
+
+def test_import_repro_does_not_load_networkx():
+    """Only cdb's deadlock search uses networkx; it imports it lazily."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, repro; print('networkx' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, check=True,
+        capture_output=True, text=True,
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_cdb_no_deadlock_on_healthy_app():

@@ -1,5 +1,8 @@
 """Tests for repro.workload: arrivals, planning, runs, trace replay."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro import (
@@ -93,6 +96,20 @@ def test_run_measures_rate_near_offered():
     result = wl.run(_fresh_fabric(n=16), seed=1, arm="rate")
     assert result.offered_rate_per_s == pytest.approx(2000, rel=0.05)
     assert result.percentiles()["p50"] > 0
+
+
+def test_fabric_is_freed_after_a_run():
+    """The per-fabric router hub must not keep its fabric (and so the
+    whole simulator) alive once the caller drops it."""
+    fabric = _fresh_fabric()
+    Workload(arrivals=PoissonArrivals(rate_per_s=3000), n_requests=20).run(
+        fabric, seed=1, arm="gc"
+    )
+    assert fabric.workload_hub is not None
+    ref = weakref.ref(fabric)
+    del fabric
+    gc.collect()
+    assert ref() is None
 
 
 # ----------------------------------------------------------------------
