@@ -24,16 +24,14 @@ owners (charged as SYSTEM time).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Callable, Optional
 
-from repro.sim.engine import Handle, _FAR_LANE_MIN, _PRIO_STRIDE
 from repro.sim.events import Event, PENDING as _PENDING
 from repro.sim.trace import Category, Timeline
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.engine import Simulator
+    from repro.sim.engine import Handle, Simulator
 
 #: Priority used by interrupt service routines.
 PRIORITY_ISR = 0
@@ -274,49 +272,10 @@ class CPU:
                 job = switch
         sim = self.sim
         self._current = job
-        now = sim._now
-        self._started_at = now
-        # ``Simulator.call_later`` inlined (one end-of-charge handle per
-        # dispatch): Handle slot stores plus the flat-queue push, as in
-        # the engine's own inline sites.  ``remaining`` is never
-        # negative, so the public negative-delay check is vacuous.
-        delay = job.remaining
-        handle = Handle.__new__(Handle)
-        handle._sim = sim
-        handle.time = now + delay
-        handle.fn = self._complete_cb
-        handle.args = ()
-        handle.cancelled = False
-        seq = sim._seq
-        sim._seq = seq + 1
-        if delay == 0.0:
-            sim._imm_normal.append((now, seq, handle))
-        else:
-            keys = sim._keys
-            time = now + delay
-            key = -time
-            if keys:
-                far_keys = sim._far_keys
-                if key > keys[0] or (
-                    not far_keys and len(keys) < _FAR_LANE_MIN
-                ):
-                    pos = bisect_left(keys, key)
-                    keys.insert(pos, key)
-                    sim._order.insert(pos, _PRIO_STRIDE + seq)
-                    sim._items.insert(pos, handle)
-                elif not far_keys or time >= far_keys[-1]:
-                    far_keys.append(time)
-                    sim._far_order.append(_PRIO_STRIDE + seq)
-                    sim._far_items.append(handle)
-                else:
-                    sim._push_far(time, _PRIO_STRIDE + seq, handle)
-            elif sim._far_keys:
-                sim._push_far(time, _PRIO_STRIDE + seq, handle)
-            else:
-                keys.append(key)
-                sim._order.append(_PRIO_STRIDE + seq)
-                sim._items.append(handle)
-        self._end_handle = handle
+        self._started_at = sim._now
+        # The end of the charge is one delayed callback; preemption
+        # cancels it and the next dispatch arms a fresh one.
+        self._end_handle = sim.call_later(job.remaining, self._complete_cb)
 
     def _complete(self) -> None:
         job = self._current

@@ -36,23 +36,19 @@ cannot compete with C ``bisect`` + ``memmove`` at realistic queue
 depths (~100-200 pending occurrences).  Lazy-cancel compaction rewrites
 the arrays in place so drain-local bindings stay valid.
 
-The descending layout makes *near-term* pushes cheap (they land near
-the end, a short memmove) but *far-future* pushes expensive: a new
-global-maximum time lands at index 0 and memmoves all three arrays.
-That is exactly the retransmission-watchdog pattern (``call_later`` a
-long way out, ``cancel()`` on every ack), so entries scheduled at or
-beyond the current maximum go to a separate **far lane** instead: three
-parallel arrays sorted *ascending*, where a monotonically later arm is
-three O(1) ``append`` calls.  The invariant is that every far entry
-sorts strictly after every main entry in the global ``(time, priority,
-seq)`` order, so the main arrays always hold the minimum; whenever the
-main arrays empty (or a delayed urgent push would violate the
-invariant) the far lane is spliced back in one O(k) reversal.
+Every delayed occurrence enters through one method,
+:meth:`Simulator._push`.  Its cost is the C memmove of the entries that
+pop before it (they sit to its right in the descending layout), so a
+far-future arm on a deep queue -- a new global-maximum time lands at
+index 0 -- moves all three arrays.  At the depths the benchmark
+workloads reach (a median of ~130-180 pending occurrences) that memmove
+is cheap: a separate ascending lane that took such arms as appends
+measured no faster.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import deque
 from math import nextafter
 from typing import Any, Callable, Generator, Optional
@@ -71,13 +67,6 @@ _MIN_CANCELLED_TO_COMPACT = 64
 #: numbers stay below the stride -- far beyond any reachable run length.
 _PRIO_STRIDE = 1 << 62
 
-#: Main-queue size at which a push at/past the current maximum time
-#: starts using the far lane.  Below this an index-0 insert's memmove is
-#: cheaper than the far lane's append/merge bookkeeping (a tiny C
-#: memmove beats the extra Python branches); above it the O(n) memmove
-#: per push dominates and the far lane's O(1) appends win.
-_FAR_LANE_MIN = 128
-
 _INFINITY = float("inf")
 
 
@@ -87,7 +76,8 @@ class Handle:
     Returned by :meth:`Simulator.call_later`.  Cancellation is lazy: the
     queue entry stays in place and is skipped when popped, but the
     simulator counts cancelled entries and compacts the heap when they
-    dominate it.
+    dominate it.  ``_sim`` is cleared when the callback runs, so a
+    cancel after that point has no queued entry to count.
     """
 
     __slots__ = ("fn", "args", "cancelled", "time", "_sim")
@@ -110,23 +100,27 @@ class Handle:
     def cancel(self) -> None:
         """Prevent the callback from running (idempotent).
 
-        This is ``Simulator._note_cancelled`` inlined: CPU preemption
-        cancels one completion handle per suspended charge, so the
-        cancel -> count -> maybe-compact path is hot.
+        The count and the compaction check live here, not behind a
+        ``Simulator`` method: CPU preemption cancels one completion
+        handle per suspended charge, so the cancel -> count ->
+        maybe-compact path is hot.
         """
         if not self.cancelled:
             self.cancelled = True
             sim = self._sim
+            if sim is None:  # already ran: nothing left in a queue
+                return
             cancelled = sim._cancelled + 1
             sim._cancelled = cancelled
             if (
                 cancelled > _MIN_CANCELLED_TO_COMPACT
-                and cancelled * 2 > len(sim._keys) + len(sim._far_keys)
+                and cancelled * 2 > len(sim._keys)
             ):
                 sim._compact()
 
     def _process(self) -> None:
         """Run the callback.  Called by the engine (never when cancelled)."""
+        self._sim = None
         self.fn(*self.args)
 
 
@@ -146,9 +140,6 @@ class Simulator:
         "_keys",
         "_order",
         "_items",
-        "_far_keys",
-        "_far_order",
-        "_far_items",
         "_imm_urgent",
         "_imm_normal",
         "_cancelled",
@@ -164,23 +155,13 @@ class Simulator:
         #: descending ``(time, priority, seq)``: entry ``i`` has time
         #: ``-_keys[i]``, packed priority+sequence ``_order[i]``, and
         #: payload ``_items[i]`` (an Event or a Handle); the *minimum* is
-        #: the last entry.  All three move in lockstep under
-        #: :meth:`_heap_push`/:meth:`_heap_pop`; compaction rewrites them
+        #: the last entry.  All three move in lockstep: :meth:`_push` is
+        #: the only insert, pops take the end; compaction rewrites them
         #: in place (never rebinds) because :meth:`_drain` holds local
         #: references.
         self._keys: list[float] = []
         self._order: list[int] = []
         self._items: list[Any] = []
-        #: The far lane: delayed normal-priority occurrences scheduled at
-        #: or beyond the main arrays' maximum time.  Sorted *ascending* by
-        #: ``(time, seq)`` with times stored un-negated, so the common
-        #: monotone far-future arm (watchdog rearm) is three O(1) appends
-        #: instead of an ``insert(0)`` memmove of the whole main queue.
-        #: Invariant: every far entry sorts after every main entry in the
-        #: global ``(time, priority, seq)`` order (see :meth:`_merge_far`).
-        self._far_keys: list[float] = []
-        self._far_order: list[int] = []
-        self._far_items: list[Any] = []
         #: FIFO lanes of (time, seq, item) for zero-delay occurrences,
         #: one per priority level.  Drained ahead of the heap whenever
         #: their head sorts first.  The normal lane may hold cancelled
@@ -208,10 +189,11 @@ class Simulator:
         return self._now
 
     # -- the flat queue ----------------------------------------------------
-    def _heap_push(self, time: float, prio: int, seq: int, item: Any) -> None:
-        """Insert one entry, moving all arrays in lockstep.
+    def _push(self, time: float, order: int, item: Any) -> None:
+        """Insert one delayed entry, moving all arrays in lockstep.
 
-        One C bisect over the negated-time keys finds the slot.  Sequence
+        ``order`` is the packed ``priority * _PRIO_STRIDE + seq``.  One C
+        bisect over the negated-time keys finds the slot.  Sequence
         numbers are handed out monotonically, so among entries with equal
         ``(time, priority)`` the new one always pops *last* -- which in
         the descending layout is the leftmost slot of the equal-time run,
@@ -220,21 +202,11 @@ class Simulator:
         time) walk right past equal-time entries with a greater packed
         order; no caller schedules a *delayed* urgent occurrence today,
         so the scan is cold.
-
-        An urgent push at or beyond the far lane's minimum time would
-        break the far invariant (an urgent entry at time ``t`` sorts
-        *before* a normal far entry at the same ``t``), so the far lane
-        is folded back into the main arrays first.  Cold for the same
-        reason the tie-break scan is.
         """
-        far_keys = self._far_keys
-        if far_keys and time >= far_keys[0]:
-            self._merge_far()
         keys = self._keys
         key = -time
         pos = bisect_left(keys, key)
-        order = prio * _PRIO_STRIDE + seq
-        if prio != NORMAL:
+        if order < _PRIO_STRIDE:  # URGENT == 0
             orders = self._order
             n = len(keys)
             while pos < n and keys[pos] == key and orders[pos] > order:
@@ -249,63 +221,6 @@ class Simulator:
         self._order.pop()
         return self._items.pop()
 
-    def _push_far(self, time: float, order: int, item: Any) -> None:
-        """Slow-path insert for a normal delayed entry at/past the main max.
-
-        Called by the inlined push sites when ``-time <= _keys[0]`` (the
-        entry would land at index 0 of the main arrays, the worst-case
-        memmove) or when the main arrays are empty.  A new entry whose
-        time is at least the far maximum -- the monotone watchdog-rearm
-        pattern this lane exists for -- is three O(1) appends; anything
-        earlier takes one bisect over the (much shorter) far lane.
-        Sequence monotonicity makes ``bisect_right`` exact for ties, the
-        mirror of the ``bisect_left`` argument on the descending main
-        arrays.
-        """
-        far_keys = self._far_keys
-        if self._keys:
-            if not far_keys or time >= far_keys[-1]:
-                far_keys.append(time)
-                self._far_order.append(order)
-                self._far_items.append(item)
-            else:
-                pos = bisect_right(far_keys, time)
-                far_keys.insert(pos, time)
-                self._far_order.insert(pos, order)
-                self._far_items.insert(pos, item)
-            return
-        # Main arrays empty: nothing to memmove, so fold any far backlog
-        # back in and insert normally -- keeps the invariant that the
-        # main arrays hold the global minimum whenever they are nonempty.
-        if far_keys:
-            self._merge_far()
-        keys = self._keys
-        key = -time
-        pos = bisect_left(keys, key)
-        keys.insert(pos, key)
-        self._order.insert(pos, order)
-        self._items.insert(pos, item)
-
-    def _merge_far(self) -> None:
-        """Splice the far lane back into the main arrays, in place.
-
-        Every far entry sorts after every main entry (the lane's
-        invariant), so no element-wise merge is needed: the far lane
-        reversed is exactly the descending prefix of the combined queue.
-        The main arrays are extended via slice assignment (never rebound)
-        because :meth:`_drain` holds local references to them.
-        """
-        far_keys = self._far_keys
-        far_keys.reverse()
-        self._far_order.reverse()
-        self._far_items.reverse()
-        self._keys[:0] = [-t for t in far_keys]
-        self._order[:0] = self._far_order
-        self._items[:0] = self._far_items
-        del far_keys[:]
-        del self._far_order[:]
-        del self._far_items[:]
-
     # -- scheduling ----------------------------------------------------------
     def _schedule_event(self, event: Event, delay: float, priority: int) -> None:
         seq = self._seq
@@ -316,40 +231,8 @@ class Simulator:
                 self._imm_normal.append((self._now, seq, event))
             else:
                 self._imm_urgent.append((self._now, seq, event))
-        elif priority == NORMAL:
-            # :meth:`_heap_push` inlined for the hot delayed case
-            # (``Timeout``): one C bisect plus three C inserts, no extra
-            # Python frame.  Entries at or beyond the current maximum
-            # time (``key <= keys[0]``) would memmove the whole queue,
-            # so once the queue is ``_FAR_LANE_MIN`` deep they take the
-            # far lane; the dominant far case (in-order append) is
-            # inlined too, only the rare shapes pay the method call.
-            keys = self._keys
-            time = self._now + delay
-            key = -time
-            if keys:
-                far_keys = self._far_keys
-                if key > keys[0] or (
-                    not far_keys and len(keys) < _FAR_LANE_MIN
-                ):
-                    pos = bisect_left(keys, key)
-                    keys.insert(pos, key)
-                    self._order.insert(pos, _PRIO_STRIDE + seq)
-                    self._items.insert(pos, event)
-                elif not far_keys or time >= far_keys[-1]:
-                    far_keys.append(time)
-                    self._far_order.append(_PRIO_STRIDE + seq)
-                    self._far_items.append(event)
-                else:
-                    self._push_far(time, _PRIO_STRIDE + seq, event)
-            elif self._far_keys:
-                self._push_far(time, _PRIO_STRIDE + seq, event)
-            else:
-                keys.append(key)
-                self._order.append(_PRIO_STRIDE + seq)
-                self._items.append(event)
         else:
-            self._heap_push(self._now + delay, priority, seq, event)
+            self._push(self._now + delay, priority * _PRIO_STRIDE + seq, event)
 
     def call_later(self, delay: float, fn: Callable[..., None], *args: Any) -> Handle:
         """Run ``fn(*args)`` after ``delay``; returns a cancellable handle."""
@@ -374,32 +257,7 @@ class Simulator:
             # pop paths skip it if it is cancelled before it runs.
             self._imm_normal.append((now, seq, handle))
         else:
-            # :meth:`_heap_push` inlined, as in :meth:`_schedule_event`.
-            # Far-future arms on a deep queue (watchdogs) go to the far
-            # lane: O(1) appends instead of an index-0 memmove per rearm.
-            keys = self._keys
-            key = -time
-            if keys:
-                far_keys = self._far_keys
-                if key > keys[0] or (
-                    not far_keys and len(keys) < _FAR_LANE_MIN
-                ):
-                    pos = bisect_left(keys, key)
-                    keys.insert(pos, key)
-                    self._order.insert(pos, _PRIO_STRIDE + seq)
-                    self._items.insert(pos, handle)
-                elif not far_keys or time >= far_keys[-1]:
-                    far_keys.append(time)
-                    self._far_order.append(_PRIO_STRIDE + seq)
-                    self._far_items.append(handle)
-                else:
-                    self._push_far(time, _PRIO_STRIDE + seq, handle)
-            elif self._far_keys:
-                self._push_far(time, _PRIO_STRIDE + seq, handle)
-            else:
-                keys.append(key)
-                self._order.append(_PRIO_STRIDE + seq)
-                self._items.append(handle)
+            self._push(time, _PRIO_STRIDE + seq, handle)
         return handle
 
     def _compact(self) -> None:
@@ -423,17 +281,6 @@ class Simulator:
         self._keys[:] = [entry[0] for entry in live]
         self._order[:] = [entry[1] for entry in live]
         self._items[:] = [entry[2] for entry in live]
-        # The far lane is where watchdog arms live, so under
-        # ``call_later(big).cancel()`` churn most cancelled entries are
-        # *here* -- filter it the same way.
-        far_live = [
-            entry
-            for entry in zip(self._far_keys, self._far_order, self._far_items)
-            if not entry[2].cancelled
-        ]
-        self._far_keys[:] = [entry[0] for entry in far_live]
-        self._far_order[:] = [entry[1] for entry in far_live]
-        self._far_items[:] = [entry[2] for entry in far_live]
         normal = self._imm_normal
         if normal:
             kept = [entry for entry in normal if not entry[2].cancelled]
@@ -469,30 +316,7 @@ class Simulator:
         if delay == 0.0:
             self._imm_normal.append((self._now, seq, event))
         else:
-            keys = self._keys
-            time = self._now + delay
-            key = -time
-            if keys:
-                far_keys = self._far_keys
-                if key > keys[0] or (
-                    not far_keys and len(keys) < _FAR_LANE_MIN
-                ):
-                    pos = bisect_left(keys, key)
-                    keys.insert(pos, key)
-                    self._order.insert(pos, _PRIO_STRIDE + seq)
-                    self._items.insert(pos, event)
-                elif not far_keys or time >= far_keys[-1]:
-                    far_keys.append(time)
-                    self._far_order.append(_PRIO_STRIDE + seq)
-                    self._far_items.append(event)
-                else:
-                    self._push_far(time, _PRIO_STRIDE + seq, event)
-            elif self._far_keys:
-                self._push_far(time, _PRIO_STRIDE + seq, event)
-            else:
-                keys.append(key)
-                self._order.append(_PRIO_STRIDE + seq)
-                self._items.append(event)
+            self._push(self._now + delay, _PRIO_STRIDE + seq, event)
         return event
 
     def process(self, generator: Generator) -> "Process":
@@ -522,14 +346,10 @@ class Simulator:
         """Time of the next occurrence, or ``inf`` if the queue is empty."""
         keys = self._keys
         items = self._items
-        while True:
-            while items and items[-1].cancelled:
-                self._heap_pop()
-                if self._cancelled > 0:
-                    self._cancelled -= 1
-            if keys or not self._far_keys:
-                break
-            self._merge_far()
+        while items and items[-1].cancelled:
+            self._heap_pop()
+            if self._cancelled > 0:
+                self._cancelled -= 1
         time = -keys[-1] if keys else _INFINITY
         if self._imm_urgent:
             t = self._imm_urgent[0][0]
@@ -559,14 +379,10 @@ class Simulator:
         nothing is pending at all.
         """
         items = self._items
-        while True:
-            while items and items[-1].cancelled:
-                self._heap_pop()
-                if self._cancelled > 0:
-                    self._cancelled -= 1
-            if items or not self._far_keys:
-                break
-            self._merge_far()
+        while items and items[-1].cancelled:
+            self._heap_pop()
+            if self._cancelled > 0:
+                self._cancelled -= 1
         lane = -1
         if items:
             best_time = -self._keys[-1]
@@ -649,12 +465,6 @@ class Simulator:
                     best_time = -keys[-1]
                     best_order = order[-1]
                     lane = 0
-                elif self._far_keys:
-                    # Main arrays drained: fold the far lane back in
-                    # (in place -- the local bindings stay valid) and
-                    # re-run the merge with a nonempty heap.
-                    self._merge_far()
-                    continue
                 else:
                     lane = -1
                 if urgent:
@@ -703,6 +513,7 @@ class Simulator:
                 # processed occurrence is a frame per link traversal.
                 callbacks = item.callbacks
                 if callbacks is None:
+                    item._sim = None
                     item.fn(*item.args)
                     continue
                 item.callbacks = None

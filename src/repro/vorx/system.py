@@ -309,27 +309,37 @@ class VorxSystem:
         for sp in pending:
             if sp.process is None:
                 raise ValueError(f"{sp} was never started")
+        sim = self.sim
+        # A finished process never revives, so everything before
+        # ``first`` stays finished and each step re-checks one process.
+        first = 0
         while True:
-            unfinished = [sp for sp in pending if sp.process.is_alive]
-            if not unfinished:
+            while first < len(pending) and not pending[first].process.is_alive:
+                first += 1
+            if first == len(pending):
                 return
-            if timeout is not None and self.sim.peek() > timeout:
-                raise TimeoutError(
-                    f"{len(unfinished)} subprocess(es) still running at "
-                    f"t={self.sim.now:.0f}us: "
-                    + ", ".join(sp.uid for sp in unfinished[:5])
-                )
-            if self.sim.peek() == float("inf"):
-                states = ", ".join(
-                    f"{sp.uid}[{sp.state.value}"
-                    f"{':' + str(sp.blocked_on) if sp.blocked_on else ''}]"
-                    for sp in unfinished[:8]
-                )
-                raise RuntimeError(
-                    f"simulation quiesced with unfinished subprocesses "
-                    f"(deadlock?): {states}"
-                )
-            self.sim.step()
+            next_time = sim.peek()
+            if next_time == float("inf") or (
+                timeout is not None and next_time > timeout
+            ):
+                break
+            sim.step()
+        unfinished = [sp for sp in pending[first:] if sp.process.is_alive]
+        if timeout is not None and next_time > timeout:
+            raise TimeoutError(
+                f"{len(unfinished)} subprocess(es) still running at "
+                f"t={sim.now:.0f}us: "
+                + ", ".join(sp.uid for sp in unfinished[:5])
+            )
+        states = ", ".join(
+            f"{sp.uid}[{sp.state.value}"
+            f"{':' + str(sp.blocked_on) if sp.blocked_on else ''}]"
+            for sp in unfinished[:8]
+        )
+        raise RuntimeError(
+            f"simulation quiesced with unfinished subprocesses "
+            f"(deadlock?): {states}"
+        )
 
     def stats(self) -> dict:
         """System-wide statistics for reports and tests."""

@@ -1,6 +1,9 @@
 """Property-based tests (hypothesis) for the DES engine invariants."""
 
-from hypothesis import given, strategies as st
+import heapq
+import itertools
+
+from hypothesis import example, given, strategies as st
 
 from repro.sim import CPU, Simulator, Store, Semaphore
 from repro.sim.trace import Category, Timeline
@@ -181,34 +184,97 @@ def test_timeline_breakdown_sums_to_window(busy, window):
 
 
 # ---------------------------------------------------------- flat event queue
-@given(entries=st.lists(
-    st.tuples(st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
-              st.sampled_from([0, 1])),  # URGENT, NORMAL
-    min_size=1, max_size=80))
-def test_flat_queue_matches_heapq_order(entries):
+def _arms(max_delay, max_size):
+    return st.lists(st.tuples(
+        st.floats(min_value=0.0, max_value=max_delay, allow_nan=False),
+        st.sampled_from([0, 1]),  # URGENT, NORMAL
+    ), max_size=max_size)
+
+
+@given(
+    depth=st.integers(min_value=0, max_value=300),
+    entries=_arms(100.0, 80),
+    reactions=st.lists(_arms(5_000.0, 3), max_size=200),
+)
+# A deep queue, then a near arm and two monotone far-future arms.
+@example(depth=128, entries=[(1.5, 1), (1_000.0, 1), (2_000.0, 1)],
+         reactions=[])
+# Arms made while the near part of the queue has drained: the t=200
+# occurrence arms t=210, which must beat the earlier-made t=500/900.
+@example(depth=128, entries=[(500.0, 1), (900.0, 1), (200.0, 1)],
+         reactions=[[]] * 128 + [[(10.0, 1)]])
+# Out-of-order far arms on a deep queue.
+@example(depth=128,
+         entries=[(1.5, 1), (3_000.0, 1), (1_000.0, 1), (2_000.0, 1)],
+         reactions=[])
+# A shallow queue with out-of-order far arms.
+@example(depth=0, entries=[(1.0, 1), (2_000.0, 1), (1_000.0, 1)],
+         reactions=[])
+# The watchdog pattern: every occurrence re-arms a timer at the queue's
+# new maximum time, on a queue deeper than 128, and keeps doing so after
+# the seed arms drain.
+@example(depth=200, entries=[], reactions=[[(5_000.0, 1)]] * 260)
+# Every arm made while the delayed queue is empty.
+@example(depth=0, entries=[(1.0, 1)],
+         reactions=[[(2_000.0, 1)], [(0.5, 0)], [(7.0, 1)]])
+# Delayed urgent arms tying with normal ones, during the run.
+@example(depth=150, entries=[(3.0, 0), (3.0, 1)],
+         reactions=[[(2.0, 0), (2.0, 1), (0.0, 0)]] * 40)
+def test_flat_queue_matches_heapq_order(depth, entries, reactions):
     """Differential test: the flat parallel-arrays queue plus the
     immediate lanes must process occurrences in exactly the order a
-    reference ``heapq`` of ``(time, priority, seq)`` tuples yields."""
-    import heapq
+    reference ``heapq`` of ``(time, priority, seq)`` tuples yields.
+
+    ``depth`` seed arms and ``entries`` are scheduled before the run; the
+    ``k``-th occurrence processed then arms ``reactions[k]``, so arms are
+    also made mid-run, at the queue's maximum, and after it drains.
+    """
+    arms = [(1.0 + i, 1) for i in range(depth)] + list(entries)
+
+    # The reference model: a heapq event loop with its own sequence.
+    reference = []
+    seq = 0
+    for delay, priority in arms:
+        heapq.heappush(reference, (delay, priority, seq))
+        seq += 1
+    expected = []
+    while reference:
+        now, priority, label = heapq.heappop(reference)
+        expected.append((now, priority, label))
+        k = len(expected) - 1
+        for delay, child_priority in (reactions[k] if k < len(reactions) else ()):
+            heapq.heappush(reference, (now + delay, child_priority, seq))
+            seq += 1
 
     sim = Simulator()
     log = []
-    reference = []
-    for seq, (delay, priority) in enumerate(entries):
+    labels = itertools.count()
+
+    def arm(delay, priority):
         event = sim.event()
         event._ok = True
-        label = (delay, priority, seq)
-        event.callbacks.append(lambda _e, label=label: log.append(label))
+        label = next(labels)
+        event.callbacks.append(lambda _e: fire(priority, label))
         sim._schedule_event(event, delay, priority)
-        heapq.heappush(reference, label)
-    expected = [heapq.heappop(reference) for _ in range(len(reference))]
+
+    def fire(priority, label):
+        log.append((sim.now, priority, label))
+        k = len(log) - 1
+        for delay, child_priority in (reactions[k] if k < len(reactions) else ()):
+            arm(delay, child_priority)
+
+    for delay, priority in arms:
+        arm(delay, priority)
     sim.run()
     assert log == expected
 
 
 @given(ops=st.lists(
-    st.tuples(st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
-              st.booleans()),
+    st.one_of(
+        st.tuples(st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
+                  st.booleans()),
+        st.just("run"),
+    ),
     min_size=1, max_size=150))
 def test_cancelled_counter_invariant(ops):
     """``_cancelled`` counts exactly the cancelled entries still queued.
@@ -216,30 +282,44 @@ def test_cancelled_counter_invariant(ops):
     It must never go negative (an underflow would defer every future
     compaction) and must reach zero once the queues drain.  Exercises
     both the heap and the zero-delay immediate lane, with idempotent
-    double-cancels thrown in.
+    double-cancels thrown in.  A ``"run"`` op drains the queue and then
+    cancels every handle armed so far: a handle that already ran has no
+    queued entry, so that cancel must count nothing.
     """
     sim = Simulator()
     fired = []
+    handles = []
     expected = 0
-    for delay, do_cancel in ops:
-        handle = sim.call_later(delay, fired.append, delay)
-        if do_cancel:
+
+    def cancel_all():
+        for handle in handles:
             handle.cancel()
-            handle.cancel()  # idempotent: must not double-count
+
+    for op in ops:
+        if op == "run":
+            sim.run()
+            cancel_all()
         else:
-            expected += 1
+            delay, do_cancel = op
+            handle = sim.call_later(delay, lambda: fired.append(sim.now))
+            handles.append(handle)
+            if do_cancel:
+                handle.cancel()
+                handle.cancel()  # idempotent: must not double-count
+            else:
+                expected += 1
         queued_cancelled = (
             sum(1 for item in sim._items if item.cancelled)
-            + sum(1 for item in sim._far_items if item.cancelled)
             + sum(1 for entry in sim._imm_normal if entry[2].cancelled)
         )
         assert sim._cancelled == queued_cancelled
     sim._compact()
     assert sim._cancelled == 0
     assert not any(item.cancelled for item in sim._items)
-    assert not any(item.cancelled for item in sim._far_items)
     assert not any(entry[2].cancelled for entry in sim._imm_normal)
     sim.run()
+    assert sim._cancelled == 0
+    cancel_all()
     assert sim._cancelled == 0
     assert len(fired) == expected
     assert fired == sorted(fired)

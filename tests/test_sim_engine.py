@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim import Simulator, AnyOf, AllOf
-from repro.sim.engine import _FAR_LANE_MIN
 
 
 def test_clock_starts_at_zero():
@@ -213,61 +212,55 @@ def test_lazy_cancel_churn_keeps_heap_compact():
     peak = 0
     for _ in range(10_000):
         sim.call_later(1_000.0, lambda: None).cancel()
-        peak = max(peak, len(sim._keys) + len(sim._far_keys))
+        peak = max(peak, len(sim._keys))
     assert peak < 300  # bounded by the >50%-cancelled compaction trigger
-    assert len(sim._keys) + len(sim._far_keys) < 300
+    assert len(sim._keys) < 300
     sim.run()
     assert fired == [True]  # the live handle survived every compaction
     assert sim.now == 50_000.0
 
 
-def _seed_deep_queue(sim, n=_FAR_LANE_MIN):
-    """Arm ``n`` no-op timers so the queue is deep enough for the far
-    lane; below ``_FAR_LANE_MIN`` the engine prefers a plain insert (a
-    tiny memmove is cheaper than the lane bookkeeping)."""
+# The four tests below keep the names they had when the engine routed
+# far-future arms on a deep queue to a separate lane.  That lane is gone;
+# every delayed arm now goes through one push into one sorted queue,
+# and these pin the same ordering scenarios against it.
+
+def _seed_deep_queue(sim, n=128):
+    """Arm ``n`` no-op timers at t=1..n so the queue is deep."""
     for i in range(n):
         sim.call_later(1.0 + i, lambda: None)
 
 
 def test_far_lane_absorbs_far_future_arms():
-    """Watchdog-style arms at a deep queue's max time go to the far lane.
-
-    The descending main arrays would memmove the entire queue for every
-    new global-maximum time; the ascending far lane makes that pattern
-    three O(1) appends.  This pins the routing (so a refactor cannot
-    silently fall back to the memmove path) and the pop-time splice.
-    """
+    """Watchdog-style arms at a deep queue's max time fire in order."""
     sim = Simulator()
     fired = []
     _seed_deep_queue(sim)
-    assert not sim._far_keys  # shallow pushes stayed in the main arrays
     sim.call_later(1.5, fired.append, "near")
     sim.call_later(1_000.0, fired.append, "far-a")
     sim.call_later(2_000.0, fired.append, "far-b")
-    assert len(sim._keys) == _FAR_LANE_MIN + 1  # near stays in main
-    assert sim._far_keys == [1_000.0, 2_000.0]
+    assert len(sim._keys) == 128 + 3  # one queue holds every arm
     sim.run()
     assert fired == ["near", "far-a", "far-b"]
-    assert not sim._far_keys
+    assert not sim._keys
 
 
 def test_far_lane_splice_keeps_global_order():
-    """Pushes landing while the main arrays are empty fold the far lane
-    back in, so an earlier-time late push still fires first."""
+    """An arm made after the seed arms drain still beats earlier-made
+    arms with later times."""
     sim = Simulator()
     log = []
 
     def proc():
         yield sim.timeout(200.0)  # outlives every seed arm
-        # Main arrays are empty now; the far lane held t=500/900.
-        # A new near-term arm must still beat both.
+        # Only t=500/900 are queued now; a new near-term arm must
+        # still beat both.
         sim.call_later(10.0, log.append, "near-late")
 
     _seed_deep_queue(sim)
     sim.call_later(500.0, log.append, "far-early")
     sim.call_later(900.0, log.append, "far-late")
     sim.process(proc())
-    assert sim._far_keys == [500.0, 900.0]
     sim.run()
     assert log == ["near-late", "far-early", "far-late"]
 
@@ -278,22 +271,20 @@ def test_far_lane_out_of_order_arm_inserts_sorted():
     _seed_deep_queue(sim)
     sim.call_later(1.5, log.append, "near")
     sim.call_later(3_000.0, log.append, "c")
-    sim.call_later(1_000.0, log.append, "a")  # bisect into the far lane
+    sim.call_later(1_000.0, log.append, "a")  # armed after a later time
     sim.call_later(2_000.0, log.append, "b")
-    assert sim._far_keys == [1_000.0, 2_000.0, 3_000.0]
+    assert len(sim._keys) == 128 + 4
     sim.run()
     assert log == ["near", "a", "b", "c"]
 
 
 def test_shallow_queue_skips_far_lane_and_stays_ordered():
-    """Below the depth threshold every arm lands in the main arrays and
-    ordering still holds -- the pre-far-lane behaviour."""
+    """Out-of-order arms on a shallow queue fire in time order."""
     sim = Simulator()
     log = []
     sim.call_later(1.0, log.append, "near")
     sim.call_later(2_000.0, log.append, "far-b")
     sim.call_later(1_000.0, log.append, "far-a")
-    assert not sim._far_keys
     assert len(sim._keys) == 3
     sim.run()
     assert log == ["near", "far-a", "far-b"]
