@@ -66,6 +66,7 @@ class MeglosChannelService:
         self._pending: dict[str, deque[tuple[int, int, int]]] = {}
         self.opens_handled = 0
         node.channel_service = self  # type: ignore[attr-defined]
+        node.register_handler(MessageKind.CHANNEL_CTRL, self._on_ctrl)
 
     # ------------------------------------------------------------------
     # subprocess-context API
@@ -90,8 +91,7 @@ class MeglosChannelService:
             yield node.k_exec(node.costs.central_manager_request)
             self._handle_open(request)
         else:
-            yield from self._ctrl_send(sp, self.MANAGER_NODE, request,
-                                       strategy)
+            yield from self._ctrl_send(self.MANAGER_NODE, request, strategy)
         peer_addr, peer_eid = yield from node.block(
             sp, BlockReason.INPUT, event
         )
@@ -113,7 +113,7 @@ class MeglosChannelService:
         endpoint.writer_event = ack
         yield node.k_exec(node.costs.syscall_overhead)
         yield from self._ctrl_send(
-            sp, endpoint.peer_addr,
+            endpoint.peer_addr,
             {"op": "data", "channel": endpoint.peer_eid,
              "src_channel": endpoint.eid, "data": payload},
             strategy, nbytes=nbytes,
@@ -147,6 +147,18 @@ class MeglosChannelService:
     # ------------------------------------------------------------------
     # message handling (called from the Meglos kernel's delivery path)
     # ------------------------------------------------------------------
+    def _on_ctrl(self, packet: Packet):
+        """Generator (ISR context): the CHANNEL_CTRL handler."""
+        node = self.node
+        body = packet.payload
+        if isinstance(body, dict) and body.get("op") == "open":
+            # The centralized manager's full request cost is paid on the
+            # host for every open (Section 3.2).
+            yield node.isr_exec(node.costs.central_manager_request)
+        else:
+            yield node.isr_exec(node.costs.chan_recv_kernel)
+        self.on_message(packet)
+
     def on_message(self, packet: Packet) -> bool:
         """Handle a channel protocol message; True if it was ours."""
         body = packet.payload
@@ -172,7 +184,11 @@ class MeglosChannelService:
                 event.succeed((packet.size, body["data"]))
             else:
                 endpoint.side_buffers.append((packet.size, body["data"]))
-            node.sim.process(self._send_ack(packet.src, body["src_channel"]))
+            node.sim.process(self._send(
+                packet.src, node.costs.chan_ack_bytes,
+                {"op": "ack", "channel": body["src_channel"]},
+                node.costs.chan_ack_send, node.spin_wait,
+            ))
         elif op == "ack":
             endpoint = self.endpoints.get(body["channel"])
             if endpoint is not None and endpoint.writer_event is not None:
@@ -186,38 +202,26 @@ class MeglosChannelService:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _ctrl_send(self, sp, dst: int, body: dict,
-                   strategy: RetryStrategy, nbytes: Optional[int] = None):
-        """Generator: reliable protocol send via the kernel."""
+    def _ctrl_send(self, dst: int, body: dict, strategy: RetryStrategy,
+                   nbytes: Optional[int] = None):
+        """Generator: reliable protocol send from a subprocess."""
         node = self.node
         size = nbytes if nbytes is not None else self.OPEN_BYTES
-        yield node.k_exec(
-            node.costs.chan_send_kernel + node.costs.copy_time(size)
+        yield from self._send(
+            dst, size, body,
+            node.costs.chan_send_kernel + node.costs.copy_time(size),
+            lambda attempts: strategy.wait(node, attempts),
         )
-        attempts = 0
-        while True:
-            attempts += 1
-            packet = Packet(src=node.address, dst=dst, size=size,
-                            kind=MessageKind.CHANNEL_CTRL, payload=body)
-            accepted = yield from node.iface.send(packet)
-            if accepted:
-                return
-            yield from strategy.wait(node, attempts)
 
-    def _send_ack(self, dst: int, channel: int):
+    def _send(self, dst: int, size: int, body: dict, cost: float, wait):
+        """Generator: charge ``cost`` once, then transmit until accepted."""
         node = self.node
-        yield node.k_exec(node.costs.chan_ack_send)
-        attempts = 0
-        while True:
-            attempts += 1
-            packet = Packet(src=node.address, dst=dst,
-                            size=node.costs.chan_ack_bytes,
-                            kind=MessageKind.CHANNEL_CTRL,
-                            payload={"op": "ack", "channel": channel})
-            accepted = yield from node.iface.send(packet)
-            if accepted:
-                return
-            yield node.sim.timeout(node.costs.snet_retry_spin * 4)
+        yield node.k_exec(cost)
+        yield from node.iface.send_until_accepted(
+            lambda: Packet(src=node.address, dst=dst, size=size,
+                           kind=MessageKind.CHANNEL_CTRL, payload=body),
+            wait,
+        )
 
     def _handle_open(self, request: dict) -> None:
         """FIFO pairing at the centralized manager."""
@@ -241,48 +245,15 @@ class MeglosChannelService:
             if event is not None:
                 event.succeed((peer_addr, peer_eid))
             return
-        node.sim.process(self._reply_send(addr, body))
-
-    def _reply_send(self, addr: int, body: dict):
-        node = self.node
-        yield node.k_exec(node.costs.chan_ack_send)
-        attempts = 0
-        while True:
-            attempts += 1
-            packet = Packet(src=node.address, dst=addr, size=self.OPEN_BYTES,
-                            kind=MessageKind.CHANNEL_CTRL, payload=body)
-            accepted = yield from node.iface.send(packet)
-            if accepted:
-                return
-            yield node.sim.timeout(node.costs.snet_retry_spin * 4)
+        node.sim.process(self._send(addr, self.OPEN_BYTES, body,
+                                    node.costs.chan_ack_send, node.spin_wait))
 
 
 def install_channels(system: "MeglosSystem") -> list[MeglosChannelService]:
     """Install the channel service on every node of a Meglos system.
 
     Returns the per-node services; the manager piece is active only on
-    node 0 (the host).  Also hooks channel control messages into each
-    node's delivery path.
+    node 0 (the host).  Each service registers its channel control
+    handler with its node's kernel.
     """
-    services = []
-    for node in system.nodes:
-        service = MeglosChannelService(node)
-        services.append(service)
-        original_deliver = node._deliver
-
-        def hooked(packet, node=node, service=service,
-                   original=original_deliver):
-            if packet.kind is MessageKind.CHANNEL_CTRL:
-                body = packet.payload
-                if isinstance(body, dict) and body.get("op") == "open":
-                    # The centralized manager's full request cost is paid
-                    # on the host for every open (Section 3.2).
-                    yield node.isr_exec(node.costs.central_manager_request)
-                else:
-                    yield node.isr_exec(node.costs.chan_recv_kernel)
-                service.on_message(packet)
-                return
-            yield from original(packet)
-
-        node._deliver = hooked  # type: ignore[method-assign]
-    return services
+    return [MeglosChannelService(node) for node in system.nodes]

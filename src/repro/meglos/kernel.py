@@ -1,9 +1,10 @@
 """The Meglos kernel on the S/NET (Sections 1-3).
 
-A deliberately smaller kernel than VORX (Meglos predates it): subprocess
-spawning and blocking work the same way, but communication runs over the
-shared bus with *software* overflow recovery, and all resource management
-is centralized on a single host (node 0 by convention).
+A deliberately smaller kernel than VORX (Meglos predates it): it runs the
+same subprocess scheduler, :class:`~repro.vorx.subprocesses.KernelCore`,
+but communication runs over the shared bus with *software* overflow
+recovery, and all resource management is centralized on a single host
+(node 0 by convention).
 
 The receive path reproduces the Section 2 mechanics exactly: the ISR
 reads fifo entries in order, charging copy time for every byte --
@@ -15,7 +16,7 @@ produces the lockout under busy retransmission.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.hpc.message import MessageKind, Packet
 from repro.meglos.flowcontrol import (
@@ -25,11 +26,14 @@ from repro.meglos.flowcontrol import (
     RetryStrategy,
     make_strategy,
 )
-from repro.sim.cpu import CPU, PRIORITY_ISR, PRIORITY_KERNEL
 from repro.sim.resources import Store
-from repro.sim.trace import Category, TraceLog
 from repro.snet.nic import SNetInterface
-from repro.vorx.subprocesses import BlockReason, Subprocess, SubprocessState
+from repro.vorx.subprocesses import (
+    BlockReason,
+    KernelCore,
+    KernelEnv,
+    Subprocess,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
@@ -37,8 +41,39 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.model.costs import CostModel
 
 
-class MeglosNode:
+class MeglosEnv(KernelEnv):
+    """Application API on a Meglos node (subset of the VORX Env)."""
+
+    def send(self, dst: int, nbytes: int,
+             strategy: Optional[RetryStrategy] = None, payload: Any = None):
+        """Generator: reliable send under an overflow-recovery strategy.
+
+        With no explicit ``strategy``, the system's configured
+        ``recovery=`` policy decides (historically: busy retransmission).
+        """
+        strategy = strategy or self._kernel.default_strategy()
+        attempts = yield from self._kernel.send_reliable(
+            self._sp, dst, nbytes, strategy, payload
+        )
+        return attempts
+
+    def recv(self):
+        """Generator: blocking receive of the next whole message."""
+        packet = yield from self._kernel.receive(self._sp)
+        return packet
+
+    def disable_interrupts(self) -> None:
+        """Mask receive interrupts (e.g. a device critical section)."""
+        self._kernel.disable_interrupts()
+
+    def enable_interrupts(self) -> None:
+        self._kernel.enable_interrupts()
+
+
+class MeglosNode(KernelCore):
     """One Meglos processor on the S/NET bus."""
+
+    env_class = MeglosEnv
 
     def __init__(
         self,
@@ -47,15 +82,7 @@ class MeglosNode:
         iface: SNetInterface,
         name: Optional[str] = None,
     ) -> None:
-        self.sim = sim
-        self.costs = costs
-        self.iface = iface
-        self.address = iface.address
-        self.name = name or f"meglos{self.address}"
-        self.cpu = CPU(sim, self.name)
-        #: This node's vstat metrics registry.
-        self.metrics = sim.vstat.registry(self.name)
-        self.trace = TraceLog(stream=sim.vstat.events, node=self.name)
+        super().__init__(sim, costs, iface, name or f"meglos{iface.address}")
         self._m_sends = self.metrics.counter("snet.sends")
         self._m_retries = self.metrics.counter("snet.retries")
         self._m_recovered = self.metrics.counter("snet.recovered_sends")
@@ -63,11 +90,8 @@ class MeglosNode:
         self._m_partial_bytes = self.metrics.counter(
             "snet.partial_bytes_discarded"
         )
-        self.subprocesses: list[Subprocess] = []
         #: Delivered whole messages awaiting a reader.
         self.inbox: Store = Store(sim)
-        self._isr_active = False
-        self.context_switches = 0
         #: Partial messages read-and-discarded (Section 2's wasted work).
         self.partials_discarded = 0
         self.partial_bytes_discarded = 0
@@ -77,88 +101,14 @@ class MeglosNode:
         # Reservation protocol state (receiver side).
         self._grant_queue: deque[int] = deque()
         self._grant_active: Optional[int] = None
-        # Reservation protocol state (sender side): dst -> grant event.
-        self._awaiting_grant: dict[int, "Event"] = {}
-        iface.set_rx_interrupt(self._rx_interrupt)
-        self.prof_samples: dict = {}
-
-    # ------------------------------------------------------------------
-    # CPU helpers (same charging discipline as VORX)
-    # ------------------------------------------------------------------
-    def isr_exec(self, duration: float) -> "Event":
-        return self.cpu.execute(
-            duration, PRIORITY_ISR, None, Category.SYSTEM, preemptible=False
-        )
-
-    def k_exec(self, duration: float) -> "Event":
-        return self.cpu.execute(duration, PRIORITY_KERNEL, None, Category.SYSTEM)
-
-    def u_exec(self, sp: Subprocess, duration: float) -> "Event":
-        return self.cpu.execute(duration, sp.cpu_priority, sp.uid, Category.USER)
-
-    def prof_record(self, sp: Subprocess, label: str, duration: float) -> None:
-        key = (sp.process_name, label)
-        self.prof_samples[key] = self.prof_samples.get(key, 0.0) + duration
-
-    # ------------------------------------------------------------------
-    # subprocesses (same semantics as the VORX kernel)
-    # ------------------------------------------------------------------
-    def spawn(
-        self,
-        program: Callable[..., Generator],
-        name: Optional[str] = None,
-        priority: int = 0,
-        process_name: Optional[str] = None,
-    ) -> Subprocess:
-        sp = Subprocess(self, name or f"sp{len(self.subprocesses)}",
-                        priority, process_name)
-
-        def main():
-            yield self.cpu.execute(
-                self.costs.context_switch, sp.cpu_priority, sp.uid,
-                Category.SYSTEM,
-            )
-            self.context_switches += 1
-            sp.state = SubprocessState.RUNNING
-            env = MeglosEnv(self, sp)
-            try:
-                sp.result = yield from program(env)
-                sp.state = SubprocessState.DONE
-            except BaseException:
-                sp.state = SubprocessState.FAILED
-                raise
-            return sp.result
-
-        sp.process = self.sim.process(main())
-        sp.process.name = sp.uid
-        self.subprocesses.append(sp)
-        return sp
-
-    def block(self, sp: Subprocess, reason: BlockReason, event: "Event"):
-        sp.state = SubprocessState.BLOCKED
-        sp.blocked_on = reason
-        try:
-            value = yield event
-        finally:
-            sp.state = SubprocessState.READY
-            sp.blocked_on = None
-        yield self.cpu.execute(
-            self.costs.wakeup_overhead + self.costs.context_switch,
-            sp.cpu_priority, sp.uid, Category.SYSTEM,
-        )
-        self.context_switches += 1
-        sp.state = SubprocessState.RUNNING
-        return value
+        # Reservation protocol state (sender side): dst -> grant events
+        # of the subprocesses waiting on it, oldest first.
+        self._awaiting_grant: dict[int, deque["Event"]] = {}
+        self.register_handler(MessageKind.CONTROL, self._on_reservation_control)
 
     # ------------------------------------------------------------------
     # receive path: drain the fifo, discarding partials
     # ------------------------------------------------------------------
-    def _rx_interrupt(self) -> None:
-        if self._isr_active:
-            return
-        self._isr_active = True
-        self.sim.process(self._isr())
-
     def disable_interrupts(self) -> None:
         """Mask the receive interrupt (arrivals accumulate in the fifo)."""
         self.iface.interrupts_enabled = False
@@ -199,8 +149,9 @@ class MeglosNode:
         self._isr_active = False
 
     def _deliver(self, packet: Packet):
-        if packet.kind is MessageKind.CONTROL:
-            yield from self._on_reservation_control(packet)
+        handler = self._kind_handlers.get(packet.kind)
+        if handler is not None:
+            yield from handler(packet)
             return
         yield self.isr_exec(self.costs.chan_recv_kernel)
         self.inbox.try_put(packet)
@@ -212,6 +163,10 @@ class MeglosNode:
     # ------------------------------------------------------------------
     # send path with software overflow recovery
     # ------------------------------------------------------------------
+    def spin_wait(self, attempts: int):
+        """Generator: the kernel helpers' fixed pause between attempts."""
+        yield self.sim.timeout(self.costs.snet_retry_spin * 4)
+
     def send_reliable(
         self,
         sp: Subprocess,
@@ -227,37 +182,33 @@ class MeglosNode:
         if isinstance(strategy, Reservation):
             yield from self._reserve(sp, dst, strategy)
         self._m_sends.inc()
-        attempts = 0
         # The message is copied into the interface once; retransmissions
         # just re-trigger the hardware ("continuously resend"), which is
         # what makes the busy-retransmit loop so tight.
         yield self.k_exec(
             self.costs.chan_send_kernel + self.costs.copy_time(nbytes)
         )
-        while True:
-            attempts += 1
-            packet = Packet(
-                src=self.address, dst=dst, size=nbytes,
-                kind=MessageKind.USER_OBJECT, payload=payload,
-            )
-            accepted = yield from self.iface.send(packet)
-            if accepted:
-                strategy.reset()
-                if attempts > 1:
-                    self._m_recovered.inc()
-                    stream = self.sim.vstat.events
-                    if stream.enabled:
-                        stream.emit(
-                            self.sim.now, node=self.name, subsystem="snet",
-                            name="send-recovered", dst=dst, size=nbytes,
-                            attempts=attempts, policy=strategy.name,
-                        )
-                return attempts
+
+        def retry(attempts: int):
             self._m_retries.inc()
             self.metrics.counter(
                 "snet.retries_by_policy", labels=(strategy.name,)
             ).inc()
             yield from strategy.wait(self, attempts)
+
+        attempts = yield from self.iface.send_until_accepted(
+            lambda: Packet(
+                src=self.address, dst=dst, size=nbytes,
+                kind=MessageKind.USER_OBJECT, payload=payload,
+            ),
+            retry,
+        )
+        strategy.reset()
+        if attempts > 1:
+            self._m_recovered.inc()
+            self.emit("snet", "send-recovered", dst=dst, size=nbytes,
+                      attempts=attempts, policy=strategy.name)
+        return attempts
 
     def default_strategy(self) -> RetryStrategy:
         """A fresh recovery strategy per the system's configured policy."""
@@ -266,21 +217,23 @@ class MeglosNode:
     def _reserve(self, sp: Subprocess, dst: int, strategy: RetryStrategy):
         """Request/grant handshake preceding a reservation-mode send."""
         grant = self.sim.event()
-        self._awaiting_grant[dst] = grant
-        attempts = 0
-        while True:
-            attempts += 1
-            yield self.k_exec(self.costs.chan_ack_send)
-            request = Packet(
+        self._awaiting_grant.setdefault(dst, deque()).append(grant)
+        cost = self.costs.chan_ack_send
+
+        def retry(attempts: int):
+            yield from strategy.wait(self, attempts)
+            yield self.k_exec(cost)
+
+        # The request path is charged before every attempt.
+        yield self.k_exec(cost)
+        yield from self.iface.send_until_accepted(
+            lambda: Packet(
                 src=self.address, dst=dst, size=8,
                 kind=MessageKind.CONTROL, payload={"op": "request"},
-            )
-            accepted = yield from self.iface.send(request)
-            if accepted:
-                break
-            yield from strategy.wait(self, attempts)
+            ),
+            retry,
+        )
         yield from self.block(sp, BlockReason.OUTPUT, grant)
-        self._awaiting_grant.pop(dst, None)
 
     def _on_reservation_control(self, packet: Packet):
         yield self.isr_exec(self.costs.chan_ack_recv)
@@ -290,9 +243,9 @@ class MeglosNode:
             if self._grant_active is None:
                 self._issue_next_grant()
         elif op == "grant":
-            event = self._awaiting_grant.get(packet.src)
-            if event is not None:
-                event.succeed()
+            waiters = self._awaiting_grant.get(packet.src)
+            if waiters:
+                waiters.popleft().succeed()
         else:  # pragma: no cover - future ops
             raise ValueError(f"unknown reservation op {op!r}")
 
@@ -310,12 +263,15 @@ class MeglosNode:
         self.sim.process(self._send_grant(grant))
 
     def _send_grant(self, grant: Packet):
-        while True:
-            yield self.k_exec(self.costs.chan_ack_send)
-            accepted = yield from self.iface.send(grant)
-            if accepted:
-                return
-            yield self.sim.timeout(self.costs.snet_retry_spin * 4)
+        cost = self.costs.chan_ack_send
+
+        def retry(attempts: int):
+            yield from self.spin_wait(attempts)
+            yield self.k_exec(cost)
+
+        # Charged before every attempt, like the request.
+        yield self.k_exec(cost)
+        yield from self.iface.send_until_accepted(lambda: grant, retry)
 
     # ------------------------------------------------------------------
     # blocking receive
@@ -329,66 +285,6 @@ class MeglosNode:
         packet = yield from self.block(sp, BlockReason.INPUT, self.inbox.get())
         yield self.k_exec(self.costs.copy_time(packet.size))
         return packet
-
-
-class MeglosEnv:
-    """Application API on a Meglos node (subset of the VORX Env)."""
-
-    def __init__(self, node: MeglosNode, sp: Subprocess) -> None:
-        self._node = node
-        self._sp = sp
-
-    @property
-    def node(self) -> int:
-        return self._node.address
-
-    @property
-    def kernel(self) -> MeglosNode:
-        return self._node
-
-    @property
-    def subprocess(self) -> Subprocess:
-        return self._sp
-
-    @property
-    def now(self) -> float:
-        return self._node.sim.now
-
-    def compute(self, duration: float, label: str = "main"):
-        if duration < 0:
-            raise ValueError(f"negative compute time: {duration}")
-        self._node.prof_record(self._sp, label, duration)
-        yield self._node.u_exec(self._sp, duration)
-
-    def sleep(self, duration: float):
-        yield from self._node.block(
-            self._sp, BlockReason.TIMER, self._node.sim.timeout(duration)
-        )
-
-    def send(self, dst: int, nbytes: int,
-             strategy: Optional[RetryStrategy] = None, payload: Any = None):
-        """Generator: reliable send under an overflow-recovery strategy.
-
-        With no explicit ``strategy``, the system's configured
-        ``recovery=`` policy decides (historically: busy retransmission).
-        """
-        strategy = strategy or self._node.default_strategy()
-        attempts = yield from self._node.send_reliable(
-            self._sp, dst, nbytes, strategy, payload
-        )
-        return attempts
-
-    def recv(self):
-        """Generator: blocking receive of the next whole message."""
-        packet = yield from self._node.receive(self._sp)
-        return packet
-
-    def disable_interrupts(self) -> None:
-        """Mask receive interrupts (e.g. a device critical section)."""
-        self._node.disable_interrupts()
-
-    def enable_interrupts(self) -> None:
-        self._node.enable_interrupts()
 
 
 class MeglosSystem:
@@ -508,12 +404,10 @@ class MeglosSystem:
             self.fabric = fabric
         else:
             # The backend owns the bus and the per-processor interfaces;
-            # Meglos installs its own ISR on each interface
-            # (install_rx=False keeps the backend's generic receive drain
-            # out of the way).
+            # each MeglosNode replaces the backend's generic receive drain
+            # with its own ISR.
             self.fabric = create_fabric(
                 topology, self.sim, self.costs, n_endpoints=n_nodes,
-                install_rx=False,
             )
         self.bus = self.fabric.bus
         self.nodes: list[MeglosNode] = []

@@ -44,16 +44,13 @@ class SNetFabric(FabricBackend):
         sim: "Simulator",
         costs: "CostModel",
         n_endpoints: int,
-        *,
-        install_rx: bool = True,
     ) -> None:
         """Build the bus and its interfaces.
 
-        ``install_rx=True`` (the default) installs a receive-interrupt
-        drain per endpoint feeding :meth:`recv`; a kernel that drives
-        the interfaces itself (:class:`~repro.meglos.kernel.MeglosNode`
-        installs its own ISR) passes ``install_rx=False`` and this class
-        only wires addresses to the bus.
+        Each interface gets a receive-interrupt drain feeding
+        :meth:`recv`; a kernel that drives an interface itself
+        (:class:`~repro.meglos.kernel.MeglosNode`) installs its own ISR
+        in its place.
         """
         if not 2 <= n_endpoints <= MAX_ENDPOINTS:
             raise ValueError(
@@ -75,10 +72,9 @@ class SNetFabric(FabricBackend):
             self.bus.register(iface)
             self.interfaces[address] = iface
             self._inboxes[address] = Store(sim)
-            if install_rx:
-                iface.set_rx_interrupt(
-                    lambda address=address: self._drain_rx(address)
-                )
+            iface.set_rx_interrupt(
+                lambda address=address: self._drain_rx(address)
+            )
 
     # -- endpoints ---------------------------------------------------------
     @property
@@ -133,17 +129,18 @@ class SNetFabric(FabricBackend):
                 f"can never fit the {self.costs.snet_fifo_bytes}-byte "
                 f"receive fifo; fragment it in software"
             )
-        iface = self.interfaces[src]
         backoff = self.costs.snet_wire_time(packet.size)
-        while True:
-            accepted = yield from iface.send(packet)
-            if accepted:
-                # One bus tenure carried it end-to-end; count it like a
-                # link traversal so hop statistics compare across fabrics.
-                packet.hops += 1
-                return
+
+        def retry(attempts: int):
             self.retries += 1
             yield self.sim.timeout(backoff)
+
+        yield from self.interfaces[src].send_until_accepted(
+            lambda: packet, retry
+        )
+        # One bus tenure carried it end-to-end; count it like a link
+        # traversal so hop statistics compare across fabrics.
+        packet.hops += 1
 
     def _drain_rx(self, address: int) -> None:
         """Receive interrupt: move whole messages to the inbox.

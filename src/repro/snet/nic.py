@@ -9,7 +9,7 @@ Section 2).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Generator, Optional
 
 from repro.snet.fifo import SNetFifo, FifoEntry
 
@@ -74,6 +74,25 @@ class SNetInterface:
         if not accepted:
             self._m_rejected.inc()
         return accepted
+
+    def send_until_accepted(
+        self,
+        build: Callable[[], "Packet"],
+        wait: Callable[[int], Generator],
+    ):
+        """Generator: transmit until the destination fifo takes it whole.
+
+        The one software recovery loop of the S/NET.  ``build()`` gives
+        the packet for each attempt; after the ``n``-th rejection the
+        caller's ``wait(n)`` generator runs (its backoff, CPU spin or
+        both) before the next.  Returns the number of attempts (1 = no
+        overflow).
+        """
+        attempts = 1
+        while not (yield from self.send(build())):
+            yield from wait(attempts)
+            attempts += 1
+        return attempts
 
     # -- receive ------------------------------------------------------------
     def set_rx_interrupt(self, handler: Optional[Callable[[], None]]) -> None:

@@ -132,7 +132,7 @@ class SoftwareOscilloscope:
     """Viewer over the per-processor timelines it arms when created.
 
     Each timeline records from the simulated time the scope is created.
-    Create the scope before ``run()``: when it is armed mid-run, a VORX
+    Create the scope before ``run()``: when it is armed mid-run, a
     node's idle time reads as idle-other until its next block or wakeup.
     """
 

@@ -19,15 +19,14 @@ forwarded to the host stub (when one is attached).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.vorx.channels import ChannelEndpoint
 from repro.vorx.errors import SyscallError, VorxError
 from repro.vorx.objects import Handler, UserObject
-from repro.vorx.subprocesses import BlockReason, KernelSemaphore, Subprocess
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.vorx.kernel import NodeKernel
+from repro.vorx.subprocesses import (
+    BlockReason, KernelEnv, KernelSemaphore, Subprocess,
+)
 
 
 class ChannelHandle:
@@ -96,52 +95,12 @@ def _endpoint_of(channel) -> ChannelEndpoint:
     return getattr(channel, "endpoint", channel)
 
 
-class Env:
-    """One subprocess's view of the kernel."""
-
-    def __init__(self, kernel: "NodeKernel", sp: Subprocess) -> None:
-        self._kernel = kernel
-        self._sp = sp
-
-    # -- identity / introspection -------------------------------------------
-    @property
-    def kernel(self) -> "NodeKernel":
-        return self._kernel
-
-    @property
-    def subprocess(self) -> Subprocess:
-        return self._sp
-
-    @property
-    def node(self) -> int:
-        """This node's fabric address."""
-        return self._kernel.address
-
-    @property
-    def now(self) -> float:
-        """Current simulation time (us)."""
-        return self._kernel.sim.now
+class Env(KernelEnv):
+    """One subprocess's view of the VORX kernel."""
 
     def log(self, tag: str, data: Any = None) -> None:
         """Record an application event in the node trace."""
         self._kernel.trace.log(self.now, tag, data)
-
-    # -- computation -----------------------------------------------------------
-    def compute(self, duration: float, label: str = "main"):
-        """Generator: execute ``duration`` us of application code.
-
-        ``label`` attributes the time for the prof tool (Section 6.2).
-        """
-        if duration < 0:
-            raise ValueError(f"negative compute time: {duration}")
-        self._kernel.prof_record(self._sp, label, duration)
-        yield self._kernel.u_exec(self._sp, duration)
-
-    def sleep(self, duration: float):
-        """Generator: block for ``duration`` us (timer wait)."""
-        yield from self._kernel.block(
-            self._sp, BlockReason.TIMER, self._kernel.sim.timeout(duration)
-        )
 
     # -- channels ---------------------------------------------------------------
     def open(self, name: str):

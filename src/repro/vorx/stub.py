@@ -21,13 +21,12 @@ Experiment E17 reproduces both pathologies.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.hostos.filesystem import FileSystem
 from repro.hostos.unix import HostProcess
 from repro.hpc.message import MessageKind, Packet
 from repro.sim.resources import Store
-from repro.vorx.errors import SyscallError
 from repro.vorx.subprocesses import BlockReason, Subprocess
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -177,57 +176,6 @@ class StubService:
         stub.requests.try_put((packet.src, body["token"], body["op"], body["args"]))
 
 
-class NodeSyscallService:
-    """Node-side syscall forwarding (installed as ``kernel.syscalls``)."""
-
-    def __init__(self, kernel: "NodeKernel", host_addr: int, stub_id: int) -> None:
-        self.kernel = kernel
-        self.host_addr = host_addr
-        self.stub_id = stub_id
-        self._waiting: dict[int, Any] = {}
-        self._next_token = 1
-        kernel.syscalls = self  # type: ignore[attr-defined]
-        kernel.register_handler(MessageKind.SYSCALL_REPLY, self._on_reply)
-
-    def call(self, sp: Subprocess, op: str, args: tuple):
-        """Generator: forward one system call; blocks until the reply."""
-        kernel = self.kernel
-        costs = kernel.costs
-        kernel.count_syscall(op)
-        token = self._next_token
-        self._next_token += 1
-        event = kernel.sim.event()
-        self._waiting[token] = event
-        bulk = sum(
-            len(a) for a in args if isinstance(a, (bytes, bytearray))
-        )
-        size = min(SYSCALL_REQUEST_BYTES + bulk, costs.hpc_max_message)
-        yield kernel.k_exec(costs.syscall_overhead + costs.copy_time(size))
-        kernel.post(
-            dst=self.host_addr, size=size, kind=MessageKind.SYSCALL,
-            channel=self.stub_id,
-            payload={"token": token, "op": op, "args": args},
-        )
-        try:
-            reply = yield from kernel.block(sp, BlockReason.INPUT, event)
-        finally:
-            self._waiting.pop(token, None)
-        if not reply["ok"]:
-            raise SyscallError(f"{op}{args!r} failed: {reply['value']}")
-        return reply["value"]
-
-    def _on_reply(self, packet: Packet):
-        """Generator (ISR context): complete the waiting call."""
-        kernel = self.kernel
-        yield kernel.isr_exec(
-            kernel.costs.chan_recv_kernel + kernel.costs.copy_time(packet.size)
-        )
-        body = packet.payload
-        event = self._waiting.get(body["token"])
-        if event is not None:
-            event.succeed(body)
-
-
 def attach_stubs(
     system: "VorxSystem",
     host_index: int,
@@ -241,19 +189,17 @@ def attach_stubs(
     organisation); otherwise each node gets its own stub (perfect host
     replication).  Returns the stubs created.
     """
+    from repro.vorx.syscalls import DecentralizedSyscallService, HostBinding
+
     host = system.workstation(host_index)
     service = getattr(host, "stub_service", None)
     if service is None:
         service = StubService(host)
-    stubs = []
-    if shared:
-        stub = service.create_stub(fd_limit)
-        stubs.append(stub)
-        for index in node_indices:
-            NodeSyscallService(system.node(index), host.address, stub.stub_id)
-    else:
-        for index in node_indices:
-            stub = service.create_stub(fd_limit)
-            stubs.append(stub)
-            NodeSyscallService(system.node(index), host.address, stub.stub_id)
+    stubs = [service.create_stub(fd_limit)] if shared else []
+    for index in node_indices:
+        if not shared:
+            stubs.append(service.create_stub(fd_limit))
+        DecentralizedSyscallService(
+            system.node(index), [HostBinding(host.address, stubs[-1])]
+        )
     return stubs

@@ -12,18 +12,43 @@ generator driven through :class:`repro.vorx.env.Env`.  All subprocesses of
 a process share an address space (in the simulation: ordinary shared
 Python state), and each costs a full 80 us context switch to dispatch
 after blocking (all fixed and floating point registers).
+
+:class:`KernelCore` is the scheduler both kernels run: VORX's
+:class:`~repro.vorx.kernel.NodeKernel` and its predecessor Meglos's
+:class:`~repro.meglos.kernel.MeglosNode` extend it and differ only in
+their receive drains and communication calls.  :class:`KernelEnv` is the
+matching part of a subprocess's programming interface.
+
+CPU charging discipline
+-----------------------
+
+All simulated software charges time on the node's single
+:class:`~repro.sim.cpu.CPU`:
+
+* ``isr_exec`` -- interrupt level, highest priority, non-preemptible;
+* ``k_exec``  -- kernel paths (syscall bodies), preempts user code;
+* ``u_exec``  -- subprocess user code at ``10 + subprocess priority``.
+
+Blocking points go through :meth:`KernelCore.block`, which records why
+the subprocess blocked (driving the software oscilloscope's idle
+categories) and charges the documented 80 us context switch when the
+subprocess is dispatched again.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, Optional
 
-from repro.sim.cpu import PRIORITY_USER
+from repro.sim.cpu import CPU, PRIORITY_ISR, PRIORITY_KERNEL, PRIORITY_USER
+from repro.sim.trace import Category, TraceLog
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.hpc.message import MessageKind, Packet
+    from repro.model.costs import CostModel
+    from repro.sim.engine import Simulator
+    from repro.sim.events import Event
     from repro.sim.process import Process
-    from repro.vorx.kernel import NodeKernel
 
 
 class SubprocessState(enum.Enum):
@@ -54,7 +79,7 @@ class Subprocess:
 
     def __init__(
         self,
-        kernel: "NodeKernel",
+        kernel: "KernelCore",
         name: str,
         priority: int = 0,
         process_name: Optional[str] = None,
@@ -88,6 +113,293 @@ class Subprocess:
         return f"<Subprocess {self.uid} {self.state.value}>"
 
 
+class KernelCore:
+    """The subprocess core of one node's kernel (VORX or Meglos).
+
+    Owns the node's CPU and vstat registry, spawns and blocks
+    subprocesses, guards the receive interrupt so one drain runs per
+    burst, records prof samples, and holds the message kind -> handler
+    table extension services register into.  Subclasses set
+    :attr:`env_class` and supply ``_isr``, the generator that drains
+    their interface.
+    """
+
+    #: The environment class each spawned program receives.
+    env_class: type
+
+    def __init__(
+        self,
+        sim: "Simulator",
+        costs: "CostModel",
+        iface: Any,
+        name: str,
+    ) -> None:
+        self.sim = sim
+        self.costs = costs
+        self.iface = iface
+        self.address = iface.address
+        self.name = name
+        self.cpu = CPU(sim, name)
+        #: This node's vstat metrics registry (shared with its CPU).
+        self.metrics = sim.vstat.registry(name)
+        self.trace = TraceLog(stream=sim.vstat.events, node=name)
+        self._m_context_switches = self.metrics.counter(
+            "kernel.context_switches"
+        )
+        self._m_interrupts = self.metrics.counter("kernel.interrupts")
+        #: Hot-path cache around the generic (name, labels) registry
+        #: lookup: per-reason block counters.
+        self._m_blocks_by_reason: Dict[BlockReason, Any] = {}
+        self.subprocesses: list[Subprocess] = []
+        #: Extension services: message kind -> generator handler(packet).
+        self._kind_handlers: Dict[
+            "MessageKind", Callable[["Packet"], Generator]
+        ] = {}
+        self._isr_active = False
+        #: Last idle category pushed to the timeline; this kernel is the
+        #: only writer, so an equality check here skips the
+        #: ``set_idle_reason`` call chain on no-change updates.
+        self._last_idle_category: Optional[Category] = None
+        iface.set_rx_interrupt(self._rx_interrupt)
+
+    # ------------------------------------------------------------------
+    # vstat instrumentation
+    # ------------------------------------------------------------------
+    @property
+    def context_switches(self) -> int:
+        """Context switches charged so far (backed by the vstat counter)."""
+        return int(self._m_context_switches.value)
+
+    @property
+    def prof_samples(self) -> Dict[tuple[str, str], float]:
+        """Per-(process, label) user CPU time, read from the registry."""
+        return {
+            labels: counter.value  # type: ignore[attr-defined, misc]
+            for labels, counter in self.metrics.labelled("prof.user_us").items()
+        }
+
+    def prof_record(self, sp: Subprocess, label: str, duration: float) -> None:
+        self.metrics.counter(
+            "prof.user_us", labels=(sp.process_name, label)
+        ).inc(duration)
+
+    def emit(self, subsystem: str, name: str, **fields) -> None:
+        """Record a structured trace event for this node, timestamped now."""
+        stream = self.sim.vstat.events
+        if stream.enabled:
+            stream.emit(
+                self.sim._now, node=self.name, subsystem=subsystem,
+                name=name, **fields,
+            )
+
+    # ------------------------------------------------------------------
+    # CPU charge helpers
+    # ------------------------------------------------------------------
+    def isr_exec(self, duration: float) -> "Event":
+        """Charge interrupt-level CPU time (non-preemptible)."""
+        return self.cpu.execute(
+            duration, PRIORITY_ISR, None, Category.SYSTEM, preemptible=False
+        )
+
+    def k_exec(self, duration: float) -> "Event":
+        """Charge kernel-path CPU time."""
+        return self.cpu.execute(duration, PRIORITY_KERNEL, None, Category.SYSTEM)
+
+    def u_exec(self, sp: Subprocess, duration: float) -> "Event":
+        """Charge user-context CPU time for a subprocess."""
+        return self.cpu.execute(
+            duration, sp.cpu_priority, sp.uid, Category.USER
+        )
+
+    # ------------------------------------------------------------------
+    # interrupt service
+    # ------------------------------------------------------------------
+    def _rx_interrupt(self) -> None:
+        """Receive interrupt: start one drain per burst of arrivals."""
+        if self._isr_active:
+            return
+        self._isr_active = True
+        self._m_interrupts.value += 1.0
+        self.sim.process(self._isr())
+
+    def _isr(self) -> Generator:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def register_handler(
+        self, kind: "MessageKind", handler: Callable[["Packet"], Generator]
+    ) -> None:
+        """Install an extension service's handler for a message kind."""
+        if kind in self._kind_handlers:
+            raise ValueError(f"{self.name}: handler for {kind} already present")
+        self._kind_handlers[kind] = handler
+
+    # ------------------------------------------------------------------
+    # subprocess lifecycle and blocking
+    # ------------------------------------------------------------------
+    def spawn(
+        self,
+        program: Callable[..., Generator],
+        name: Optional[str] = None,
+        priority: int = 0,
+        process_name: Optional[str] = None,
+    ) -> Subprocess:
+        """Create a subprocess running ``program(env)``.
+
+        ``program`` is a generator function taking an :attr:`env_class`
+        instance; its return value becomes ``subprocess.result``.
+        """
+        name = name or f"sp{len(self.subprocesses)}"
+        sp = Subprocess(self, name, priority, process_name)
+
+        def main():
+            # Initial dispatch: load the subprocess's context.
+            yield self.cpu.execute(
+                self.costs.context_switch, sp.cpu_priority, sp.uid,
+                Category.SYSTEM,
+            )
+            self._m_context_switches.inc()
+            sp.state = SubprocessState.RUNNING
+            env = self.env_class(self, sp)
+            try:
+                sp.result = yield from program(env)
+                sp.state = SubprocessState.DONE
+            except BaseException:
+                sp.state = SubprocessState.FAILED
+                raise
+            finally:
+                self._update_idle_reason()
+            return sp.result
+
+        sp.process = self.sim.process(main())
+        sp.process.name = sp.uid
+        self.subprocesses.append(sp)
+        self._update_idle_reason()
+        return sp
+
+    def block(self, sp: Subprocess, reason: BlockReason, event: "Event"):
+        """Generator: block ``sp`` on ``event``; charge the wakeup path.
+
+        Every block/wake cycle costs ``wakeup_overhead`` (kernel readying
+        the subprocess) plus the 80 us ``context_switch`` to restore its
+        registers -- the Section 5 cost that motivates the coroutine and
+        interrupt-level program structures compared in experiment E11.
+        """
+        sp.state = SubprocessState.BLOCKED
+        sp.blocked_on = reason
+        counter = self._m_blocks_by_reason.get(reason)
+        if counter is None:
+            counter = self.metrics.counter("kernel.blocks", labels=(reason.value,))
+            self._m_blocks_by_reason[reason] = counter
+        counter.value += 1.0
+        # Hoist ``_update_idle_reason``'s oscilloscope gate to the call
+        # site: block/unblock is per message, and until a scope arms the
+        # timeline (the default) the call is a no-op.
+        if self.cpu.timeline.armed_at is not None:
+            self._update_idle_reason()
+        try:
+            value = yield event
+        finally:
+            sp.state = SubprocessState.READY
+            sp.blocked_on = None
+            if self.cpu.timeline.armed_at is not None:
+                self._update_idle_reason()
+        yield self.cpu.execute(
+            self.costs.wakeup_overhead + self.costs.context_switch,
+            sp.cpu_priority, sp.uid, Category.SYSTEM,
+        )
+        self._m_context_switches.value += 1.0
+        sp.state = SubprocessState.RUNNING
+        return value
+
+    # ------------------------------------------------------------------
+    # oscilloscope support
+    # ------------------------------------------------------------------
+    def _update_idle_reason(self) -> None:
+        # Runs on every block/unblock: a single allocation-free pass over
+        # the subprocess table, tracking whether every live subprocess is
+        # blocked and which of the INPUT/OUTPUT/other reasons occur.
+        # Purely observational -- skipped entirely until an oscilloscope
+        # arms the timeline.
+        if self.cpu.timeline.armed_at is None:
+            return
+        any_live = False
+        inputs = outputs = others = 0
+        for sp in self.subprocesses:
+            if not sp.is_live:
+                continue
+            any_live = True
+            if sp.state is not SubprocessState.BLOCKED:
+                if self._last_idle_category is not Category.IDLE_OTHER:
+                    self._last_idle_category = Category.IDLE_OTHER
+                    self.cpu.set_idle_reason(Category.IDLE_OTHER)
+                return
+            reason = sp.blocked_on
+            if reason is BlockReason.INPUT:
+                inputs += 1
+            elif reason is BlockReason.OUTPUT:
+                outputs += 1
+            else:
+                others += 1
+        if not any_live or others:
+            category = Category.IDLE_OTHER
+        elif inputs and outputs:
+            category = Category.IDLE_MIXED
+        elif inputs:
+            category = Category.IDLE_INPUT
+        else:
+            category = Category.IDLE_OUTPUT
+        if category is not self._last_idle_category:
+            self._last_idle_category = category
+            self.cpu.set_idle_reason(category)
+
+
+class KernelEnv:
+    """What a subprocess sees of either kernel: identity, time, CPU, sleep.
+
+    :class:`repro.vorx.env.Env` and :class:`repro.meglos.kernel.MeglosEnv`
+    extend it with their own communication calls.
+    """
+
+    def __init__(self, kernel: KernelCore, sp: Subprocess) -> None:
+        self._kernel = kernel
+        self._sp = sp
+
+    @property
+    def kernel(self) -> Any:
+        """The node's kernel (:class:`KernelCore` subclass)."""
+        return self._kernel
+
+    @property
+    def subprocess(self) -> Subprocess:
+        return self._sp
+
+    @property
+    def node(self) -> int:
+        """This node's fabric address."""
+        return self._kernel.address
+
+    @property
+    def now(self) -> float:
+        """Current simulation time (us)."""
+        return self._kernel.sim.now
+
+    def compute(self, duration: float, label: str = "main"):
+        """Generator: execute ``duration`` us of application code.
+
+        ``label`` attributes the time for the prof tool (Section 6.2).
+        """
+        if duration < 0:
+            raise ValueError(f"negative compute time: {duration}")
+        self._kernel.prof_record(self._sp, label, duration)
+        yield self._kernel.u_exec(self._sp, duration)
+
+    def sleep(self, duration: float):
+        """Generator: block for ``duration`` us (timer wait)."""
+        yield from self._kernel.block(
+            self._sp, BlockReason.TIMER, self._kernel.sim.timeout(duration)
+        )
+
+
 class KernelSemaphore:
     """A VORX kernel semaphore for subprocess synchronisation (Section 5).
 
@@ -97,7 +409,7 @@ class KernelSemaphore:
     may be called from interrupt handlers (it never blocks).
     """
 
-    def __init__(self, kernel: "NodeKernel", value: int = 0, name: str = "sem") -> None:
+    def __init__(self, kernel: "KernelCore", value: int = 0, name: str = "sem") -> None:
         if value < 0:
             raise ValueError(f"semaphore value must be >= 0, got {value}")
         self.kernel = kernel

@@ -8,6 +8,8 @@ any of the host workstations."*
 
 This module implements that scheme: a :class:`DecentralizedSyscallService`
 binds a node to stubs on *several* hosts and spreads calls across them.
+The single-host organisation of :func:`repro.vorx.stub.attach_stubs` is
+the same service with one binding.
 The hosts share one network filesystem (the same
 :class:`~repro.hostos.filesystem.FileSystem` instance), so file state is
 consistent wherever a call lands.  File-descriptor affinity is preserved:
@@ -46,7 +48,11 @@ class HostBinding:
 
 
 class DecentralizedSyscallService:
-    """Node-side service spreading system calls over several hosts."""
+    """Node-side syscall forwarding (installed as ``kernel.syscalls``).
+
+    Spreads calls over the hosts of its bindings; with one binding every
+    call goes to that host's stub.
+    """
 
     def __init__(self, kernel: "NodeKernel",
                  bindings: list[HostBinding]) -> None:

@@ -216,8 +216,7 @@ def test_meglos_system_uniform_selection():
     assert system.fabric.topology_name == "snet"
 
     sim = Simulator()
-    fabric = create_fabric("snet", sim, DEFAULT_COSTS, n_endpoints=4,
-                           install_rx=False)
+    fabric = create_fabric("snet", sim, DEFAULT_COSTS, n_endpoints=4)
     adopted = MeglosSystem(4, fabric=fabric)
     assert adopted.fabric is fabric and adopted.sim is sim
 

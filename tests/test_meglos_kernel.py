@@ -106,3 +106,71 @@ def test_send_returns_attempt_count():
     system.spawn(1, receiver)
     system.run()
     assert tx.result == 1
+
+
+def _reserve_twice_toward_node2(second_sender_node):
+    system = MeglosSystem(n_nodes=3, recovery="reservation")
+
+    def sender(env):
+        yield from env.send(2, 200)
+        return env.now
+
+    def receiver(env):
+        for _ in range(2):
+            yield from env.recv()
+        return env.now
+
+    senders = [system.spawn(0, sender), system.spawn(second_sender_node, sender)]
+    rx = system.spawn(2, receiver)
+    system.run()
+    return senders, rx
+
+
+def test_two_reservations_from_one_node_toward_one_destination():
+    """Each reserving subprocess gets its own grant, oldest first."""
+    senders, rx = _reserve_twice_toward_node2(second_sender_node=0)
+    assert all(not sp.is_live for sp in senders + [rx])
+    assert all(sp.result is not None for sp in senders)
+    assert rx.result > max(sp.result for sp in senders)
+
+
+def test_reservations_from_two_nodes_toward_one_destination():
+    senders, rx = _reserve_twice_toward_node2(second_sender_node=1)
+    assert all(not sp.is_live for sp in senders + [rx])
+
+
+def test_receiver_waiting_for_input_is_filed_idle_input():
+    """The oscilloscope files a Meglos receiver's wait as idle-input."""
+    from repro.sim.trace import Category
+    from repro.tools.oscilloscope import SoftwareOscilloscope
+
+    system = MeglosSystem(n_nodes=2)
+    scope = SoftwareOscilloscope(system.nodes)
+
+    def sender(env):
+        yield from env.compute(5_000.0)
+        yield from env.send(1, 100)
+
+    def receiver(env):
+        yield from env.recv()
+
+    system.spawn(0, sender)
+    system.spawn(1, receiver)
+    system.run()
+    idle = scope.capture().breakdown["m1"]
+    assert idle[Category.IDLE_INPUT] > 5_000.0
+    assert idle[Category.IDLE_OTHER] == 0.0
+
+
+def test_kernel_counters_in_vstat():
+    system = MeglosSystem(n_nodes=2)
+
+    def program(env):
+        yield from env.sleep(100.0)
+
+    system.spawn(0, program)
+    system.run()
+    node = system.node(0)
+    assert node.metrics.value("kernel.context_switches") == 2
+    assert node.context_switches == 2
+    assert node.metrics.value("kernel.blocks", labels=("timer",)) == 1

@@ -68,7 +68,7 @@ def test_unknown_stub_id_returns_esrch():
     system = VorxSystem(n_nodes=1, n_workstations=1)
     attach_stubs(system, 0, [0])
     # Point the node at a nonexistent stub.
-    system.node(0).syscalls.stub_id = 999
+    system.node(0).syscalls.bindings[0].stub.stub_id = 999
 
     def program(env):
         try:
