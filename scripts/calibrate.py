@@ -20,7 +20,16 @@ def main() -> None:
     from repro.apps.bitmap import run_bitmap_stream
     from repro.apps.spice import measure_userdefined_latency
     from repro.apps.structuring import measure_context_switch
-    from repro.bench.experiments import PAPER_TABLE1, PAPER_TABLE2
+    from repro.bench.experiments import (
+        PAPER_BITMAP_MBPS,
+        PAPER_CHANNEL_KBPS,
+        PAPER_CONTEXT_SWITCH_US,
+        PAPER_DOWNLOAD_PER_PROCESS_S,
+        PAPER_DOWNLOAD_TREE_S,
+        PAPER_TABLE1,
+        PAPER_TABLE2,
+        PAPER_UD_LATENCY_US,
+    )
     from repro.vorx.sliding_window import run_channel_stream, run_sliding_window
 
     rows: list[tuple[str, float, float]] = []
@@ -33,7 +42,7 @@ def main() -> None:
         result = run_channel_stream(size, n_messages=n_stream)
         anchor(f"T2 channel {size}B (us/msg)", paper, result.us_per_message)
         if size == 1024:
-            anchor("channel bandwidth (kbyte/s)", 1027.0,
+            anchor("channel bandwidth (kbyte/s)", PAPER_CHANNEL_KBPS,
                    result.kbytes_per_sec)
 
     # Table 1 corners (full sweep with --full).
@@ -47,11 +56,12 @@ def main() -> None:
                result.us_per_message)
 
     # In-text anchors.
-    anchor("user-defined 64B one-way (us)", 60.0,
+    anchor("user-defined 64B one-way (us)", PAPER_UD_LATENCY_US,
            measure_userdefined_latency(rounds=300).one_way_us)
-    anchor("bitmap stream (Mbyte/s)", 3.2,
+    anchor("bitmap stream (Mbyte/s)", PAPER_BITMAP_MBPS,
            run_bitmap_stream(frames=2).mbytes_per_sec)
-    anchor("context switch (us)", 80.0, measure_context_switch())
+    anchor("context switch (us)", PAPER_CONTEXT_SWITCH_US,
+           measure_context_switch())
 
     from repro.vorx.download import download_per_process, download_tree
     from repro.vorx.system import VorxSystem
@@ -64,8 +74,9 @@ def main() -> None:
         VorxSystem(n_nodes=n, n_workstations=1), 0, list(range(n))
     ).seconds
     if full:
-        anchor("download per-process 70 (s)", 12.0, per)
-        anchor("download tree 70 (s)", 2.0, tree)
+        anchor("download per-process 70 (s)", PAPER_DOWNLOAD_PER_PROCESS_S,
+               per)
+        anchor("download tree 70 (s)", PAPER_DOWNLOAD_TREE_S, tree)
     else:
         print(f"(download @30 nodes: per-process {per:.1f}s, tree {tree:.1f}s"
               f" -- run --full for the 70-node paper anchor)")

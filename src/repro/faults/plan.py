@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
+from repro.hpc.message import MessageKind
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.injector import FaultInjector
 
@@ -115,7 +117,9 @@ class FaultPlan:
     kinds:
         Message kinds eligible for link-level drop/corrupt/delay/
         duplicate (default: channel data + ack, the kinds the channel
-        retransmission machinery can recover).
+        retransmission machinery can recover).  Each must be a
+        :class:`~repro.hpc.message.MessageKind` value; any other name
+        raises ``ValueError``.
     """
 
     _FIELDS = (
@@ -251,6 +255,13 @@ class FaultPlan:
             )
         self.channel_retry_timeout_us = float(channel_retry_timeout_us)
         self.kinds = frozenset(str(kind) for kind in kinds)
+        valid = [kind.value for kind in MessageKind]
+        unknown = sorted(self.kinds.difference(valid))
+        if unknown:
+            raise ValueError(
+                f"FaultPlan(kinds=...) has unknown message kind(s) "
+                f"{unknown!r}; valid kinds are {valid!r}"
+            )
 
     def _merge_override(
         self, argument: str, pattern: str, override: Mapping

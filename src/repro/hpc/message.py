@@ -25,8 +25,6 @@ class MessageKind(str, Enum):
     CHANNEL_ACK = "channel-ack"
     #: Channel control traffic (open/close/rendezvous).
     CHANNEL_CTRL = "channel-ctrl"
-    #: Retransmission request (receiver out of side buffers).
-    CHANNEL_NAK = "channel-nak"
     #: Flow-controlled multicast data.
     MULTICAST = "multicast"
     #: Message for a user-defined communications object.

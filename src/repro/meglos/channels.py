@@ -20,7 +20,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.hpc.message import MessageKind, Packet
-from repro.meglos.flowcontrol import BusyRetransmit, RetryStrategy
+from repro.meglos.flowcontrol import Reservation, RetryStrategy
 from repro.vorx.errors import ChannelStateError
 from repro.vorx.subprocesses import BlockReason, Subprocess
 
@@ -60,8 +60,6 @@ class MeglosChannelService:
         self.node = node
         self.endpoints: dict[int, MeglosEndpoint] = {}
         self._next_eid = 1
-        self._waiting: dict[int, Any] = {}
-        self._next_token = 1
         # Manager state (only used on MANAGER_NODE).
         self._pending: dict[str, deque[tuple[int, int, int]]] = {}
         self.opens_handled = 0
@@ -73,16 +71,17 @@ class MeglosChannelService:
     # ------------------------------------------------------------------
     def open(self, sp: Subprocess, name: str,
              strategy: Optional[RetryStrategy] = None):
-        """Generator: open ``name``; every request hits the host manager."""
+        """Generator: open ``name``; every request hits the host manager.
+
+        With no explicit ``strategy``, the system's configured
+        ``recovery=`` policy retries the request.
+        """
         node = self.node
-        strategy = strategy or BusyRetransmit()
+        strategy = strategy or node.default_strategy()
         endpoint = MeglosEndpoint(self._next_eid, name, sp)
         self._next_eid += 1
         self.endpoints[endpoint.eid] = endpoint
-        token = self._next_token
-        self._next_token += 1
-        event = node.sim.event()
-        self._waiting[token] = event
+        token, event = node.expect_reply()
         yield node.k_exec(node.costs.syscall_overhead)
         request = {"op": "open", "name": name, "addr": node.address,
                    "eid": endpoint.eid, "token": token}
@@ -92,10 +91,7 @@ class MeglosChannelService:
             self._handle_open(request)
         else:
             yield from self._ctrl_send(self.MANAGER_NODE, request, strategy)
-        peer_addr, peer_eid = yield from node.block(
-            sp, BlockReason.INPUT, event
-        )
-        self._waiting.pop(token, None)
+        peer_addr, peer_eid = yield from node.await_reply(sp, token, event)
         endpoint.peer_addr = peer_addr
         endpoint.peer_eid = peer_eid
         endpoint.open = True
@@ -104,14 +100,21 @@ class MeglosChannelService:
     def write(self, sp: Subprocess, endpoint: MeglosEndpoint, nbytes: int,
               payload: Any = None,
               strategy: Optional[RetryStrategy] = None):
-        """Generator: stop-and-wait write over the S/NET."""
+        """Generator: stop-and-wait write over the S/NET.
+
+        With no explicit ``strategy``, the system's configured
+        ``recovery=`` policy decides; under a reservation the data is
+        sent only once the reader's node has granted it the bus.
+        """
         node = self.node
-        strategy = strategy or BusyRetransmit()
+        strategy = strategy or node.default_strategy()
         if not endpoint.open:
             raise ChannelStateError(f"channel {endpoint.name!r} is not open")
         ack = node.sim.event()
         endpoint.writer_event = ack
         yield node.k_exec(node.costs.syscall_overhead)
+        if isinstance(strategy, Reservation):
+            yield from node.reserve(sp, endpoint.peer_addr, strategy)
         yield from self._ctrl_send(
             endpoint.peer_addr,
             {"op": "data", "channel": endpoint.peer_eid,
@@ -170,9 +173,7 @@ class MeglosChannelService:
             self.opens_handled += 1
             self._handle_open(body)
         elif op == "open-reply":
-            event = self._waiting.get(body["token"])
-            if event is not None:
-                event.succeed((body["peer_addr"], body["peer_eid"]))
+            node.resolve(body["token"], (body["peer_addr"], body["peer_eid"]))
         elif op == "data":
             endpoint = self.endpoints.get(body["channel"])
             if endpoint is None:
@@ -189,6 +190,7 @@ class MeglosChannelService:
                 {"op": "ack", "channel": body["src_channel"]},
                 node.costs.chan_ack_send, node.spin_wait,
             ))
+            node.release_grant(packet.src)
         elif op == "ack":
             endpoint = self.endpoints.get(body["channel"])
             if endpoint is not None and endpoint.writer_event is not None:
@@ -241,9 +243,7 @@ class MeglosChannelService:
         body = {"op": "open-reply", "token": token,
                 "peer_addr": peer_addr, "peer_eid": peer_eid}
         if addr == node.address:
-            event = self._waiting.get(token)
-            if event is not None:
-                event.succeed((peer_addr, peer_eid))
+            node.resolve(token, (peer_addr, peer_eid))
             return
         node.sim.process(self._send(addr, self.OPEN_BYTES, body,
                                     node.costs.chan_ack_send, node.spin_wait))

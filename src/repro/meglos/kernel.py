@@ -145,20 +145,14 @@ class MeglosNode(KernelCore):
                 self._m_partials.inc()
                 self._m_partial_bytes.inc(entry.stored_bytes)
                 continue
-            yield from self._deliver(entry.packet)
+            yield from self._dispatch(entry.packet)
         self._isr_active = False
 
-    def _deliver(self, packet: Packet):
-        handler = self._kind_handlers.get(packet.kind)
-        if handler is not None:
-            yield from handler(packet)
-            return
+    def _unhandled(self, packet: Packet):
+        """Generator (ISR context): a whole message for the inbox."""
         yield self.isr_exec(self.costs.chan_recv_kernel)
         self.inbox.try_put(packet)
-        if self._grant_active == packet.src:
-            # Reservation protocol: data received; authorize the next.
-            self._grant_active = None
-            self._issue_next_grant()
+        self.release_grant(packet.src)
 
     # ------------------------------------------------------------------
     # send path with software overflow recovery
@@ -180,7 +174,7 @@ class MeglosNode(KernelCore):
         Returns the number of transmission attempts (1 = no overflow).
         """
         if isinstance(strategy, Reservation):
-            yield from self._reserve(sp, dst, strategy)
+            yield from self.reserve(sp, dst, strategy)
         self._m_sends.inc()
         # The message is copied into the interface once; retransmissions
         # just re-trigger the hardware ("continuously resend"), which is
@@ -214,7 +208,7 @@ class MeglosNode(KernelCore):
         """A fresh recovery strategy per the system's configured policy."""
         return self.strategy_factory()
 
-    def _reserve(self, sp: Subprocess, dst: int, strategy: RetryStrategy):
+    def reserve(self, sp: Subprocess, dst: int, strategy: RetryStrategy):
         """Request/grant handshake preceding a reservation-mode send."""
         grant = self.sim.event()
         self._awaiting_grant.setdefault(dst, deque()).append(grant)
@@ -248,6 +242,12 @@ class MeglosNode(KernelCore):
                 waiters.popleft().succeed()
         else:  # pragma: no cover - future ops
             raise ValueError(f"unknown reservation op {op!r}")
+
+    def release_grant(self, sender: int) -> None:
+        """Data from ``sender`` arrived: end its grant, authorize the next."""
+        if self._grant_active == sender:
+            self._grant_active = None
+            self._issue_next_grant()
 
     def _issue_next_grant(self) -> None:
         if not self._grant_queue:

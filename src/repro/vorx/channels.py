@@ -144,9 +144,6 @@ CTRL_RETRY = "retry"
 class ChannelService:
     """Per-kernel channel implementation."""
 
-    #: Payload bytes of an open request/reply on the wire.
-    OPEN_REQUEST_BYTES = 48
-
     def __init__(self, kernel: "NodeKernel") -> None:
         self.kernel = kernel
         self.endpoints: dict[int, ChannelEndpoint] = {}
@@ -172,6 +169,9 @@ class ChannelService:
         #: and the number of multiplicative-decrease events.
         self._m_window_size = metrics.gauge("chan.window.size")
         self._m_window_shrinks = metrics.counter("chan.window.shrinks")
+        kernel.register_handler(MessageKind.CHANNEL_DATA, self.on_data)
+        kernel.register_handler(MessageKind.CHANNEL_ACK, self.on_ack)
+        kernel.register_handler(MessageKind.CHANNEL_CTRL, self.on_ctrl)
 
     # ------------------------------------------------------------------
     # adaptive window (AIMD) helpers
@@ -275,10 +275,9 @@ class ChannelService:
         self._next_eid += 1
         self.endpoints[endpoint.eid] = endpoint
         yield kernel.k_exec(kernel.costs.syscall_overhead)
-        reply = yield from kernel.manager.request_open(
-            sp, name, endpoint.eid, kind="channel"
+        peer_addr, peer_eid = yield from kernel.manager.request(
+            sp, "open", name, kind="channel", id=endpoint.eid
         )
-        peer_addr, peer_eid = reply
         endpoint.peer_addr = peer_addr
         endpoint.peer_eid = peer_eid
         endpoint.open = True

@@ -2,14 +2,17 @@
 
 Each processing node (and each host workstation) runs one
 :class:`NodeKernel`: the preemptive subprocess scheduler, the interrupt
-service path that drains the HPC interface, and the demultiplexer feeding
-the channel service, the object manager, user-defined objects, and any
-registered extension services (stubs, downloads, multicast).
+service path that drains the HPC interface, and the services its
+arrivals are demultiplexed to: channels, user-defined objects, the
+object manager, multicast, and any services installed later (stubs,
+downloads, forwarded system calls).
 
-The scheduler, the CPU charging discipline and blocking are the
+The scheduler, the CPU charging discipline, blocking, the kind ->
+handler table and the reply-token table are the
 :class:`~repro.vorx.subprocesses.KernelCore` that Meglos runs as well;
-this module adds what is VORX's own: posting to the HPC interface, the
-demultiplexer, and the supervisor-call counters.
+each service registers its handlers there in its constructor.  This
+module adds what is VORX's own: posting to the HPC interface, dropping
+kinds no service claims, and the supervisor-call counters.
 """
 
 from __future__ import annotations
@@ -125,34 +128,12 @@ class NodeKernel(KernelCore):
             yield from self._dispatch(packet)
         self._isr_active = False
 
-    def _dispatch(self, packet: Packet):
-        """Generator (ISR context): demultiplex one arrival."""
-        kind = packet.kind
-        if kind is MessageKind.CHANNEL_DATA:
-            yield from self.channels.on_data(packet)
-        elif kind is MessageKind.CHANNEL_ACK:
-            yield from self.channels.on_ack(packet)
-        elif kind is MessageKind.CHANNEL_CTRL:
-            yield from self.channels.on_ctrl(packet)
-        elif kind is MessageKind.MANAGER:
-            yield from self.manager.on_manager(packet)
-        elif kind is MessageKind.USER_OBJECT:
-            yield from self.objects.on_message(packet)
-        elif kind is MessageKind.MULTICAST:
-            yield from self.multicast.on_message(packet)
-        else:
-            handler = self._kind_handlers.get(kind)
-            if handler is None:
-                self.metrics.counter("kernel.packets_dropped").inc()
-                self.emit("kernel", "dropped-packet", kind=str(kind.value),
-                          src=packet.src, size=packet.size)
-                yield self.isr_exec(self.costs.chan_recv_kernel)
-            else:
-                yield from handler(packet)
-
-    def dispatch_out_of_band(self, packet: Packet) -> None:
-        """Dispatch a packet found while polling (interrupts disabled)."""
-        self.sim.process(self._dispatch(packet))
+    def _unhandled(self, packet: Packet):
+        """Generator (ISR context): count, log and drop an unclaimed kind."""
+        self.metrics.counter("kernel.packets_dropped").inc()
+        self.emit("kernel", "dropped-packet", kind=str(packet.kind.value),
+                  src=packet.src, size=packet.size)
+        yield self.isr_exec(self.costs.chan_recv_kernel)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<NodeKernel {self.name} addr={self.address}>"

@@ -9,11 +9,15 @@ point-to-point message with just the needed data wins (the 2DFFT example,
 experiment E6).
 
 Model notes: receivers *join* a named group; a sender *opens* the group
-for a known receiver count (rendezvous through the same hashed manager
-placement as channels).  A multicast send charges the sender's CPU for
-**one** message (the HPC hardware replicates it); the fabric carries one
-copy per member.  Flow control: the sender blocks until every member's
-kernel has acknowledged -- the multicast analogue of stop-and-wait.
+for a known receiver count.  Both are requests to the communications
+object manager that channel opens use (:mod:`repro.vorx.object_manager`):
+this service registers the ``"mc-join"`` and ``"mc-open"`` ops there and
+keeps the member lists on the manager node the group name hashes to.  A
+multicast send charges the sender's CPU for **one** message (the HPC
+hardware replicates it); the fabric carries one copy per member.  Flow
+control: the sender blocks until every member's kernel has acknowledged
+-- the multicast analogue of stop-and-wait.  ``MULTICAST`` messages carry
+only that data and those acknowledgements.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from typing import TYPE_CHECKING, Any, Optional
 
 from repro.hpc.message import MessageKind, Packet
 from repro.vorx.errors import ChannelStateError
-from repro.vorx.object_manager import MANAGER_MESSAGE_BYTES, name_hash
 from repro.vorx.subprocesses import BlockReason, Subprocess
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -71,12 +74,13 @@ class MulticastService:
         self._next_gid = 1
         # Manager-side state (only used on the node that names hash to).
         self._members: dict[str, list[tuple[int, int]]] = {}
-        self._waiting_senders: dict[str, list[tuple[int, int, int]]] = {}
-        # Client-side pending requests: token -> event.
-        self._waiting: dict[int, "Event"] = {}
-        self._next_token = 1
+        self._waiting_senders: dict[str, list[dict]] = {}
         # Sender-side in-flight acks: token -> [remaining, event].
         self._pending_acks: dict[int, list] = {}
+        self._next_token = 1
+        kernel.manager.register_op("mc-join", self._serve_join)
+        kernel.manager.register_op("mc-open", self._serve_open)
+        kernel.register_handler(MessageKind.MULTICAST, self.on_message)
 
     # ------------------------------------------------------------------
     # subprocess-context API
@@ -88,9 +92,7 @@ class MulticastService:
         self._next_gid += 1
         self.groups[group.gid] = group
         yield kernel.k_exec(kernel.costs.syscall_overhead)
-        yield from self._request(
-            sp, name, {"op": "mc-join", "gid": group.gid}
-        )
+        yield from kernel.manager.request(sp, "mc-join", name, gid=group.gid)
         return group
 
     def open_send(self, sp: Subprocess, name: str, n_receivers: int):
@@ -100,8 +102,8 @@ class MulticastService:
             raise ValueError(f"need at least one receiver, got {n_receivers}")
         kernel = self.kernel
         yield kernel.k_exec(kernel.costs.syscall_overhead)
-        members = yield from self._request(
-            sp, name, {"op": "mc-open", "expected": n_receivers}
+        members = yield from kernel.manager.request(
+            sp, "mc-open", name, expected=n_receivers
         )
         return MulticastSendHandle(name, [tuple(m) for m in members])
 
@@ -165,7 +167,7 @@ class MulticastService:
     # ISR-context handlers
     # ------------------------------------------------------------------
     def on_message(self, packet: Packet):
-        """Generator (ISR context): demux multicast data/control."""
+        """Generator (ISR context): multicast data and acknowledgements."""
         kernel = self.kernel
         costs = kernel.costs
         body = packet.payload
@@ -199,78 +201,32 @@ class MulticastService:
                 pending[0] -= 1
                 if pending[0] == 0:
                     pending[1].succeed()
-        elif op in ("mc-join", "mc-open"):
-            yield kernel.isr_exec(costs.chan_open_kernel)
-            self._handle_manager(packet.src, body)
-        elif op == "mc-reply":
-            yield kernel.isr_exec(costs.chan_ack_recv)
-            event = self._waiting.get(body["token"])
-            if event is not None:
-                event.succeed(body["result"])
         else:  # pragma: no cover - future ops
             raise ValueError(f"unknown multicast op {op!r}")
 
     # ------------------------------------------------------------------
-    # internals
+    # manager ops (run on the node the group name hashes to)
     # ------------------------------------------------------------------
-    def _manager_for(self, name: str) -> int:
-        addresses = self.kernel.manager.manager_addresses
-        return addresses[name_hash(name) % len(addresses)]
+    def _serve_join(self, request: dict) -> None:
+        name = request["name"]
+        members = self._members.setdefault(name, [])
+        members.append((request["addr"], request["gid"]))
+        self.kernel.manager.reply(request, "joined")
+        self._check_waiting_senders(name)
 
-    def _request(self, sp: Subprocess, name: str, body: dict):
-        """Generator: send a management request, block for the reply."""
-        kernel = self.kernel
-        token = self._next_token
-        self._next_token += 1
-        event = kernel.sim.event()
-        self._waiting[token] = event
-        body = dict(body, name=name, token=token, addr=kernel.address)
-        manager = self._manager_for(name)
-        if manager == kernel.address:
-            yield kernel.k_exec(kernel.costs.chan_open_kernel)
-            self._handle_manager(kernel.address, body)
-        else:
-            kernel.post(
-                dst=manager, size=MANAGER_MESSAGE_BYTES,
-                kind=MessageKind.MULTICAST, payload=body,
-            )
-        try:
-            result = yield from kernel.block(sp, BlockReason.INPUT, event)
-        finally:
-            self._waiting.pop(token, None)
-        return result
-
-    def _handle_manager(self, src: int, body: dict) -> None:
-        name = body["name"]
-        if body["op"] == "mc-join":
-            members = self._members.setdefault(name, [])
-            members.append((body["addr"], body["gid"]))
-            self._reply(body["addr"], body["token"], "joined")
-            self._check_waiting_senders(name)
-        else:  # mc-open
-            waiting = self._waiting_senders.setdefault(name, [])
-            waiting.append((body["addr"], body["token"], body["expected"]))
-            self._check_waiting_senders(name)
+    def _serve_open(self, request: dict) -> None:
+        name = request["name"]
+        self._waiting_senders.setdefault(name, []).append(request)
+        self._check_waiting_senders(name)
 
     def _check_waiting_senders(self, name: str) -> None:
         members = self._members.get(name, [])
         waiting = self._waiting_senders.get(name, [])
         still_waiting = []
-        for addr, token, expected in waiting:
+        for request in waiting:
+            expected = request["expected"]
             if len(members) >= expected:
-                self._reply(addr, token, list(members[:expected]))
+                self.kernel.manager.reply(request, list(members[:expected]))
             else:
-                still_waiting.append((addr, token, expected))
+                still_waiting.append(request)
         self._waiting_senders[name] = still_waiting
-
-    def _reply(self, addr: int, token: int, result: Any) -> None:
-        kernel = self.kernel
-        if addr == kernel.address:
-            event = self._waiting.get(token)
-            if event is not None:
-                event.succeed(result)
-            return
-        kernel.post(
-            dst=addr, size=MANAGER_MESSAGE_BYTES, kind=MessageKind.MULTICAST,
-            payload={"op": "mc-reply", "token": token, "result": result},
-        )

@@ -14,8 +14,16 @@ This module implements both organisations behind one interface:
 * ``centralized`` -- a single manager address handles every open
   (Meglos-style; used by experiment E9 to reproduce the bottleneck).
 
-User-defined communications objects rendezvous through the same mechanism
-(Section 4.1: "integrated with the object manager").
+Every named rendezvous goes through it: channel opens and user-defined
+communications objects (Section 4.1: "integrated with the object
+manager") as the ``"open"`` op, multicast groups (Section 4.2) as the
+``"mc-join"`` and ``"mc-open"`` ops that :mod:`repro.vorx.multicast`
+registers.  A client calls :meth:`ObjectManagerService.request`; the
+manager piece runs the op's handler, which answers through
+:meth:`ObjectManagerService.reply`.  Requests and replies travel as
+48-byte ``MANAGER`` messages, and a request whose manager is the local
+node skips the wire but still pays the manager's processing cost.  The
+client waits on the kernel's reply-token table.
 
 Pairing is FIFO per name, which also provides the paper's server
 name-reuse semantics: a server re-opening the same name repeatedly pairs
@@ -26,13 +34,12 @@ from __future__ import annotations
 
 import zlib
 from collections import deque
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.hpc.message import MessageKind, Packet
-from repro.vorx.subprocesses import BlockReason, Subprocess
+from repro.vorx.subprocesses import Subprocess
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.events import Event
     from repro.vorx.kernel import NodeKernel
 
 #: Wire size of manager requests and replies.
@@ -53,13 +60,21 @@ class ObjectManagerService:
         #: builder; a single-element list gives the centralized (Meglos)
         #: organisation.
         self.manager_addresses: list[int] = [kernel.address]
-        #: Server side: (kind, name) -> FIFO of waiting opens.
-        self._pending: dict[tuple[str, str], deque[tuple[int, int, int]]] = {}
-        #: Client side: token -> event for replies in flight.
-        self._waiting: dict[int, "Event"] = {}
-        self._next_token = 1
+        #: Server side: op -> handler(request) run by the manager piece.
+        self._ops: dict[str, Callable[[dict], None]] = {}
+        #: Server side: (kind, name) -> FIFO of unpaired open requests.
+        self._pending: dict[tuple[str, str], deque[dict]] = {}
         #: Opens handled by this node's manager piece (statistics for E9).
         self.opens_handled = 0
+        self.register_op("open", self._serve_open)
+        kernel.register_handler(MessageKind.MANAGER, self.on_manager)
+
+    def register_op(self, op: str, handler: Callable[[dict], None]) -> None:
+        """Install the manager-side handler for requests of ``op``."""
+        if op in self._ops or op == "reply":
+            raise ValueError(f"{self.kernel.name}: manager op {op!r} "
+                             "already present")
+        self._ops[op] = handler
 
     # ------------------------------------------------------------------
     # placement
@@ -73,31 +88,23 @@ class ObjectManagerService:
     # ------------------------------------------------------------------
     # client side (subprocess context)
     # ------------------------------------------------------------------
-    def request_open(self, sp: Subprocess, name: str, eid: int, kind: str):
-        """Generator: ask the responsible manager to pair this open.
+    def request(self, sp: Subprocess, op: str, name: str, **fields):
+        """Generator: send ``op`` for ``name`` to its manager; return the reply.
 
-        Blocks the subprocess until a peer opens the same name.  Returns
-        ``(peer_address, peer_id)``.
+        Blocks the subprocess until the manager answers (for ``"open"``:
+        until a peer opens the same name, returning ``(peer_address,
+        peer_id)``).
         """
         kernel = self.kernel
-        token = self._next_token
-        self._next_token += 1
-        event = kernel.sim.event()
-        self._waiting[token] = event
+        token, event = kernel.expect_reply()
         manager = self.node_for(name)
-        request = {
-            "op": "open",
-            "kind": kind,
-            "name": name,
-            "addr": kernel.address,
-            "id": eid,
-            "token": token,
-        }
+        request = dict(fields, op=op, name=name, addr=kernel.address,
+                       token=token)
         if manager == kernel.address:
             # Local shortcut: no wire traversal, but the manager's
             # processing cost is still paid.
             yield kernel.k_exec(kernel.costs.chan_open_kernel)
-            self._handle_open(request)
+            self._ops[op](request)
         else:
             kernel.post(
                 dst=manager,
@@ -105,11 +112,7 @@ class ObjectManagerService:
                 kind=MessageKind.MANAGER,
                 payload=request,
             )
-        try:
-            reply = yield from kernel.block(sp, BlockReason.INPUT, event)
-        finally:
-            self._waiting.pop(token, None)
-        return reply
+        return (yield from kernel.await_reply(sp, token, event))
 
     # ------------------------------------------------------------------
     # server side (ISR context)
@@ -117,55 +120,43 @@ class ObjectManagerService:
     def on_manager(self, packet: Packet):
         """Generator (ISR context): manager protocol traffic."""
         kernel = self.kernel
-        request = packet.payload
-        op = request["op"]
-        if op == "open":
-            yield kernel.isr_exec(kernel.costs.chan_open_kernel)
-            self._handle_open(request)
-        elif op == "open-reply":
+        body = packet.payload
+        op = body["op"]
+        if op == "reply":
             yield kernel.isr_exec(kernel.costs.chan_ack_recv)
-            event = self._waiting.get(request["token"])
-            if event is not None:
-                event.succeed((request["peer_addr"], request["peer_id"]))
-        else:  # pragma: no cover - future ops
+            kernel.resolve(body["token"], body["result"])
+            return
+        serve = self._ops.get(op)
+        if serve is None:  # pragma: no cover - future ops
             raise ValueError(f"unknown manager op {op!r}")
+        yield kernel.isr_exec(kernel.costs.chan_open_kernel)
+        serve(body)
 
-    def _handle_open(self, request: dict) -> None:
+    def reply(self, request: dict, result: Any) -> None:
+        """Answer ``request``; a local requester is woken without the wire."""
+        kernel = self.kernel
+        if request["addr"] == kernel.address:
+            kernel.resolve(request["token"], result)
+            return
+        kernel.post(
+            dst=request["addr"],
+            size=MANAGER_MESSAGE_BYTES,
+            kind=MessageKind.MANAGER,
+            payload={"op": "reply", "token": request["token"],
+                     "result": result},
+        )
+
+    def _serve_open(self, request: dict) -> None:
         """Pair FIFO opens of the same (kind, name)."""
         self.opens_handled += 1
         key = (request["kind"], request["name"])
         queue = self._pending.setdefault(key, deque())
         if queue:
-            partner_addr, partner_id, partner_token = queue.popleft()
-            self._deliver_reply(
-                partner_addr, partner_token, request["addr"], request["id"]
-            )
-            self._deliver_reply(
-                request["addr"], request["token"], partner_addr, partner_id
-            )
+            partner = queue.popleft()
+            self.reply(partner, (request["addr"], request["id"]))
+            self.reply(request, (partner["addr"], partner["id"]))
         else:
-            queue.append((request["addr"], request["id"], request["token"]))
-
-    def _deliver_reply(
-        self, addr: int, token: int, peer_addr: int, peer_id: int
-    ) -> None:
-        kernel = self.kernel
-        if addr == kernel.address:
-            event = self._waiting.get(token)
-            if event is not None:
-                event.succeed((peer_addr, peer_id))
-            return
-        kernel.post(
-            dst=addr,
-            size=MANAGER_MESSAGE_BYTES,
-            kind=MessageKind.MANAGER,
-            payload={
-                "op": "open-reply",
-                "token": token,
-                "peer_addr": peer_addr,
-                "peer_id": peer_id,
-            },
-        )
+            queue.append(request)
 
     # ------------------------------------------------------------------
     @property

@@ -70,6 +70,7 @@ class UserObjectService:
         self.kernel = kernel
         self.objects: dict[int, UserObject] = {}
         self._next_oid = 1
+        kernel.register_handler(MessageKind.USER_OBJECT, self.on_message)
 
     # ------------------------------------------------------------------
     # creation / rendezvous (subprocess context)
@@ -92,8 +93,8 @@ class UserObjectService:
         self._next_oid += 1
         self.objects[obj.oid] = obj
         if name is not None:
-            peer_addr, peer_oid = yield from kernel.manager.request_open(
-                sp, name, obj.oid, kind="object"
+            peer_addr, peer_oid = yield from kernel.manager.request(
+                sp, "open", name, kind="object", id=obj.oid
             )
             obj.peer_addr = peer_addr
             obj.peer_oid = peer_oid

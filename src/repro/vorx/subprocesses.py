@@ -118,10 +118,14 @@ class KernelCore:
 
     Owns the node's CPU and vstat registry, spawns and blocks
     subprocesses, guards the receive interrupt so one drain runs per
-    burst, records prof samples, and holds the message kind -> handler
-    table extension services register into.  Subclasses set
+    burst, and records prof samples.  It is also the node's one message
+    path: the message kind -> handler table every service registers
+    into (:meth:`_dispatch` is a single lookup in it) and the reply-token
+    table every request/reply wait goes through (:meth:`expect_reply`,
+    :meth:`await_reply`, :meth:`resolve`).  Subclasses set
     :attr:`env_class` and supply ``_isr``, the generator that drains
-    their interface.
+    their interface, and ``_unhandled``, the generator for kinds no
+    service claims.
     """
 
     #: The environment class each spawned program receives.
@@ -155,6 +159,9 @@ class KernelCore:
         self._kind_handlers: Dict[
             "MessageKind", Callable[["Packet"], Generator]
         ] = {}
+        #: Request/reply waits in flight: token -> the waiter's event.
+        self._replies: Dict[int, "Event"] = {}
+        self._next_token = 1
         self._isr_active = False
         #: Last idle category pushed to the timeline; this kernel is the
         #: only writer, so an equality check here skips the
@@ -225,13 +232,51 @@ class KernelCore:
     def _isr(self) -> Generator:  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def _unhandled(self, packet: "Packet") -> Generator:  # pragma: no cover
+        raise NotImplementedError
+
     def register_handler(
         self, kind: "MessageKind", handler: Callable[["Packet"], Generator]
     ) -> None:
-        """Install an extension service's handler for a message kind."""
+        """Install a service's handler for a message kind."""
         if kind in self._kind_handlers:
             raise ValueError(f"{self.name}: handler for {kind} already present")
         self._kind_handlers[kind] = handler
+
+    def _dispatch(self, packet: "Packet") -> Generator:
+        """The generator (ISR context) that handles one arrival."""
+        handler = self._kind_handlers.get(packet.kind)
+        if handler is None:
+            return self._unhandled(packet)
+        return handler(packet)
+
+    def dispatch_out_of_band(self, packet: "Packet") -> None:
+        """Dispatch a packet found while polling (interrupts disabled)."""
+        self.sim.process(self._dispatch(packet))
+
+    # ------------------------------------------------------------------
+    # request/reply waits
+    # ------------------------------------------------------------------
+    def expect_reply(self) -> tuple[int, "Event"]:
+        """A fresh reply token and the event its reply will fire."""
+        token = self._next_token
+        self._next_token += 1
+        event = self.sim.event()
+        self._replies[token] = event
+        return token, event
+
+    def await_reply(self, sp: Subprocess, token: int, event: "Event"):
+        """Generator: block ``sp`` until ``token``'s reply; return its value."""
+        try:
+            return (yield from self.block(sp, BlockReason.INPUT, event))
+        finally:
+            self._replies.pop(token, None)
+
+    def resolve(self, token: int, value: Any = None) -> None:
+        """Wake the waiter for ``token``; a reply nobody awaits is ignored."""
+        event = self._replies.pop(token, None)
+        if event is not None:
+            event.succeed(value)
 
     # ------------------------------------------------------------------
     # subprocess lifecycle and blocking

@@ -23,13 +23,13 @@ throughput versus host count.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.hostos.filesystem import FileSystem
 from repro.hpc.message import MessageKind, Packet
 from repro.vorx.errors import SyscallError
 from repro.vorx.stub import SYSCALL_REQUEST_BYTES, Stub, StubService
-from repro.vorx.subprocesses import BlockReason, Subprocess
+from repro.vorx.subprocesses import Subprocess
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.vorx.kernel import NodeKernel
@@ -60,8 +60,6 @@ class DecentralizedSyscallService:
             raise ValueError("need at least one host binding")
         self.kernel = kernel
         self.bindings = bindings
-        self._waiting: dict[int, Any] = {}
-        self._next_token = 1
         #: fd -> binding that owns the descriptor's state.
         self._fd_home: dict[int, HostBinding] = {}
         # Rotating tie-break so concurrent nodes spread over the hosts
@@ -100,10 +98,7 @@ class DecentralizedSyscallService:
         kernel.metrics.counter(
             "syscall.host_calls", labels=(str(binding.host_addr),)
         ).inc()
-        token = self._next_token
-        self._next_token += 1
-        event = kernel.sim.event()
-        self._waiting[token] = event
+        token, event = kernel.expect_reply()
         bulk = sum(len(a) for a in args if isinstance(a, (bytes, bytearray)))
         size = min(SYSCALL_REQUEST_BYTES + bulk, costs.hpc_max_message)
         yield kernel.k_exec(costs.syscall_overhead + costs.copy_time(size))
@@ -115,10 +110,9 @@ class DecentralizedSyscallService:
             payload={"token": token, "op": op, "args": args},
         )
         try:
-            reply = yield from kernel.block(sp, BlockReason.INPUT, event)
+            reply = yield from kernel.await_reply(sp, token, event)
         finally:
             binding.outstanding -= 1
-            self._waiting.pop(token, None)
         if not reply["ok"]:
             raise SyscallError(f"{op}{args!r} failed: {reply['value']}")
         if op == "open":
@@ -132,10 +126,7 @@ class DecentralizedSyscallService:
         yield kernel.isr_exec(
             kernel.costs.chan_recv_kernel + kernel.costs.copy_time(packet.size)
         )
-        body = packet.payload
-        event = self._waiting.get(body["token"])
-        if event is not None:
-            event.succeed(body)
+        kernel.resolve(packet.payload["token"], packet.payload)
 
     # ------------------------------------------------------------------
     def distribution(self) -> dict[int, int]:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import FaultPlan, MeglosSystem, VorxSystem, fault_summary
+from repro.hpc.message import MessageKind
 
 
 def stream(system, n_messages=20, nbytes=256):
@@ -56,6 +57,16 @@ def test_only_one_plan_per_simulator():
     system = VorxSystem(n_nodes=2, faults=FaultPlan())
     with pytest.raises(RuntimeError):
         FaultPlan().attach(system)
+
+
+def test_unknown_kind_rejected():
+    """A misspelt kind would never match a packet: refuse it up front."""
+    with pytest.raises(ValueError, match="chanel-data.*'channel-data'"):
+        FaultPlan(drop=0.5, kinds=("chanel-data",))
+    with pytest.raises(ValueError, match="channel-nak"):
+        FaultPlan(drop=0.5, kinds=("channel-data", "channel-nak"))
+    plan = FaultPlan(kinds=(MessageKind.USER_OBJECT, "manager"))
+    assert plan.kinds == {"user-object", "manager"}
 
 
 # ----------------------------------------------------------------------

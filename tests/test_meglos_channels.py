@@ -135,3 +135,53 @@ def test_centralized_opens_serialize_on_host():
     finish = max(sp.result for sp in jobs)
     # Eight serialized manager requests at ~9 ms each dominate.
     assert finish > 8 * system.costs.central_manager_request * 0.5
+
+
+def burst_at_masked_reader(recovery):
+    """Three writers each send two 700-byte channel messages at 100 ms to
+    one reader whose interrupts are masked from 90 ms to 103 ms.
+    Returns (messages delivered, partials discarded, bus rejections)."""
+    system = MeglosSystem(n_nodes=5, recovery=recovery)
+    services = install_channels(system)
+    delivered = []
+
+    def writer(env, i):
+        ch = yield from services[i].open(env.subprocess, f"c{i}")
+        yield from env.sleep(100_000.0 - env.now)
+        for _ in range(2):
+            yield from services[i].write(env.subprocess, ch, 700)
+
+    def reader(env, i):
+        ch = yield from services[4].open(env.subprocess, f"c{i}")
+        for _ in range(2):
+            size, _ = yield from services[4].read(env.subprocess, ch)
+            delivered.append(size)
+
+    def masker(env):
+        yield from env.sleep(90_000.0)
+        env.disable_interrupts()
+        yield from env.sleep(13_000.0)
+        env.enable_interrupts()
+
+    for i in (1, 2, 3):
+        system.spawn(i, lambda env, i=i: writer(env, i))
+        system.spawn(4, lambda env, i=i: reader(env, i))
+    system.spawn(4, masker)
+    system.run(until=400_000.0)
+    return (len(delivered), system.node(4).partials_discarded,
+            system.bus.rejections)
+
+
+def test_channels_follow_the_system_recovery_policy():
+    """Channel opens and writes default to ``MeglosSystem(recovery=...)``;
+    a reservation write runs the request/grant handshake, and channel
+    data releases the grant so the next writer is authorized."""
+    delivered, partials, rejections = burst_at_masked_reader(
+        "busy-retransmit"
+    )
+    # Section 2: busy retransmission locks the masked reader out.
+    assert delivered == 0
+    assert partials > 1000 and rejections > 1000
+    delivered, _, _ = burst_at_masked_reader("random-backoff")
+    assert delivered == 6
+    assert burst_at_masked_reader("reservation") == (6, 0, 0)

@@ -33,7 +33,7 @@ def test_manager_on_remote_node():
     receiver; rendezvous still works through that manager."""
     system = VorxSystem(n_nodes=6)
     # Find a name managed by a node other than 0 and 5.
-    manager_of = system.node(0).multicast._manager_for
+    manager_of = system.node(0).manager.node_for
     name = next(
         f"grp-{i}" for i in range(100)
         if manager_of(f"grp-{i}") not in (system.node(0).address,
