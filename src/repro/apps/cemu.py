@@ -70,10 +70,6 @@ class Circuit:
     n_inputs: int
     gates: list[Gate] = field(default_factory=list)
 
-    @property
-    def n_signals(self) -> int:
-        return self.n_inputs + len(self.gates)
-
     @classmethod
     def random(cls, n_inputs: int = 8, n_gates: int = 64,
                seed: int = 1990) -> "Circuit":

@@ -21,20 +21,22 @@ module supplies everything below the synchronization protocol:
   with the same BFS (:func:`~repro.hpc.topology.first_hop_ports`) over
   the *full* cluster graph, so routes -- and therefore hop counts --
   are identical to the unsharded fabric.
-* :class:`BoundaryLink` -- one direction of a fibre whose far end lives
-  on another shard.  It serializes exactly like a real
-  :class:`~repro.hpc.link.Link` (FIFO, one message per wire time) but
-  *captures* the outbound message into the shard's outbox at pickup
-  time, stamped with its arrival time ``pickup + wire``.  Capturing at
-  pickup is what makes the lookahead sound: every message a shard emits
-  while running a window starting at ``T`` arrives no earlier than
-  ``T + lookahead``, so a neighbour may safely advance that far.
+* :class:`BoundaryLink` -- a :class:`~repro.hpc.link.Link` whose far
+  end lives on another shard: the same queue, counters, fault path and
+  site name as the unsharded wire, but it *captures* the outbound
+  message into the shard's outbox at pickup time, stamped with its
+  arrival time ``pickup + wire``.  Capturing at pickup is what makes
+  the lookahead sound: every message a shard emits while running a
+  window starting at ``T`` arrives no earlier than ``T + lookahead``,
+  so a neighbour may safely advance that far.
 
 The one relaxation versus the unsharded fabric: a boundary link does
 not wait for a *remote* buffer credit before transmitting -- the
-receiving shard's injector reserves the buffer on arrival instead.
-Delivered traffic is identical (the backend-parity digest matches the
-single-simulator run); only the timing skews, boundedly, which is why
+receiving shard reserves the buffer on arrival instead
+(:meth:`ShardFabric.inject`, one callback per crossing).  Delivered
+traffic is identical (the backend-parity digest matches the
+single-simulator run) and faults on boundary wires fire as on the
+unsharded wires; only the timing skews, boundedly, which is why
 schedule goldens for sharded runs are pinned per shard count rather
 than shared with the unsharded golden.
 """
@@ -45,11 +47,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.hpc.cluster import Cluster
+from repro.hpc.link import Link
 from repro.hpc.message import MessageKind, Packet
 from repro.hpc.nic import HPCInterface
 from repro.hpc.topology import Fabric, first_hop_ports
 from repro.sim.events import Event
-from repro.sim.resources import Store
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.model.costs import CostModel
@@ -277,109 +279,53 @@ def decode_packet(data: tuple) -> Packet:
 # ---------------------------------------------------------------------------
 # Boundary links
 # ---------------------------------------------------------------------------
-class BoundaryLink:
+class BoundaryLink(Link):
     """One direction of a fibre whose far end lives on another shard.
 
-    Mirrors :class:`~repro.hpc.link.Link`'s contract (FIFO requests,
-    ``send`` returns an event that fires when the sender's buffer may be
-    freed, one wire time of serialization per message) with two
-    deviations:
+    It is a :class:`~repro.hpc.link.Link` -- the same request queue,
+    counters, fault path (NIC stall, crash-drop, drop, corrupt, delay,
+    duplicate, brownout) and site name ``c{a}.p{port}->c{b}`` as the
+    unsharded wire -- except in three things:
 
-    * The message is **captured at pickup**: the moment the wire starts
-      serializing, ``(arrival, destination, packet)`` is appended to the
+    * no remote credit is reserved: the receiving shard's
+      :meth:`ShardFabric.inject` performs the ``reserve``/``deliver``
+      pair on arrival;
+    * the message is **captured at pickup**: the moment the wire starts
+      serializing, ``(arrival, *dest, packet)`` is appended to the
       shard's outbox with ``arrival = now + wire``.  Since ``wire >=
-      lookahead`` by construction, every message emitted inside a
-      window starting at ``T`` arrives at ``>= T + lookahead`` -- the
-      invariant the conservative window protocol rests on.
-    * No remote credit is reserved; the receiving shard's injector
-      performs the ``reserve``/``deliver`` pair on arrival, preserving
-      in-shard flow control while decoupling the shards.
+      lookahead`` and every fault only makes a pickup or an arrival
+      later, every message emitted inside a window starting at ``T``
+      arrives at ``>= T + lookahead`` -- the invariant the conservative
+      window protocol rests on;
+    * nothing is delivered locally.
     """
 
     def __init__(
         self,
         sim: "Simulator",
         costs: "CostModel",
-        dest_shard: int,
-        dest_cluster: int,
-        dest_port: int,
+        dest: tuple[int, int, int],
         outbox: list,
-        name: str = "blink",
+        name: str,
     ) -> None:
-        self.sim = sim
-        self.costs = costs
-        self.dest_shard = dest_shard
-        self.dest_cluster = dest_cluster
-        self.dest_port = dest_port
+        super().__init__(sim, costs, None, name)
+        #: ``(shard, cluster, port)`` of the input this wire feeds.
+        self.dest = dest
         self.outbox = outbox
-        self.name = name
-        self._requests: Store = Store(sim)
-        self.metrics = sim.vstat.registry(name)
-        self._m_messages = self.metrics.counter("link.messages_carried")
-        self._m_bytes = self.metrics.counter("link.bytes_carried")
-        self._m_busy = self.metrics.counter("link.busy_us")
-        self._m_queue = self.metrics.gauge("link.queue_depth")
-        self._dest = (dest_shard, dest_cluster, dest_port)
-        #: The message on the wire: its size, done event and wire time.
-        self._size = 0
-        self._done: Optional[Event] = None
-        self._wire = 0.0
-        self._on_request = self._take
-        self._on_carried = self._carried
-        sim.start(self._listen)
 
-    @property
-    def messages_carried(self) -> int:
-        return int(self._m_messages.value)
-
-    @property
-    def bytes_carried(self) -> int:
-        return int(self._m_bytes.value)
-
-    @property
-    def busy_time(self) -> float:
-        return self._m_busy.value
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._requests)
-
-    def send(self, packet: Packet) -> Event:
-        """Queue ``packet``; fires once it is on the (remote-bound) wire."""
-        done = Event(self.sim)
-        self._requests.try_put((packet, done))
-        return done
-
-    # The same callback chain as :class:`~repro.hpc.link.Link` (see its
-    # comment): each callback hangs on the event a generator process
-    # would wait on, so the schedule is a process's.
-    def _listen(self, _event: Optional[Event] = None) -> None:
-        self._requests.get().callbacks.append(self._on_request)
-
-    def _take(self, event: Event) -> None:
-        packet, done = event._value
-        self._m_queue.set(len(self._requests))
-        size = self._size = packet.size
-        self._done = done
-        sim = self.sim
-        wire = self._wire = (
-            self.costs.hpc_wire_time(size) + self.costs.hpc_hop_latency
-        )
-        # Capture at pickup, not after the wire: the arrival stamp must
-        # stay >= (window start + lookahead) even for messages still "in
-        # flight" when the window closes.
+    def _reserve(self, _event: Optional[Event] = None) -> None:
+        """No credit to wait for: put the message on the wire and capture
+        it, stamped with its arrival, for the receiving shard."""
+        self._stall_from = self.sim._now
+        self._serialize(None)
+        packet = self._packet
         self.outbox.append(
-            (sim.now + wire,) + self._dest
+            (self.sim._now + self._wire,) + self.dest
             + (encode_packet(packet, packet.hops + 1),)
         )
-        sim.timeout(wire).callbacks.append(self._on_carried)
 
-    def _carried(self, _event: Event) -> None:
-        self._m_busy.value += self._wire
-        self._m_messages.value += 1.0
-        self._m_bytes.value += self._size
-        self._done.succeed()
-        self._listen()
+    def _deliver(self, packet: Packet) -> None:
+        """Delivered by the receiving shard, not here."""
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +395,8 @@ class ShardFabric(Fabric):
         self, cid: int, port: int, peer: int, peer_port: int, peer_shard: int
     ) -> None:
         link = BoundaryLink(
-            self.sim, self.costs, peer_shard, peer, peer_port, self.outbox,
-            name=f"c{cid}.p{port}->c{peer}@s{peer_shard}",
+            self.sim, self.costs, (peer_shard, peer, peer_port), self.outbox,
+            name=f"c{cid}.p{port}->c{peer}",
         )
         cluster = self.clusters[cid]
         self._check_port_free(cluster, port)
@@ -477,32 +423,20 @@ class ShardFabric(Fabric):
     ) -> None:
         """Deliver a boundary message into a local cluster input.
 
-        Started per message in batch order; the injection honours the
-        port's buffer credits (FIFO), so in-shard flow control survives
-        the shard boundary.  It is three callbacks -- start, arrival,
-        credit granted -- on the events an injector process would wait
-        on (urgent start, arrival timeout, ``reserve()``), and it ends by
-        triggering the event such a process triggers when it exits, so
-        the schedule and ``Simulator.processed`` are the process's.
+        One callback at ``arrival`` claims a buffer credit on the port
+        and delivers once it is granted (FIFO), so in-shard flow control
+        survives the shard boundary.  The arrival timeout is the one
+        event a crossing adds to the unsharded schedule: the boundary
+        link saved its credit event, the receiving port pays it here.
         """
-        sim = self.sim
         binput = self.clusters[cid].inputs[port]
 
-        def deliver(_event: Event) -> None:
-            binput.deliver(packet)
-            Event(sim).succeed()
-
-        def reserve(_event: Optional[Event] = None) -> None:
-            binput.reserve().callbacks.append(deliver)
-
         def arrive(_event: Event) -> None:
-            delay = arrival - sim.now
-            if delay > 0:
-                sim.timeout(delay).callbacks.append(reserve)
-            else:
-                reserve()
+            binput.reserve().callbacks.append(
+                lambda _granted: binput.deliver(packet)
+            )
 
-        sim.start(arrive)
+        self.sim.timeout(arrival - self.sim.now).callbacks.append(arrive)
 
     # -- overrides for the sparse cluster list -------------------------------
     def _local(self):

@@ -112,11 +112,6 @@ class HPCInterface:
         self._m_bytes_sent.value += packet.size
         return self.link.send(packet)
 
-    @property
-    def tx_backlog(self) -> int:
-        """Messages queued on the outgoing link, waiting for the wire."""
-        return self.link.queue_length if self.link else 0
-
     # -- receive -----------------------------------------------------------------
     def set_rx_interrupt(self, handler: Optional[Callable[[], None]]) -> None:
         """Install the receive-interrupt handler (None to remove)."""

@@ -43,11 +43,14 @@ identical for every worker count; the delivered-message
 Fault plans are supported: ``ShardedSimulator(..., faults=plan)``
 attaches an injector to *every* shard engine
 (:meth:`~repro.faults.plan.FaultPlan.attach_shard`).  Per-site RNG
-streams are keyed by ``(seed, site name)`` alone, so the fault schedule
-is shard-stable -- the same sites misbehave identically for every
-worker count -- and crash schedules are wired on whichever shard owns
-the crashed endpoint (every other shard still isolation-drops its
-traffic via the shared ``crash_times`` table).
+streams are keyed by ``(seed, site name)`` alone, and a cross-shard
+wire is a :class:`~repro.fabric.partition.BoundaryLink` carrying its
+unsharded site name and the whole link fault path, so the fault
+schedule is shard-stable -- the same sites misbehave identically for
+every worker count, boundary wires included -- and crash schedules
+are wired on whichever shard owns the crashed endpoint (every other
+shard still isolation-drops its traffic via the shared ``crash_times``
+table).
 """
 
 from __future__ import annotations

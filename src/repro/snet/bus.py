@@ -48,10 +48,6 @@ class SNetBus:
             raise ValueError(f"address {iface.address} already on the bus")
         self._interfaces[iface.address] = iface
 
-    @property
-    def n_interfaces(self) -> int:
-        return len(self._interfaces)
-
     def transmit(self, packet: "Packet"):
         """Generator: acquire the bus, transmit, return acceptance.
 

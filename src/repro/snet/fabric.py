@@ -116,19 +116,11 @@ class SNetFabric(FabricBackend):
 
         The bus synchronously reports fifo-full; this loop backs off one
         wire time of the rejected message and retransmits until the
-        destination fifo takes it whole, counting each retry.  A message
-        larger than the whole receive fifo can never be accepted -- every
-        retransmission would be rejected forever -- so it is refused up
-        front instead of livelocking the sender.
+        destination fifo takes it whole, counting each retry (a message
+        no fifo can hold is refused by
+        :meth:`~repro.snet.nic.SNetInterface.send_until_accepted`).
         """
         self._require_endpoint(src)
-        wire_bytes = packet.size + self.costs.snet_header_bytes
-        if wire_bytes > self.costs.snet_fifo_bytes:
-            raise ValueError(
-                f"message of {packet.size} bytes ({wire_bytes} on the wire) "
-                f"can never fit the {self.costs.snet_fifo_bytes}-byte "
-                f"receive fifo; fragment it in software"
-            )
         backoff = self.costs.snet_wire_time(packet.size)
 
         def retry(attempts: int):

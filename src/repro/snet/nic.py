@@ -86,12 +86,24 @@ class SNetInterface:
         the packet for each attempt; after the ``n``-th rejection the
         caller's ``wait(n)`` generator runs (its backoff, CPU spin or
         both) before the next.  Returns the number of attempts (1 = no
-        overflow).
+        overflow).  A message larger than the whole receive fifo can
+        never be accepted -- every retransmission would be rejected
+        forever -- so it is refused up front instead of livelocking the
+        sender.
         """
+        packet = build()
+        wire_bytes = packet.size + self.costs.snet_header_bytes
+        if wire_bytes > self.costs.snet_fifo_bytes:
+            raise ValueError(
+                f"message of {packet.size} bytes ({wire_bytes} on the wire) "
+                f"can never fit the {self.costs.snet_fifo_bytes}-byte "
+                f"receive fifo; fragment it in software"
+            )
         attempts = 1
-        while not (yield from self.send(build())):
+        while not (yield from self.send(packet)):
             yield from wait(attempts)
             attempts += 1
+            packet = build()
         return attempts
 
     # -- receive ------------------------------------------------------------

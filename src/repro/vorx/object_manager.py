@@ -157,9 +157,3 @@ class ObjectManagerService:
             self.reply(request, (partner["addr"], partner["id"]))
         else:
             queue.append(request)
-
-    # ------------------------------------------------------------------
-    @property
-    def pending_opens(self) -> int:
-        """Unpaired opens waiting at this manager (for tools/tests)."""
-        return sum(len(q) for q in self._pending.values())

@@ -10,7 +10,8 @@ Three bugs are pinned here:
   ``FabricBackend.fault_sites()`` and ``attach()`` validates patterns;
 * attaching a plan to a sharded fabric installed the injector only on
   the orchestrator simulator -- now every shard gets one, with
-  shard-stable per-site RNG streams.
+  shard-stable per-site RNG streams, and a wire that crosses the shard
+  boundary carries the same site name and fault path as unsharded.
 """
 
 from types import SimpleNamespace
@@ -29,6 +30,7 @@ from repro import (
     create_fabric,
     run_all_pairs,
 )
+from repro.fabric.partition import boundary_cut_sites, partition_fabric
 
 
 def raw_fabric(topology="hypercube", n_endpoints=16, **options):
@@ -194,6 +196,45 @@ def test_sharded_rejects_unmatchable_site_pattern():
             "hypercube", n_endpoints=32, shards=4, workers=1,
             faults=FaultPlan(links={"snet.bus": {"drop": 1.0}}),
         )
+
+
+def boundary_cut_plan(fault):
+    """Every user-object message on the wires between the two halves of
+    hypercube/64 suffers ``fault`` (``"drop"`` or ``"delay"``)."""
+    sim = Simulator()
+    fabric = create_fabric("hypercube", sim, DEFAULT_COSTS, n_endpoints=64)
+    shard_of = partition_fabric(fabric, 2).shard_of_cluster
+    block = [cid for cid, shard in enumerate(shard_of) if shard == 0]
+    return FaultPlan(
+        kinds=("user-object",), delay_us=(50.0, 50.0),
+        links={site: {fault: 1.0}
+               for site in boundary_cut_sites(fabric, block)},
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "fault, delivered, duration_us",
+    [("drop", 236, 180.0), ("delay", 512, 1790.0)],
+)
+def test_faults_on_cross_shard_wires_fire_as_unsharded(
+    workers, fault, delivered, duration_us
+):
+    sim = Simulator()
+    fabric = create_fabric("hypercube", sim, DEFAULT_COSTS, n_endpoints=64)
+    attach(boundary_cut_plan(fault), sim, fabric)
+    reference = run_all_pairs(fabric, size=64, partners=8)
+    result = ShardedSimulator(
+        "hypercube", n_endpoints=64, shards=2, workers=workers,
+        faults=boundary_cut_plan(fault),
+    ).run_all_pairs(size=64, partners=8)
+    assert (reference.delivered, reference.duration_us) == (
+        delivered, duration_us
+    )
+    assert sim.faults.injections == 276
+    assert result.delivered == reference.delivered
+    assert result.injections == sim.faults.injections
+    assert result.duration_us == reference.duration_us
 
 
 # ----------------------------------------------------------------------

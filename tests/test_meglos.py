@@ -36,6 +36,21 @@ def test_size_limit_enforced():
         MeglosSystem(n_nodes=1)
 
 
+def test_send_larger_than_the_fifo_is_refused_not_retransmitted():
+    # No fifo can hold it, so every retransmission would be rejected
+    # forever: the one S/NET send loop refuses it before the bus.
+    system = MeglosSystem(n_nodes=2)
+
+    def sender(env):
+        yield from env.send(1, 3000)
+
+    system.spawn(0, sender)
+    with pytest.raises(ValueError, match="never fit"):
+        system.run(until=20_000.0)
+    assert system.node(1).iface.fifo.rejected == 0
+    assert system.node(0).iface.packets_sent == 0
+
+
 def burst_fit(n_senders, nbytes, extra_sender_messages=0):
     """Many-to-one burst while the receiver has interrupts masked.
 

@@ -29,7 +29,7 @@ from repro.sim.parallel import _ShardRuntime
 #: Changing the engine, the sync protocol, the partitioner, or the
 #: traffic driver legitimately moves this -- re-pin deliberately.
 GOLDEN_FINGERPRINT = (
-    "2524b21e5e8beeb89041550b11ad14fa505118688e9c1225073102f6142f7b08"
+    "f38ea10a3b7359418cf953900bb24ca73f49cee4f5d3df4d45884aed69e8ca5b"
 )
 
 
@@ -75,6 +75,17 @@ def test_golden_fingerprint_details():
     assert result.boundary_messages == 70
     assert result.delivered == 128
     assert result.duration_us == pytest.approx(40.0)
+
+
+def test_a_boundary_crossing_costs_one_event():
+    # The arrival must be scheduled on the receiving engine; nothing
+    # else is added to the unsharded schedule.
+    sim = Simulator()
+    fabric = create_fabric("hypercube", sim, DEFAULT_COSTS, n_endpoints=64)
+    run_all_pairs(fabric, size=64, partners=2)
+    result = sharded_run(1)
+    assert (result.events, sim.processed) == (2460, 2390)
+    assert result.events - sim.processed == result.boundary_messages
 
 
 def test_shard_count_changes_schedule_but_not_traffic():
