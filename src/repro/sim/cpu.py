@@ -8,6 +8,16 @@ always keeps two O(1) busy sums, :attr:`CPU.user_us` and
 :attr:`CPU.system_us`.  Its :class:`~repro.sim.trace.Timeline` records
 full segments for the software oscilloscope only once a scope arms it.
 
+Dispatch rule: a finished charge's own continuation has first claim on
+the CPU.  When a charge completes and work is queued, the CPU does not
+start the queued head at once; it dispatches it from a callback that
+runs after the charge's waiters.  A waiter that issues its next charge
+(a kernel path's next step, an ISR's next burst) therefore meets an idle
+CPU, and :meth:`CPU.execute` starts the best of that charge and the
+queue by ``(priority, seq)`` -- the schedule eager dispatch would reach
+by starting the head and preempting it 0 us later, without the
+preemption.
+
 Priority convention: **lower number = higher priority**.  The stack uses:
 
 ====================  ========
@@ -131,8 +141,10 @@ class CPU:
         self._last_owner: Optional[str] = None
         self._seq = 0
         # One bound method for every completion handle, instead of
-        # allocating ``self._complete`` fresh on each dispatch.
+        # allocating ``self._complete`` fresh on each dispatch; likewise
+        # the deferred dispatch appended to a completed charge's event.
         self._complete_cb = self._complete
+        self._dispatch_next_cb = self._dispatch_next
         #: Busy time charged so far, split USER / SYSTEM (context
         #: switches count as SYSTEM).  Always kept, scope or not.
         self.user_us: float = 0.0
@@ -278,6 +290,17 @@ class CPU:
         self._end_handle = sim.call_later(job.remaining, self._complete_cb)
 
     def _complete(self) -> None:
+        """End the running charge, then hand the CPU on.
+
+        A charge with a completion event and work queued behind it does
+        not dispatch the queue head here: ``_dispatch_next`` is appended
+        to the event's callbacks, so it runs after every waiter already
+        registered.  Whatever those waiters charge in the same instant
+        goes through :meth:`execute` on an idle CPU, which starts the
+        best queued ``(priority, seq)``; ``_dispatch_next`` then finds
+        the CPU busy and does nothing, or starts the head.  Internal
+        switch jobs have no event and dispatch at once.
+        """
         job = self._current
         assert job is not None
         now = self.sim._now
@@ -302,7 +325,13 @@ class CPU:
             sim = self.sim
             sim._imm_normal.append((sim._now, sim._seq, done))
             sim._seq += 1
-        # ``_dispatch`` inlined: every completed charge comes through
-        # here, and ``_complete`` just cleared ``_current``.
-        if self._ready:
+            if self._ready:
+                done.callbacks.append(self._dispatch_next_cb)
+        elif self._ready:
+            self._dispatch_job(heappop(self._ready)[2])
+
+    def _dispatch_next(self, _event: Event) -> None:
+        """Start the queue head if the completed charge's waiters left
+        the CPU idle."""
+        if self._current is None and self._ready:
             self._dispatch_job(heappop(self._ready)[2])

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import Simulator, CPU, Category
+from repro.sim.engine import Handle
 from repro.sim.cpu import PRIORITY_ISR, PRIORITY_KERNEL, PRIORITY_USER
 
 
@@ -195,6 +196,114 @@ def test_no_switch_charge_for_same_owner_or_kernel():
     sim.run(until=p)
     assert cpu.context_switches == 0
     assert sim.now == 30.0
+
+
+def test_switch_waits_for_same_owner_follow_up():
+    """A waiter's own follow-up claims the CPU before a queued job's
+    context switch starts.  Owner ``a``'s 100 us charge ends with ``b``
+    queued; ``a`` then charges 50 us at priority 5 in the same instant.
+    ``a`` keeps the CPU (no switch): a2 runs 100..150, then the a->b
+    switch 150..230 and b 230..330.  A CPU that dispatched ``b`` before
+    ``a``'s waiter ran started the non-preemptible switch first and
+    finished at a2 = 310, b = 490 with three switches."""
+    sim = Simulator()
+    cpu = CPU(sim, switch_cost=lambda old, new: 80.0)
+    ends = []
+
+    def a():
+        yield cpu.execute(100.0, owner="a")
+        ends.append(("a1", sim.now))
+        yield cpu.execute(50.0, priority=5, owner="a")
+        ends.append(("a2", sim.now))
+
+    def b():
+        yield sim.timeout(1.0)
+        yield cpu.execute(100.0, owner="b")
+        ends.append(("b", sim.now))
+
+    sim.process(a())
+    sim.process(b())
+    sim.run()
+    assert ends == [("a1", 100.0), ("a2", 150.0), ("b", 330.0)]
+    assert cpu.context_switches == 1
+    assert (cpu.user_us, cpu.system_us) == (250.0, 80.0)
+
+
+def _kernel_chain(queued_user):
+    """Three same-instant kernel charges (10, 5, 5 us), optionally with a
+    100 us user charge queued behind the first.  Returns the chain's and
+    the user charge's end times and how far ``sim._seq`` advanced from
+    the moment the user charge was queued."""
+    sim = Simulator()
+    cpu = CPU(sim)
+    ends = []
+
+    def chain():
+        for duration in (10.0, 5.0, 5.0):
+            yield cpu.execute(duration, priority=PRIORITY_KERNEL,
+                              category=Category.SYSTEM)
+            ends.append(sim.now)
+
+    sim.process(chain())
+    sim.step()  # the chain starts and charges its first step
+    seq = sim._seq
+    user = cpu.execute(100.0) if queued_user else None
+    sim.run()
+    user_end = sim.now if user is not None and user.processed else None
+    return ends, user_end, sim._seq - seq
+
+
+def test_kernel_chain_keeps_cpu_from_queued_user_job(monkeypatch):
+    """Each step of a kernel path issues its next charge from the
+    completed charge's waiter: the queued user job is neither started
+    nor preempted in between, so no completion handle is cancelled and
+    the user charge adds only its own two occurrences (its end handle
+    and its completion event) to ``sim._seq``."""
+    cancelled = []
+    cancel = Handle.cancel
+
+    def counting_cancel(handle):
+        cancelled.append(handle)
+        cancel(handle)
+
+    monkeypatch.setattr(Handle, "cancel", counting_cancel)
+    alone_ends, _, alone_seq = _kernel_chain(False)
+    ends, user_end, seq_advance = _kernel_chain(True)
+    assert ends == alone_ends == [10.0, 15.0, 20.0]
+    assert user_end == 120.0
+    assert cancelled == []
+    assert seq_advance == alone_seq + 2
+
+
+def test_dispatched_job_end_ties_after_waiter_timeout():
+    """The tie the dispatch rule orders differently.  The queued kernel
+    job starts at t=1 after the ISR's waiter has armed its 1 us timeout,
+    so at t=2 the timeout (armed first) fires before the kernel job's
+    end: the second ISR charge preempts it with nothing left to run and
+    it completes at t=3, after 1 us of CPU as before.  A CPU that
+    dispatched the kernel job before the waiter ran ended it at t=2."""
+    sim = Simulator()
+    cpu = CPU(sim)
+    ends = {}
+
+    def isr():
+        for step in (1, 2):
+            yield cpu.execute(1.0, priority=PRIORITY_ISR,
+                              category=Category.SYSTEM, preemptible=False)
+            ends[f"isr{step}"] = sim.now
+            if step == 1:
+                yield sim.timeout(1.0)
+
+    def kernel():
+        yield cpu.execute(1.0, priority=PRIORITY_KERNEL,
+                          category=Category.SYSTEM)
+        ends["kernel"] = sim.now
+
+    sim.process(isr())
+    sim.process(kernel())
+    sim.run()
+    assert ends == {"isr1": 1.0, "isr2": 3.0, "kernel": 3.0}
+    assert cpu.system_us == 3.0
 
 
 def test_queue_length_and_busy():
