@@ -10,6 +10,7 @@ transmitting until the downstream input has a free whole-message buffer.
 
 from __future__ import annotations
 
+from copy import copy
 from typing import TYPE_CHECKING, Optional
 
 from repro.sim.events import Event, PENDING as _PENDING
@@ -239,8 +240,11 @@ class Link:
             sim._imm_normal.append((sim._now, sim._seq, done))
             sim._seq += 1
         if self._copies_left:
-            # An injected duplicate: the same message crosses again.
+            # An injected duplicate crosses next, as its own message with
+            # the hop count this one had at pickup.
             self._copies_left -= 1
+            duplicate = self._packet = copy(packet)
+            duplicate.hops -= 1
             self._reserve()
         else:
             self._get().callbacks.append(self._on_request)

@@ -31,6 +31,7 @@ from repro import (
     run_all_pairs,
 )
 from repro.fabric.partition import boundary_cut_sites, partition_fabric
+from repro.hpc import MessageKind, Packet
 
 
 def raw_fabric(topology="hypercube", n_endpoints=16, **options):
@@ -235,6 +236,33 @@ def test_faults_on_cross_shard_wires_fire_as_unsharded(
     assert result.delivered == reference.delivered
     assert result.injections == sim.faults.injections
     assert result.duration_us == reference.duration_us
+
+
+def test_injected_duplicate_crosses_as_its_own_copy():
+    """Every link duplicates every user-object message, so one 0 -> 15
+    message on hypercube/16 arrives 16 times.  Each arrival is its own
+    ``Packet`` (the same message ``seq``) and has crossed the 4 hops of
+    its own path; a shared object kept counting hops past delivery."""
+    sim, fabric = raw_fabric()
+    attach(FaultPlan(seed=1, duplicate=1.0, kinds=("user-object",)),
+           sim, fabric)
+    sent = Packet(src=0, dst=15, size=64, kind=MessageKind.USER_OBJECT)
+    arrived = []
+
+    def sender():
+        yield from fabric.send(0, sent)
+
+    def receiver():
+        while True:
+            arrived.append((yield from fabric.recv(15)))
+
+    sim.process(sender())
+    sim.process(receiver())
+    sim.run()
+    assert len(arrived) == 16
+    assert len({id(packet) for packet in arrived}) == 16
+    assert [packet.hops for packet in arrived] == [4] * 16
+    assert {packet.seq for packet in arrived} == {sent.seq}
 
 
 # ----------------------------------------------------------------------
