@@ -191,13 +191,13 @@ class EagerCPU(CPU):
 # program's next charge: 0 issues it from the waiter in the same instant.
 # Priority 0 is interrupt level, charged non-preemptible as the kernels
 # charge it.  Small integer durations and start times make completions,
-# arrivals and equal priorities coincide often.  A nonzero gap is longer
-# than any charge: a timeout the waiter arms then never ends in the same
-# instant as the job dispatched after it, the one tie the two CPUs order
-# differently (pinned by
-# ``test_sim_cpu.py::test_dispatched_job_end_ties_after_waiter_timeout``).
+# arrivals and equal priorities coincide often.  Gaps of 1 and 3 end
+# timeouts in the instant a job dispatched after them ends, the tie the
+# two CPUs order differently (see
+# ``test_sim_cpu.py::test_dispatched_job_end_ties_after_waiter_timeout``):
+# the job must still end in that instant.
 _charge = st.tuples(st.integers(1, 12), st.sampled_from([0, 2, 5, 10, 10]),
-                    st.sampled_from([0, 0, 0, 13, 17]))
+                    st.sampled_from([0, 0, 0, 1, 3, 13, 17]))
 _program = st.tuples(st.integers(0, 20),
                      st.lists(_charge, min_size=1, max_size=6))
 
@@ -236,6 +236,8 @@ def _run_script(cpu_class, programs):
 # Charges from other programs arriving in the instant a charge ends.
 @example(programs=[(0, [(5, 10, 0), (5, 2, 0)]), (5, [(3, 2, 0)]),
                    (5, [(3, 10, 0)]), (1, [(9, 10, 0)])])
+# A kernel job resumed after an ISR ends as the ISR's 3 us timeout fires.
+@example(programs=[(0, [(3, 2, 0)]), (0, [(1, 0, 3), (1, 0, 0)])])
 def test_deferred_dispatch_matches_eager_dispatch(programs):
     """The CPU's dispatch rule -- a completed charge's waiters run before
     the queue head is started -- changes no schedule: every charge ends

@@ -279,9 +279,9 @@ def test_dispatched_job_end_ties_after_waiter_timeout():
     """The tie the dispatch rule orders differently.  The queued kernel
     job starts at t=1 after the ISR's waiter has armed its 1 us timeout,
     so at t=2 the timeout (armed first) fires before the kernel job's
-    end: the second ISR charge preempts it with nothing left to run and
-    it completes at t=3, after 1 us of CPU as before.  A CPU that
-    dispatched the kernel job before the waiter ran ended it at t=2."""
+    end handle.  The second ISR charge finds the kernel job with nothing
+    left to run: it completes at t=2, as on a CPU that dispatched it
+    before the waiter ran, instead of waiting out the ISR charge."""
     sim = Simulator()
     cpu = CPU(sim)
     ends = {}
@@ -302,7 +302,7 @@ def test_dispatched_job_end_ties_after_waiter_timeout():
     sim.process(isr())
     sim.process(kernel())
     sim.run()
-    assert ends == {"isr1": 1.0, "isr2": 3.0, "kernel": 3.0}
+    assert ends == {"isr1": 1.0, "isr2": 3.0, "kernel": 2.0}
     assert cpu.system_us == 3.0
 
 
