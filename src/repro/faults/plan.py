@@ -323,43 +323,6 @@ class FaultPlan:
             or bool(self.node_crashes)
         )
 
-    # ------------------------------------------------------------------
-    # resolution
-    # ------------------------------------------------------------------
-    def resolve(self, site: str) -> LinkFaults:
-        """The fault probabilities in force at ``site`` (first match wins)."""
-        for pattern, faults in self.links.items():
-            if fnmatchcase(site, pattern):
-                return faults
-        return self.defaults
-
-    def stall_windows(self, site: str) -> list[tuple[float, float]]:
-        """The ``(start, end)`` stall windows applying to ``site``."""
-        return [
-            (start, start + duration)
-            for pattern, start, duration in self.nic_stalls
-            if fnmatchcase(site, pattern)
-        ]
-
-    def window_faults(
-        self, site: str
-    ) -> list[tuple[float, float, LinkFaults]]:
-        """The ``(start, end, faults)`` windowed overrides for ``site``,
-        in declaration order (the injector picks the first active one)."""
-        return [
-            (start, end, faults)
-            for pattern, start, end, faults in self.site_windows
-            if fnmatchcase(site, pattern)
-        ]
-
-    def brownout_windows(self, site: str) -> list[tuple[float, float, float]]:
-        """The ``(start, end, multiplier)`` brownouts applying to ``site``."""
-        return [
-            (start, end, multiplier)
-            for pattern, start, end, multiplier in self.link_brownouts
-            if fnmatchcase(site, pattern)
-        ]
-
     def site_patterns(self) -> list[str]:
         """Every site-name pattern this plan references, for validation."""
         patterns = list(self.links)

@@ -21,6 +21,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.model.costs import CostModel
     from repro.hpc.message import Packet
     from repro.hpc.port import BufferedInput
+    from repro.faults.injector import FaultSite
 
 
 class Link:
@@ -54,12 +55,13 @@ class Link:
         self._m_queue = self.metrics.gauge("link.queue_depth")
         self._wire_time = costs.hpc_wire_time
         self._hop_latency = costs.hpc_hop_latency
-        #: The message being carried, its sender's done event, the fault
-        #: injector seen when it was taken, duplicate copies still to
-        #: carry, when the credit wait began, and the current wire time.
+        #: The message being carried, its sender's done event, this
+        #: link's fault-site record (resolved when a message is taken
+        #: under an injector), duplicate copies still to carry, when the
+        #: credit wait began, and the current wire time.
         self._packet: Optional["Packet"] = None
         self._done: Optional[Event] = None
-        self._injector = None
+        self._site: Optional["FaultSite"] = None
         self._copies_left = 0
         self._stall_from = 0.0
         self._wire = 0.0
@@ -152,27 +154,35 @@ class Link:
         m_queue.value = depth
         if depth > m_queue.max_value:
             m_queue.max_value = depth
-        injector = self._injector = self.sim.faults
+        injector = self.sim.faults
         self._copies_left = 0
         if injector is None:
             self._reserve()
             return
-        stall = injector.stall_remaining(self.name)
-        if stall > 0:
-            # NIC stall window: the wire sits idle until it ends.
-            self.sim.timeout(stall).callbacks.append(self._decide)
-            return
+        site = self._site
+        if site is None or site.injector is not injector:
+            site = self._site = injector.site(self.name)
+        if site.stalls:
+            stall = site.stall_remaining()
+            if stall > 0:
+                # NIC stall window: the wire sits idle until it ends.
+                self.sim.timeout(stall).callbacks.append(self._decide)
+                return
         self._decide()
 
     def _decide(self, _event: Optional[Event] = None) -> None:
-        """Apply the fault injector's verdict on the current message."""
-        injector = self._injector
+        """Apply the fault site's verdict on the current message."""
+        site = self._site
         packet = self._packet
-        if injector.crash_drop(self.name, packet):
+        if site.crashes and site.crash_drop(packet):
             self._done.succeed()
             self._listen()
             return
-        decision = injector.link_decision(self.name, packet)
+        if not (site.lossy or site.windows):
+            # A site the plan cannot fault: no per-message decision.
+            self._reserve()
+            return
+        decision = site.link_decision(packet)
         if decision.drop:
             # Lost on the wire: serialization happened, but the
             # downstream end discarded the damaged message immediately,
@@ -212,11 +222,11 @@ class Link:
             self.metrics.counter("link.reserve_stalls").inc()
             self.metrics.counter("link.reserve_stall_us").inc(stalled)
         wire = self._wire_time(self._packet.size) + self._hop_latency
-        injector = self._injector
-        if injector is not None:
+        site = self._site
+        if site is not None and site.brownouts:
             # Degraded link: a brownout window stretches the
             # serialization itself, so busy time reflects it.
-            wire += injector.brownout_extra_us(self.name, wire)
+            wire += site.brownout_extra_us(wire)
         self._wire = wire
         sim.timeout(wire).callbacks.append(self._on_carried)
 

@@ -97,10 +97,13 @@ class HPCInterface:
                 f"{self.address}"
             )
         injector = self.sim.faults
-        if injector is not None and injector.is_crashed(self.address):
+        if (
+            injector is not None and injector.crash_times
+            and injector.is_crashed(self.address)
+        ):
             # A crashed node's NIC is dead silicon: the message is
             # accepted into nothing and vanishes.
-            injector.crash_drop(self.name, packet)
+            injector.site(self.name).crash_drop(packet)
             dead = Event(self.sim)
             dead.succeed()
             return dead

@@ -63,7 +63,8 @@ class SNetBus:
             injector = self.sim.faults
             decision = None
             if injector is not None:
-                if injector.crash_drop("snet.bus", packet):
+                site = injector.site("snet.bus")
+                if site.crashes and site.crash_drop(packet):
                     # A crashed endpoint: the bus tenure happens but no
                     # interface responds; the sender sees silence, which
                     # on the S/NET reads as an accepted transmission.
@@ -71,7 +72,7 @@ class SNetBus:
                         self.costs.snet_wire_time(packet.size)
                     )
                     return True
-                decision = injector.bus_decision("snet.bus", packet)
+                decision = site.bus_decision(packet)
                 if decision.delay_us > 0:
                     yield self.sim.timeout(decision.delay_us)
             yield self.sim.timeout(self.costs.snet_wire_time(packet.size))

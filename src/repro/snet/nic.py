@@ -63,8 +63,9 @@ class SNetInterface:
                 f"{self.name}: packet src {packet.src} != address {self.address}"
             )
         injector = self.sim.faults
-        if injector is not None:
-            stall = injector.stall_remaining(self.name)
+        site = injector.site(self.name) if injector is not None else None
+        if site is not None and site.stalls:
+            stall = site.stall_remaining()
             if stall > 0:
                 # NIC stall window: the interface cannot start its bus
                 # request until the window ends.

@@ -1,9 +1,20 @@
 """Tests for the fault-injection subsystem (repro.faults)."""
 
+import os
+import sys
+from fnmatch import fnmatchcase
+from types import SimpleNamespace
+
 import pytest
 
-from repro import FaultPlan, MeglosSystem, VorxSystem, fault_summary
+import repro.faults
+from repro import (
+    FaultPlan, MeglosSystem, Simulator, VorxSystem, create_fabric,
+    fault_summary, run_all_pairs,
+)
+from repro.fabric.traffic import run_plan
 from repro.hpc.message import MessageKind
+from repro.model import DEFAULT_COSTS
 
 
 def stream(system, n_messages=20, nbytes=256):
@@ -163,6 +174,61 @@ def test_max_injections_caps_the_storm():
     system.run()
     assert rx.result == payloads
     assert sum(fault_summary(system.sim).values()) <= 3
+
+
+def _hypercube256_with_faulty_cluster0():
+    """hypercube/256 whose only faulty sites are cluster 0's out-links."""
+    sim = Simulator()
+    fabric = create_fabric("hypercube", sim, DEFAULT_COSTS, n_endpoints=256)
+    injector = FaultPlan(
+        seed=5, kinds=("user-object",), links={"c0.*": {"delay": 0.5}},
+    ).attach(SimpleNamespace(sim=sim, fabric=fabric))
+    return fabric, injector
+
+
+def test_rng_streams_stay_lazy_on_a_large_fabric():
+    """Only sites that draw hold an RNG stream, and only sites the plan
+    makes lossy ever draw."""
+    fabric, injector = _hypercube256_with_faulty_cluster0()
+    result = run_all_pairs(fabric, size=64, partners=4)
+    assert result.delivered == result.sent
+    assert injector.injections > 0
+    drawn = [name for name, site in injector.sites.items()
+             if site.stream is not None]
+    assert drawn
+    assert all(fnmatchcase(name, "c0.*") for name in drawn)
+    assert len(injector.sites) > 10 * len(drawn)
+
+
+def test_quiet_site_makes_no_fault_layer_call_per_message():
+    """A link whose record has no loss, windows, stalls or brownouts --
+    and a plan that crashes no node -- carries messages without calling
+    into ``repro.faults`` once its record is resolved."""
+    fabric, injector = _hypercube256_with_faulty_cluster0()
+    src, dst = 4, 12  # node1.0 -> node3.0: never routed through c0
+    run_plan(fabric, {src: [dst]}, size=64)
+    route = sorted(injector.sites)
+    assert route and not any(fnmatchcase(name, "c0.*") for name in route)
+    for site in injector.sites.values():
+        assert not (site.lossy or site.windows or site.stalls
+                    or site.brownouts or site.crashes)
+    faults_dir = os.path.dirname(repro.faults.__file__)
+    calls = []
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code.co_filename.startswith(
+            faults_dir
+        ):
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        result = run_plan(fabric, {src: [dst] * 20}, size=64)
+    finally:
+        sys.setprofile(None)
+    assert result.delivered == 20
+    assert calls == []
+    assert sorted(injector.sites) == route
 
 
 # ----------------------------------------------------------------------
