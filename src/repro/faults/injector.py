@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
+from functools import cached_property
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -258,6 +259,13 @@ class FaultInjector:
         #: the crash callback.
         self.crash_times = dict(plan.node_crashes)
         self._injections = 0
+
+    @cached_property
+    def can_lose_messages(self) -> bool:
+        """The plan's :attr:`~repro.faults.plan.FaultPlan.can_lose_messages`,
+        resolved on first use: every channel write reads it, and the
+        plan's property re-scans every link table."""
+        return self.plan.can_lose_messages
 
     def site(self, name: str) -> FaultSite:
         """The record for site ``name``, resolved on first use."""

@@ -119,8 +119,7 @@ class Link:
             getter = getters.pop(0)
             getter._ok = True
             getter._value = (packet, done)
-            sim._imm_normal.append((sim._now, sim._seq, getter))
-            sim._seq += 1
+            sim._imm_normal.append(getter)
         else:
             requests._items.append((packet, done))
         return done
@@ -244,11 +243,9 @@ class Link:
         if done._ok is None:
             # First copy: ``Event.succeed`` inlined (the request's done
             # event is still pending here).
-            sim = self.sim
             done._ok = True
             done._value = None
-            sim._imm_normal.append((sim._now, sim._seq, done))
-            sim._seq += 1
+            self.sim._imm_normal.append(done)
         if self._copies_left:
             # An injected duplicate crosses next, as its own message with
             # the hop count this one had at pickup.

@@ -64,9 +64,7 @@ class BufferedInput:
             getter = getters.pop(0)
             getter._ok = True
             getter._value = packet
-            sim = self.sim
-            sim._imm_normal.append((sim._now, sim._seq, getter))
-            sim._seq += 1
+            self.sim._imm_normal.append(getter)
         else:
             items.append(packet)
         if self.on_deliver is not None:

@@ -328,9 +328,7 @@ class CPU:
             # double-trigger guard is vacuous.
             done._ok = True
             done._value = None
-            sim = self.sim
-            sim._imm_normal.append((sim._now, sim._seq, done))
-            sim._seq += 1
+            self.sim._imm_normal.append(done)
             if self._ready:
                 done.callbacks.append(self._dispatch_next_cb)
         elif self._ready:

@@ -8,13 +8,29 @@ instant.
 
 Fast path: the dominant scheduling operation is triggering an event with
 *zero* delay (``Event.succeed``/``fail``, process starts, interrupts).
-Those never need the binary heap -- at the moment they are scheduled
-they already sort after everything currently pending at the same
-``(time, priority)`` -- so they go onto plain FIFO lanes (one per
-priority) and only *delayed* occurrences pay the heap.  Because
-simulation time never moves backwards, each lane stays sorted by
-``(time, sequence)`` and a three-way head comparison reproduces the
-exact heap order bit-for-bit (pinned by ``tests/test_determinism.py``).
+Those never need the sorted queue, so they go onto plain FIFO lanes of
+bare items, one per priority, and only *delayed* occurrences carry a
+time and a sequence number.  The merge rests on one invariant: **every
+lane entry is due now, and every queued entry is due later.**  Proof: a
+lane entry is appended at ``_now``, and :meth:`Simulator._push` sends
+any time equal to ``_now`` (a zero delay, or one too small to move the
+clock: ``now + delay == now``) onto a lane rather than into the queue.
+The clock advances only when both lanes are empty, and it advances to
+the queue's head time, moving every entry due then onto the lane of its
+priority in queue order; nothing due at the new time is left queued.
+Under the ``(time, priority, seq)`` order each moved entry sorts before
+every lane entry that callbacks append later at that instant, since it
+was queued at an earlier instant and so holds an older sequence number,
+and urgent entries sort before normal ones.  The order therefore reduces to:
+
+1. the urgent lane;
+2. the normal lane;
+3. only then does the clock advance to the queue's head.
+
+No timestamp or sequence number is built or compared for a lane entry,
+and the order is the exact heap order bit for bit (pinned by
+``tests/test_determinism.py`` and the heapq differential tests in
+``tests/test_properties_sim.py``).
 
 The delayed-occurrence queue is a *flat parallel-arrays* priority
 queue: scalar lists moved in lockstep instead of a single list of
@@ -24,8 +40,8 @@ times :data:`_PRIO_STRIDE` plus sequence -- lexicographic ``(priority,
 seq)`` order as a single C ``int`` compare), and ``_items`` the payload
 objects.  The arrays are kept sorted by *descending* ``(time, priority,
 seq)`` -- the minimum lives at the end -- so a pop is three O(1)
-``list.pop()`` calls and the head's sort key is readable as two scalar
-loads (no tuple indexing in the drain loop's merge).  Pushes locate
+``list.pop()`` calls and the head's time is one scalar load (the
+drain loop indexes no tuple).  Pushes locate
 their slot with one C ``bisect`` over ``_keys``: sequence numbers grow
 monotonically, so a new normal-priority entry always sorts *last* among
 equal ``(time, priority)`` keys, which in the descending layout is the
@@ -54,7 +70,7 @@ from math import nextafter
 from typing import Any, Callable, Generator, Optional
 
 from repro.metrics.events import Vstat
-from repro.sim.events import Event, Timeout, NORMAL
+from repro.sim.events import Event, Timeout, NORMAL, URGENT
 
 #: Lazy-cancel compaction trigger: compact the heap when more than half
 #: of it is cancelled handles (and there are enough of them to matter) --
@@ -162,13 +178,13 @@ class Simulator:
         self._keys: list[float] = []
         self._order: list[int] = []
         self._items: list[Any] = []
-        #: FIFO lanes of (time, seq, item) for zero-delay occurrences,
-        #: one per priority level.  Drained ahead of the heap whenever
-        #: their head sorts first.  The normal lane may hold cancelled
-        #: zero-delay :class:`Handle`\\ s (skipped at pop time); the
-        #: urgent lane only ever holds events.
-        self._imm_urgent: deque[tuple[float, int, Event]] = deque()
-        self._imm_normal: deque[tuple[float, int, Any]] = deque()
+        #: FIFO lanes of bare items due at ``_now``, one per priority
+        #: level (see the module docstring).
+        #: The normal lane may hold cancelled zero-delay
+        #: :class:`Handle`\\ s (skipped at pop time); the urgent lane
+        #: only ever holds events.
+        self._imm_urgent: deque[Event] = deque()
+        self._imm_normal: deque[Any] = deque()
         #: Cancelled handles still sitting in a queue (lazy cancellation).
         self._cancelled: int = 0
         #: Occurrences processed so far (the event count behind the
@@ -189,24 +205,38 @@ class Simulator:
         return self._now
 
     # -- the flat queue ----------------------------------------------------
-    def _push(self, time: float, order: int, item: Any) -> None:
-        """Insert one delayed entry, moving all arrays in lockstep.
+    def _push(self, time: float, priority: int, item: Any) -> None:
+        """Queue ``item`` to run at ``time`` (never before ``_now``).
 
-        ``order`` is the packed ``priority * _PRIO_STRIDE + seq``.  One C
-        bisect over the negated-time keys finds the slot.  Sequence
-        numbers are handed out monotonically, so among entries with equal
-        ``(time, priority)`` the new one always pops *last* -- which in
-        the descending layout is the leftmost slot of the equal-time run,
-        exactly where ``bisect_left`` lands for a normal-priority push.
-        Urgent pushes (which sort before every normal entry at the same
-        time) walk right past equal-time entries with a greater packed
-        order; no caller schedules a *delayed* urgent occurrence today,
-        so the scan is cold.
+        A time equal to ``_now`` -- a zero delay, or one too small to
+        move the clock -- goes onto the lane of its priority: its
+        sequence number would have sorted it after every entry already
+        due now at that priority and before every later one, which is
+        the lane's FIFO position.  Anything later takes the next
+        sequence number (it breaks ties only here, in the sorted queue)
+        and one C bisect over the negated-time keys finds its slot.
+        Sequence numbers grow monotonically, so among entries with
+        equal ``(time, priority)`` the new one always pops *last* --
+        which in the descending layout is the leftmost slot of the
+        equal-time run, exactly where ``bisect_left`` lands for a
+        normal-priority push.  Urgent pushes (which sort before every
+        normal entry at the same time) walk right past equal-time
+        entries with a greater packed order; no caller schedules a
+        *delayed* urgent occurrence today, so the scan is cold.
         """
+        if time == self._now:
+            if priority == NORMAL:
+                self._imm_normal.append(item)
+            else:
+                self._imm_urgent.append(item)
+            return
+        seq = self._seq
+        self._seq = seq + 1
+        order = priority * _PRIO_STRIDE + seq
         keys = self._keys
         key = -time
         pos = bisect_left(keys, key)
-        if order < _PRIO_STRIDE:  # URGENT == 0
+        if priority == URGENT:
             orders = self._order
             n = len(keys)
             while pos < n and keys[pos] == key and orders[pos] > order:
@@ -223,23 +253,17 @@ class Simulator:
 
     # -- scheduling ----------------------------------------------------------
     def _schedule_event(self, event: Event, delay: float, priority: int) -> None:
-        seq = self._seq
-        self._seq = seq + 1
-        if delay == 0.0:
-            # Immediate lane: no heap traffic for the dominant case.
-            if priority == NORMAL:
-                self._imm_normal.append((self._now, seq, event))
-            else:
-                self._imm_urgent.append((self._now, seq, event))
-        else:
-            self._push(self._now + delay, priority * _PRIO_STRIDE + seq, event)
+        self._push(self._now + delay, priority, event)
 
     def call_later(self, delay: float, fn: Callable[..., None], *args: Any) -> Handle:
-        """Run ``fn(*args)`` after ``delay``; returns a cancellable handle."""
+        """Run ``fn(*args)`` after ``delay``; returns a cancellable handle.
+
+        A zero-delay callback shares the normal lane with zero-delay
+        events; the pop paths skip it if it is cancelled before it runs.
+        """
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        now = self._now
-        time = now + delay
+        time = self._now + delay
         # ``Handle.__init__`` inlined (CPU charge completions create one
         # handle per dispatch): plain slot stores, no constructor frame.
         handle = Handle.__new__(Handle)
@@ -248,16 +272,10 @@ class Simulator:
         handle.fn = fn
         handle.args = args
         handle.cancelled = False
-        seq = self._seq
-        self._seq = seq + 1
-        if delay == 0.0:
-            # Same immediate lane as zero-delay events: a zero-delay
-            # callback already sorts after everything pending at
-            # ``(now, NORMAL)``, so it needs no heap either.  The lane
-            # pop paths skip it if it is cancelled before it runs.
-            self._imm_normal.append((now, seq, handle))
+        if delay == 0.0:  # :meth:`_push`'s lane branch, minus a frame
+            self._imm_normal.append(handle)
         else:
-            self._push(time, _PRIO_STRIDE + seq, handle)
+            self._push(time, NORMAL, handle)
         return handle
 
     def _compact(self) -> None:
@@ -283,7 +301,7 @@ class Simulator:
         self._items[:] = [entry[2] for entry in live]
         normal = self._imm_normal
         if normal:
-            kept = [entry for entry in normal if not entry[2].cancelled]
+            kept = [item for item in normal if not item.cancelled]
             if len(kept) != len(normal):
                 normal.clear()
                 normal.extend(kept)
@@ -311,12 +329,10 @@ class Simulator:
         event._value = value
         event._defused = False
         event.delay = delay
-        seq = self._seq
-        self._seq = seq + 1
-        if delay == 0.0:
-            self._imm_normal.append((self._now, seq, event))
+        if delay == 0.0:  # :meth:`_push`'s lane branch, minus a frame
+            self._imm_normal.append(event)
         else:
-            self._push(self._now + delay, _PRIO_STRIDE + seq, event)
+            self._push(self._now + delay, NORMAL, event)
         return event
 
     def process(self, generator: Generator) -> "Process":
@@ -337,86 +353,60 @@ class Simulator:
         start._ok = True
         start._value = None
         start._defused = False
-        self._imm_urgent.append((self._now, self._seq, start))
-        self._seq += 1
+        self._imm_urgent.append(start)
         return start
 
     # -- execution -------------------------------------------------------------
+    def _skip_cancelled(self) -> None:
+        """Pop cancelled handles off the delayed queue's head and the
+        normal lane's head, so both heads are live (or absent)."""
+        items = self._items
+        while items and items[-1].cancelled:
+            self._heap_pop()
+            if self._cancelled > 0:
+                self._cancelled -= 1
+        normal = self._imm_normal
+        while normal and normal[0].cancelled:
+            normal.popleft()
+            if self._cancelled > 0:
+                self._cancelled -= 1
+
+    def _advance(self) -> None:
+        """Move the clock to the delayed queue's head and every entry
+        due then onto the lane of its priority, in queue order."""
+        keys = self._keys
+        key = keys[-1]
+        self._now = -key
+        while keys and keys[-1] == key:
+            order = self._order[-1]
+            item = self._heap_pop()
+            if order < _PRIO_STRIDE:  # URGENT == 0
+                self._imm_urgent.append(item)
+            else:
+                self._imm_normal.append(item)
+
     def peek(self) -> float:
         """Time of the next occurrence, or ``inf`` if the queue is empty."""
+        self._skip_cancelled()
+        if self._imm_urgent or self._imm_normal:
+            return self._now
         keys = self._keys
-        items = self._items
-        while items and items[-1].cancelled:
-            self._heap_pop()
-            if self._cancelled > 0:
-                self._cancelled -= 1
-        time = -keys[-1] if keys else _INFINITY
-        if self._imm_urgent:
-            t = self._imm_urgent[0][0]
-            if t < time:
-                time = t
-        normal = self._imm_normal
-        while normal and normal[0][2].cancelled:
-            normal.popleft()
-            if self._cancelled > 0:
-                self._cancelled -= 1
-        if normal:
-            t = normal[0][0]
-            if t < time:
-                time = t
-        return time
+        return -keys[-1] if keys else _INFINITY
 
-    def _pop_next(self, deadline: float = _INFINITY) -> Optional[Any]:
+    def _pop_next(self) -> Any:
         """Remove and return the next occurrence, advancing the clock.
 
-        The three lane heads (urgent FIFO, normal FIFO, heap) are
-        compared under the global ``(time, priority, seq)`` order; the
-        winner is popped.  Every branch carries the *full* key forward
-        -- the time plus the packed ``(priority, seq)`` order -- so the
-        merge stays correct no matter which lane is examined first.
-        Returns ``None`` -- popping nothing -- when the next occurrence
-        lies beyond ``deadline``; raises :class:`EmptySchedule` when
-        nothing is pending at all.
+        Raises :class:`EmptySchedule` when nothing is pending at all.
         """
-        items = self._items
-        while items and items[-1].cancelled:
-            self._heap_pop()
-            if self._cancelled > 0:
-                self._cancelled -= 1
-        lane = -1
-        if items:
-            best_time = -self._keys[-1]
-            best_order = self._order[-1]
-            lane = 0
+        self._skip_cancelled()
         urgent = self._imm_urgent
-        if urgent:
-            time, seq, _ = urgent[0]
-            # URGENT == 0: the packed order of an urgent entry is its seq.
-            if lane < 0 or (time, seq) < (best_time, best_order):
-                best_time, best_order = time, seq
-                lane = 1
         normal = self._imm_normal
-        while normal and normal[0][2].cancelled:
-            normal.popleft()
-            if self._cancelled > 0:
-                self._cancelled -= 1
-        if normal:
-            time, seq, _ = normal[0]
-            order = _PRIO_STRIDE + seq  # NORMAL == 1
-            if lane < 0 or (time, order) < (best_time, best_order):
-                best_time, best_order = time, order
-                lane = 2
-        if lane < 0:
-            raise EmptySchedule()
-        if best_time > deadline:
-            return None
-        self._now = best_time
+        if not (urgent or normal):
+            if not self._keys:
+                raise EmptySchedule()
+            self._advance()
         self.processed += 1
-        if lane == 2:
-            return normal.popleft()[2]
-        if lane == 1:
-            return urgent.popleft()[2]
-        return self._heap_pop()
+        return urgent.popleft() if urgent else normal.popleft()
 
     def step(self) -> None:
         """Process exactly one occurrence."""
@@ -430,10 +420,12 @@ class Simulator:
         This is :meth:`_pop_next` inlined into the loop with every queue
         bound to a local -- the single hottest function in the repository,
         so it trades a little repetition for one frame (and several
-        attribute loads) less per processed occurrence.  The flat heap's
-        head key is read as two scalar loads; no tuple is built or
-        compared anywhere in the merge (the packed order makes the
-        priority tie-break a single int compare).
+        attribute loads) less per processed occurrence.  By the lane
+        invariant a lane pop reads no time at all; only a clock advance
+        reads the delayed queue's head, and it alone tests ``deadline``
+        (everything pending on entry is due at ``_now`` or later, so one
+        test up front covers the lanes).  The head runs directly; the
+        entries tied with it join the lanes (:meth:`_advance` inlined).
         """
         keys = self._keys
         order = self._order
@@ -449,12 +441,18 @@ class Simulator:
         order_pop = order.pop
         items_pop = items.pop
         stride = _PRIO_STRIDE
+        if self._now > deadline:
+            return
         processed = 0
         try:
             while True:
                 if stop is not None and stop.callbacks is None:
                     return
-                if keys:
+                if urgent:
+                    item = urgent_popleft()
+                elif normal:
+                    item = normal_popleft()
+                elif keys:
                     if items[-1].cancelled:
                         keys_pop()
                         order_pop()
@@ -462,60 +460,36 @@ class Simulator:
                         if self._cancelled > 0:
                             self._cancelled -= 1
                         continue
-                    best_time = -keys[-1]
-                    best_order = order[-1]
-                    lane = 0
-                else:
-                    lane = -1
-                if urgent:
-                    head = urgent[0]
-                    time = head[0]
-                    # URGENT == 0: packed order of an urgent entry == seq.
-                    if (
-                        lane < 0
-                        or time < best_time
-                        or (time == best_time and head[1] < best_order)
-                    ):
-                        best_time = time
-                        best_order = head[1]
-                        lane = 1
-                if normal:
-                    head = normal[0]
-                    if head[2].cancelled:
-                        # A zero-delay handle cancelled before it ran.
-                        normal_popleft()
-                        if self._cancelled > 0:
-                            self._cancelled -= 1
-                        continue
-                    time = head[0]
-                    if lane < 0 or time < best_time or (
-                        time == best_time and stride + head[1] < best_order
-                    ):
-                        best_time = time
-                        best_order = stride + head[1]
-                        lane = 2
-                if lane < 0:
-                    return
-                if best_time > deadline:
-                    return
-                self._now = best_time
-                processed += 1
-                if lane == 2:
-                    item = normal_popleft()[2]
-                elif lane == 1:
-                    item = urgent_popleft()[2]
-                else:
+                    key = keys[-1]
+                    if -key > deadline:
+                        return
+                    self._now = -key
                     keys_pop()
                     order_pop()
                     item = items_pop()
+                    while keys and keys[-1] == key:
+                        keys_pop()
+                        if order_pop() < stride:  # URGENT == 0
+                            urgent.append(items_pop())
+                        else:
+                            normal.append(items_pop())
+                else:
+                    return
                 # ``Event._process`` / ``Handle._process`` inlined: the
                 # hop path runs as event callbacks, so a frame per
                 # processed occurrence is a frame per link traversal.
                 callbacks = item.callbacks
                 if callbacks is None:
+                    if item.cancelled:
+                        # A handle cancelled while it sat on a lane.
+                        if self._cancelled > 0:
+                            self._cancelled -= 1
+                        continue
+                    processed += 1
                     item._sim = None
                     item.fn(*item.args)
                     continue
+                processed += 1
                 item.callbacks = None
                 for callback in callbacks:
                     callback(item)

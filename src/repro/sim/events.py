@@ -100,12 +100,11 @@ class Event:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        # Zero-delay normal trigger: append straight onto the engine's
-        # immediate lane (the inlined tail of ``Simulator._schedule_event``
-        # -- this is the hottest call in the whole simulation).
-        sim = self.sim
-        sim._imm_normal.append((sim._now, sim._seq, self))
-        sim._seq += 1
+        # Zero-delay normal trigger: append the bare event to the engine's
+        # normal lane, where everything is due now (the inlined tail of
+        # ``Simulator._push`` -- this is the hottest call in the whole
+        # simulation).
+        self.sim._imm_normal.append(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -122,9 +121,7 @@ class Event:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._ok = False
         self._value = exception
-        sim = self.sim
-        sim._imm_normal.append((sim._now, sim._seq, self))
-        sim._seq += 1
+        self.sim._imm_normal.append(self)
         return self
 
     def trigger(self, event: "Event") -> None:

@@ -93,8 +93,7 @@ class Process(Event):
         interrupt_event._value = Interrupt(cause)
         interrupt_event._defused = True
         interrupt_event.callbacks.append(self._wake)
-        sim._imm_urgent.append((sim._now, sim._seq, interrupt_event))
-        sim._seq += 1
+        sim._imm_urgent.append(interrupt_event)
 
     # -- engine internals --------------------------------------------------------
     def _resume(self, event: Event) -> None:
@@ -132,9 +131,7 @@ class Process(Event):
                 # so this process event is still pending here.
                 self._ok = True
                 self._value = stop.value
-                sim = self.sim
-                sim._imm_normal.append((sim._now, sim._seq, self))
-                sim._seq += 1
+                self.sim._imm_normal.append(self)
                 return
             except BaseException as exc:
                 self._wake = None

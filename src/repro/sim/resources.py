@@ -68,8 +68,7 @@ class Semaphore:
             self._value -= 1
             event._ok = True
             event._value = None
-            sim._imm_normal.append((sim._now, sim._seq, event))
-            sim._seq += 1
+            sim._imm_normal.append(event)
         else:
             self._waiters.append(event)
         return event
@@ -94,9 +93,7 @@ class Semaphore:
             waiter = waiters.pop(0)
             waiter._ok = True
             waiter._value = None
-            sim = self.sim
-            sim._imm_normal.append((sim._now, sim._seq, waiter))
-            sim._seq += 1
+            self.sim._imm_normal.append(waiter)
 
 
 class Resource(Semaphore):
@@ -158,8 +155,7 @@ class Store:
             getter = getters.pop(0)
             getter._ok = True
             getter._value = item
-            sim._imm_normal.append((sim._now, sim._seq, getter))
-            sim._seq += 1
+            sim._imm_normal.append(getter)
         else:
             items = self._items
             capacity = self.capacity
@@ -169,8 +165,7 @@ class Store:
             items.append(item)
         event._ok = True
         event._value = None
-        sim._imm_normal.append((sim._now, sim._seq, event))
-        sim._seq += 1
+        sim._imm_normal.append(event)
         return event
 
     def try_put(self, item: Any) -> bool:
@@ -181,9 +176,7 @@ class Store:
             getter = getters.pop(0)
             getter._ok = True
             getter._value = item
-            sim = self.sim
-            sim._imm_normal.append((sim._now, sim._seq, getter))
-            sim._seq += 1
+            self.sim._imm_normal.append(getter)
             return True
         items = self._items
         capacity = self.capacity
@@ -205,8 +198,7 @@ class Store:
         if items:
             event._ok = True
             event._value = items.pop(0)
-            sim._imm_normal.append((sim._now, sim._seq, event))
-            sim._seq += 1
+            sim._imm_normal.append(event)
             if self._putters:
                 self._admit_putter()
         else:

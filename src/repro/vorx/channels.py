@@ -380,9 +380,7 @@ class ChannelService:
         else:
             setup, per_fragment = 0.0, costs.chan_send_kernel
         injector = kernel.sim.faults
-        arm_watchdog = (
-            injector is not None and injector.plan.can_lose_messages
-        )
+        arm_watchdog = injector is not None and injector.can_lose_messages
         window = endpoint.window
         started_at = kernel.sim.now
         endpoint.writing = True
@@ -529,6 +527,7 @@ class ChannelService:
         injector = kernel.sim.faults
         if (
             injector is None
+            or not injector.crash_times
             or endpoint.peer_addr is None
             or not injector.is_crashed(endpoint.peer_addr)
         ):

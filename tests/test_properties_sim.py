@@ -7,6 +7,7 @@ from heapq import heappop
 from hypothesis import example, given, strategies as st
 
 from repro.sim import CPU, Simulator, Store, Semaphore
+from repro.sim.engine import EmptySchedule
 from repro.sim.cpu import PRIORITY_ISR
 from repro.sim.trace import Category, Timeline
 
@@ -353,6 +354,144 @@ def test_flat_queue_matches_heapq_order(depth, entries, reactions):
     assert log == expected
 
 
+#: Delays that tie on purpose.  Every arm lands at or after t=5000,
+#: where one ulp is ~9.1e-13, so ``now + 1e-13 == now``: that delay
+#: rounds away and must behave exactly as a zero delay made at the
+#: same moment would under ``(time, priority, seq)`` order.
+_TIE_DELAYS = st.sampled_from([0.0, 1e-13, 0.25, 1.0])
+_TIE_ARM = st.tuples(
+    _TIE_DELAYS,
+    st.sampled_from([0, 1]),  # URGENT, NORMAL
+    # ``_schedule_event``; ``call_later`` (NORMAL) and a cancelled one;
+    # and the two lane appends made without ``_push``: ``succeed``
+    # (zero-delay NORMAL) and ``start`` (zero-delay URGENT).
+    st.sampled_from(["event", "call", "cancelled", "succeed", "start"]),
+)
+
+
+def _tie_key(now, delay, priority, kind):
+    """The ``(time, priority)`` a :data:`_TIE_ARM` is due at."""
+    if kind == "event":
+        return now + delay, priority
+    if kind in ("call", "cancelled"):
+        return now + delay, 1
+    return now, 0 if kind == "start" else 1
+
+
+@given(
+    entries=st.lists(_TIE_ARM, min_size=1, max_size=12),
+    reactions=st.lists(st.lists(_TIE_ARM, max_size=3), max_size=120),
+    mode=st.sampled_from(["run", "step", "until", "window"]),
+)
+# Zero-delay and rounded-away arms made at the instant delayed arms land.
+@example(entries=[(1.0, 1, "event"), (1.0, 1, "call"), (1.0, 0, "event")],
+         reactions=[[(0.0, 1, "succeed"), (1e-13, 0, "event"),
+                     (1e-13, 1, "call"), (0.0, 0, "start")]] * 3,
+         mode="run")
+# Stop and resume in the middle of one instant.
+@example(entries=[(0.0, 1, "event")] * 4,
+         reactions=[[(0.0, 0, "event"), (0.0, 1, "cancelled")]] * 6,
+         mode="until")
+def test_lanes_match_heapq_order_under_ties(entries, reactions, mode):
+    """Differential test of the lane invariant: occurrences armed with
+    zero or rounded-away delays from callbacks, at the instant delayed
+    arms land, run in the order a reference ``heapq`` of ``(time,
+    priority, seq)`` yields -- whether the run is one ``run()``,
+    ``step()`` by ``step()`` (with ``peek()`` naming each next time),
+    ``run(until=event)`` stopping and resuming mid-instant, or a series
+    of ``run_window`` calls.  Cancelled handles are armed but never run.
+    """
+    base = 5_000.0
+    reference = []
+    seq = 0
+    for delay, priority, kind in entries:
+        if kind != "cancelled":
+            heapq.heappush(reference, (*_tie_key(base, delay, priority, kind),
+                                       seq))
+        seq += 1
+    expected = []
+    while reference:
+        now, priority, label = heapq.heappop(reference)
+        expected.append((now, priority, label))
+        k = len(expected) - 1
+        for delay, child_priority, kind in (
+                reactions[k] if k < len(reactions) else ()):
+            if kind != "cancelled":
+                heapq.heappush(reference, (
+                    *_tie_key(now, delay, child_priority, kind), seq))
+            seq += 1
+
+    sim = Simulator()
+    log = []
+    labels = itertools.count()
+    armed = []
+
+    def arm(delay, priority, kind):
+        label = next(labels)
+        _, priority = _tie_key(0.0, delay, priority, kind)
+        if kind == "start":
+            armed.append(sim.start(lambda _e: fire(priority, label)))
+        elif kind in ("event", "succeed"):
+            event = sim.event()
+            event.callbacks.append(lambda _e: fire(priority, label))
+            if kind == "succeed":
+                event.succeed(label)
+            else:
+                event._ok = True
+                event._value = label
+                sim._schedule_event(event, delay, priority)
+            armed.append(event)
+        else:
+            handle = sim.call_later(delay, fire, 1, label)
+            if kind == "cancelled":
+                handle.cancel()
+
+    def fire(priority, label):
+        log.append((sim.now, priority, label))
+        k = len(log) - 1
+        for arm_args in (reactions[k] if k < len(reactions) else ()):
+            arm(*arm_args)
+
+    # The seed arms are made at t=5000 itself, by one occurrence the
+    # run stops after: the zero-delay ones wait on the lanes.
+    seed = sim.timeout(base)
+    seed.callbacks.append(lambda _e: [arm(*entry) for entry in entries])
+    sim.run(until=seed)
+    assert sim.processed == 1
+    if mode == "run":
+        sim.run()
+    elif mode == "step":
+        while True:
+            next_time = sim.peek()
+            try:
+                sim.step()
+            except EmptySchedule:
+                assert next_time == float("inf")
+                break
+            assert log and log[-1][0] == next_time == sim.now
+    elif mode == "until":
+        while True:
+            pending = [event for event in armed if not event.processed]
+            if not pending:
+                sim.run()
+                break
+            stop = pending[len(pending) // 2]
+            assert sim.run(until=stop) == stop.value
+            assert stop.processed
+    else:
+        while sim.peek() < float("inf"):
+            bound = sim.peek() + 0.5
+            done = len(log)
+            sim.run_window(bound)
+            assert all(time < bound for time, _, _ in log[done:])
+            assert sim.peek() >= bound
+    assert log == expected
+    assert sim.processed == 1 + len(expected)
+    if expected:
+        assert sim.now == expected[-1][0]
+    assert sim._cancelled == 0
+
+
 @given(ops=st.lists(
     st.one_of(
         st.tuples(st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
@@ -394,13 +533,13 @@ def test_cancelled_counter_invariant(ops):
                 expected += 1
         queued_cancelled = (
             sum(1 for item in sim._items if item.cancelled)
-            + sum(1 for entry in sim._imm_normal if entry[2].cancelled)
+            + sum(1 for item in sim._imm_normal if item.cancelled)
         )
         assert sim._cancelled == queued_cancelled
     sim._compact()
     assert sim._cancelled == 0
     assert not any(item.cancelled for item in sim._items)
-    assert not any(entry[2].cancelled for entry in sim._imm_normal)
+    assert not any(item.cancelled for item in sim._imm_normal)
     sim.run()
     assert sim._cancelled == 0
     cancel_all()

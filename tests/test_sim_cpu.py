@@ -232,8 +232,8 @@ def test_switch_waits_for_same_owner_follow_up():
 def _kernel_chain(queued_user):
     """Three same-instant kernel charges (10, 5, 5 us), optionally with a
     100 us user charge queued behind the first.  Returns the chain's and
-    the user charge's end times and how far ``sim._seq`` advanced from
-    the moment the user charge was queued."""
+    the user charge's end times and how many occurrences ran from the
+    moment the user charge was queued."""
     sim = Simulator()
     cpu = CPU(sim)
     ends = []
@@ -246,11 +246,11 @@ def _kernel_chain(queued_user):
 
     sim.process(chain())
     sim.step()  # the chain starts and charges its first step
-    seq = sim._seq
+    processed = sim.processed
     user = cpu.execute(100.0) if queued_user else None
     sim.run()
     user_end = sim.now if user is not None and user.processed else None
-    return ends, user_end, sim._seq - seq
+    return ends, user_end, sim.processed - processed
 
 
 def test_kernel_chain_keeps_cpu_from_queued_user_job(monkeypatch):
@@ -258,7 +258,7 @@ def test_kernel_chain_keeps_cpu_from_queued_user_job(monkeypatch):
     completed charge's waiter: the queued user job is neither started
     nor preempted in between, so no completion handle is cancelled and
     the user charge adds only its own two occurrences (its end handle
-    and its completion event) to ``sim._seq``."""
+    and its completion event) to ``sim.processed``."""
     cancelled = []
     cancel = Handle.cancel
 
@@ -267,12 +267,12 @@ def test_kernel_chain_keeps_cpu_from_queued_user_job(monkeypatch):
         cancel(handle)
 
     monkeypatch.setattr(Handle, "cancel", counting_cancel)
-    alone_ends, _, alone_seq = _kernel_chain(False)
-    ends, user_end, seq_advance = _kernel_chain(True)
+    alone_ends, _, alone_ran = _kernel_chain(False)
+    ends, user_end, ran = _kernel_chain(True)
     assert ends == alone_ends == [10.0, 15.0, 20.0]
     assert user_end == 120.0
     assert cancelled == []
-    assert seq_advance == alone_seq + 2
+    assert ran == alone_ran + 2
 
 
 def test_dispatched_job_end_ties_after_waiter_timeout():
