@@ -14,8 +14,10 @@ Highlights
 * **Generator processes** -- simulated code is an ordinary Python
   generator that ``yield``\\ s events (:class:`~repro.sim.events.Event`,
   timeouts, resource acquisitions); composition uses ``yield from``.
-* **Determinism** -- the event queue is ordered by ``(time, priority,
-  sequence)``; two runs of the same seeded simulation are bit-identical.
+* **Determinism** -- occurrences run in time order, starts and
+  interrupts ahead of other occurrences at one instant, each kind first
+  in, first out; two runs of the same seeded simulation are
+  bit-identical.
 * **Preemptive CPUs** -- :class:`~repro.sim.cpu.CPU` charges simulated
   execution time with priority-preemptive scheduling, keeps user and
   system busy sums, and records a per-category timeline once the
@@ -25,7 +27,6 @@ Highlights
 from repro.sim.engine import Simulator, Handle
 from repro.sim.events import (
     Event,
-    Timeout,
     Condition,
     AnyOf,
     AllOf,
@@ -41,7 +42,6 @@ __all__ = [
     "Simulator",
     "Handle",
     "Event",
-    "Timeout",
     "Condition",
     "AnyOf",
     "AllOf",

@@ -27,15 +27,15 @@ Real-time subprocess    5-9
 Normal subprocess      10-99
 ====================  ========
 
-An optional ``switch_cost`` callable charges the documented 80 us context
-switch whenever ownership of the CPU passes between different subprocess
-owners (charged as SYSTEM time).
+The CPU charges only what it is given: the kernels charge the
+documented 80 us context switch themselves, as SYSTEM time, each time
+they dispatch a subprocess (``KernelCore.spawn`` and ``block``).
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.sim.events import Event, PENDING as _PENDING
 from repro.sim.trace import Category, Timeline
@@ -64,7 +64,6 @@ class Job:
         "preemptible",
         "done",
         "seq",
-        "internal",
     )
 
     def __init__(
@@ -74,9 +73,8 @@ class Job:
         owner: Optional[str],
         category: Category,
         preemptible: bool,
-        done: Optional[Event],
+        done: Event,
         seq: int,
-        internal: bool = False,
     ) -> None:
         self.remaining = remaining
         self.priority = priority
@@ -85,7 +83,6 @@ class Job:
         self.preemptible = preemptible
         self.done = done
         self.seq = seq
-        self.internal = internal
 
     def __lt__(self, other: "Job") -> bool:
         # The ready heap stores (priority, seq, job) tuples so the C heap
@@ -113,23 +110,12 @@ class CPU:
         The simulator.
     name:
         Used in traces and error messages.
-    switch_cost:
-        Optional ``f(old_owner, new_owner) -> us`` charged (as SYSTEM time)
-        when CPU ownership changes.  Only consulted when both owners are
-        non-``None``; kernel/ISR work should pass ``owner=None`` so it
-        never triggers a context-switch charge by itself.
     """
 
-    def __init__(
-        self,
-        sim: "Simulator",
-        name: str = "cpu",
-        switch_cost: Optional[Callable[[Optional[str], Optional[str]], float]] = None,
-    ) -> None:
+    def __init__(self, sim: "Simulator", name: str = "cpu") -> None:
         self.sim = sim
         self.name = name
         self.timeline = Timeline(name)
-        self.switch_cost = switch_cost
         #: Min-heap of (priority, seq, job): scalar tuple keys keep every
         #: comparison inside the C heap implementation (no Job.__lt__
         #: callbacks).  (priority, seq) pairs are unique among queued
@@ -138,26 +124,16 @@ class CPU:
         self._current: Optional[Job] = None
         self._started_at: float = 0.0
         self._end_handle: Optional["Handle"] = None
-        self._last_owner: Optional[str] = None
         self._seq = 0
         # One bound method for every completion handle, instead of
         # allocating ``self._complete`` fresh on each dispatch; likewise
         # the deferred dispatch appended to a completed charge's event.
         self._complete_cb = self._complete
         self._dispatch_next_cb = self._dispatch_next
-        #: Busy time charged so far, split USER / SYSTEM (context
-        #: switches count as SYSTEM).  Always kept, scope or not.
+        #: Busy time charged so far, split USER / SYSTEM.  Always kept,
+        #: scope or not.
         self.user_us: float = 0.0
         self.system_us: float = 0.0
-        #: Count of context switches charged (paper: 80 us each), backed
-        #: by this node's vstat registry.
-        self._m_switches = sim.vstat.registry(name).counter(
-            "cpu.context_switches"
-        )
-
-    @property
-    def context_switches(self) -> int:
-        return int(self._m_switches.value)
 
     # -- public API --------------------------------------------------------
     def execute(
@@ -197,7 +173,6 @@ class CPU:
         job.done = done
         seq = self._seq
         job.seq = seq
-        job.internal = False
         self._seq = seq + 1
         ready = self._ready
         current = self._current
@@ -263,31 +238,6 @@ class CPU:
 
     def _dispatch_job(self, job: Job) -> None:
         """Start ``job`` (already removed from / never on the ready heap)."""
-        # Charge a context switch if ownership changes between two named
-        # (subprocess) owners.
-        if (
-            self.switch_cost is not None
-            and not job.internal
-            and job.owner is not None
-            and self._last_owner is not None
-            and job.owner != self._last_owner
-        ):
-            cost = self.switch_cost(self._last_owner, job.owner)
-            if cost > 0:
-                # Put the real job back; run a non-preemptible switch first.
-                heappush(self._ready, (job.priority, job.seq, job))
-                switch = Job(
-                    cost,
-                    job.priority,
-                    job.owner,
-                    Category.SYSTEM,
-                    False,
-                    None,
-                    job.seq,  # same seq: runs immediately before the job
-                    internal=True,
-                )
-                self._m_switches.inc()
-                job = switch
         sim = self.sim
         self._current = job
         self._started_at = sim._now
@@ -304,8 +254,7 @@ class CPU:
         registered.  Whatever those waiters charge in the same instant
         goes through :meth:`execute` on an idle CPU, which starts the
         best queued ``(priority, seq)``; ``_dispatch_next`` then finds
-        the CPU busy and does nothing, or starts the head.  Internal
-        switch jobs have no event and dispatch at once.
+        the CPU busy and does nothing, or starts the head.
         """
         job = self._current
         assert job is not None
@@ -320,19 +269,15 @@ class CPU:
             timeline.record(started, now, job.category, job.owner)
         self._current = None
         self._end_handle = None
-        self._last_owner = job.owner if job.owner is not None else self._last_owner
+        # ``Event.succeed`` inlined (one completion per charge); a job's
+        # done event is triggered only here, so the double-trigger guard
+        # is vacuous.
         done = job.done
-        if done is not None:
-            # ``Event.succeed`` inlined (one completion per charge); a
-            # job's done event is triggered only here, so the
-            # double-trigger guard is vacuous.
-            done._ok = True
-            done._value = None
-            self.sim._imm_normal.append(done)
-            if self._ready:
-                done.callbacks.append(self._dispatch_next_cb)
-        elif self._ready:
-            self._dispatch_job(heappop(self._ready)[2])
+        done._ok = True
+        done._value = None
+        self.sim._imm_normal.append(done)
+        if self._ready:
+            done.callbacks.append(self._dispatch_next_cb)
 
     def _dispatch_next(self, _event: Event) -> None:
         """Start the queue head if the completed charge's waiters left

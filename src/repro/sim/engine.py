@@ -1,65 +1,62 @@
 """The discrete-event simulation engine.
 
 :class:`Simulator` owns the clock and the pending-occurrence queues.
-Occurrences are totally ordered by ``(time, priority, sequence)`` so
-that simultaneous occurrences are processed in a deterministic order and
-urgent occurrences (process interrupts) precede normal ones at the same
-instant.
+Occurrences are totally ordered by time, then lane, then arrival: at one
+instant every urgent occurrence (a process start or interrupt) runs
+before every normal one, and each kind runs first-in first-out.  Two
+runs of the same seeded simulation therefore process the same
+occurrences in the same order.
 
 Fast path: the dominant scheduling operation is triggering an event with
 *zero* delay (``Event.succeed``/``fail``, process starts, interrupts).
-Those never need the sorted queue, so they go onto plain FIFO lanes of
-bare items, one per priority, and only *delayed* occurrences carry a
-time and a sequence number.  The merge rests on one invariant: **every
-lane entry is due now, and every queued entry is due later.**  Proof: a
-lane entry is appended at ``_now``, and :meth:`Simulator._push` sends
-any time equal to ``_now`` (a zero delay, or one too small to move the
-clock: ``now + delay == now``) onto a lane rather than into the queue.
-The clock advances only when both lanes are empty, and it advances to
-the queue's head time, moving every entry due then onto the lane of its
-priority in queue order; nothing due at the new time is left queued.
-Under the ``(time, priority, seq)`` order each moved entry sorts before
-every lane entry that callbacks append later at that instant, since it
-was queued at an earlier instant and so holds an older sequence number,
-and urgent entries sort before normal ones.  The order therefore reduces to:
+Those never need the sorted queue, so they go onto two plain FIFO lanes
+of bare items -- the urgent lane (only :meth:`Simulator.start` and
+``Process.interrupt`` append there) and the normal lane -- and only
+*delayed* occurrences carry a time.  The merge rests on one invariant:
+**every lane entry is due now, and every queued entry is due later.**
+Proof: a lane entry is appended at ``_now``, and :meth:`Simulator._push`
+sends any time equal to ``_now`` (a zero delay, or one too small to move
+the clock: ``now + delay == now``) onto the normal lane rather than into
+the queue.  The clock advances only when both lanes are empty, and it
+advances to the queue's head time, moving every entry due then onto the
+normal lane in queue order; nothing due at the new time is left queued.
+Each moved entry was queued at an earlier instant, so it precedes every
+normal occurrence that callbacks append later at that instant.  The
+order therefore reduces to:
 
 1. the urgent lane;
 2. the normal lane;
 3. only then does the clock advance to the queue's head.
 
-No timestamp or sequence number is built or compared for a lane entry,
-and the order is the exact heap order bit for bit (pinned by
-``tests/test_determinism.py`` and the heapq differential tests in
-``tests/test_properties_sim.py``).
+No timestamp or tie-break number is built or compared for a lane entry,
+and the order is the exact order of a reference heap of ``(time,
+priority, seq)`` tuples (pinned by ``tests/test_determinism.py`` and the
+heapq differential tests in ``tests/test_properties_sim.py``).
 
-The delayed-occurrence queue is a *flat parallel-arrays* priority
-queue: scalar lists moved in lockstep instead of a single list of
-``(time, priority, seq, item)`` tuples.  ``_keys`` holds negated times,
-``_order`` the priority and sequence packed into one integer (priority
-times :data:`_PRIO_STRIDE` plus sequence -- lexicographic ``(priority,
-seq)`` order as a single C ``int`` compare), and ``_items`` the payload
-objects.  The arrays are kept sorted by *descending* ``(time, priority,
-seq)`` -- the minimum lives at the end -- so a pop is three O(1)
-``list.pop()`` calls and the head's time is one scalar load (the
-drain loop indexes no tuple).  Pushes locate
-their slot with one C ``bisect`` over ``_keys``: sequence numbers grow
-monotonically, so a new normal-priority entry always sorts *last* among
-equal ``(time, priority)`` keys, which in the descending layout is the
-leftmost slot of the equal-time run -- exactly where ``bisect_left``
-lands, no tie-break scan.  A hand-rolled parallel-array binary-heap
-sift was benchmarked first and lost by ~3x: interpreted sift loops
-cannot compete with C ``bisect`` + ``memmove`` at realistic queue
-depths (~100-200 pending occurrences).  Lazy-cancel compaction rewrites
-the arrays in place so drain-local bindings stay valid.
+The delayed-occurrence queue is a *flat parallel-arrays* queue: two
+scalar lists moved in lockstep instead of a single list of ``(time,
+item)`` tuples.  ``_keys`` holds negated times and ``_items`` the
+payload objects.  The arrays are kept sorted by *descending* time -- the
+minimum lives at the end -- so a pop is two O(1) ``list.pop()`` calls
+and the head's time is one scalar load (the drain loop indexes no
+tuple).  A push locates its slot with one C ``bisect_left`` over
+``_keys``: the leftmost slot of an equal-time run is the one that pops
+*last* among its ties, so equal times pop first-in first-out with no
+sequence number.  A hand-rolled parallel-array binary-heap sift was
+benchmarked first and lost by ~3x: interpreted sift loops cannot compete
+with C ``bisect`` + ``memmove`` at realistic queue depths (~100-200
+pending occurrences).  Lazy-cancel compaction rewrites the arrays in
+place, keeping the survivors' relative order, so drain-local bindings
+stay valid and ties still pop first-in first-out.
 
 Every delayed occurrence enters through one method,
 :meth:`Simulator._push`.  Its cost is the C memmove of the entries that
 pop before it (they sit to its right in the descending layout), so a
 far-future arm on a deep queue -- a new global-maximum time lands at
-index 0 -- moves all three arrays.  At the depths the benchmark
-workloads reach (a median of ~130-180 pending occurrences) that memmove
-is cheap: a separate ascending lane that took such arms as appends
-measured no faster.
+index 0 -- moves both arrays.  At the depths the benchmark workloads
+reach (a median of ~130-180 pending occurrences) that memmove is cheap:
+a separate ascending lane that took such arms as appends measured no
+faster.
 """
 
 from __future__ import annotations
@@ -70,7 +67,7 @@ from math import nextafter
 from typing import Any, Callable, Generator, Optional
 
 from repro.metrics.events import Vstat
-from repro.sim.events import Event, Timeout, NORMAL, URGENT
+from repro.sim.events import Event
 
 #: Lazy-cancel compaction trigger: compact the heap when more than half
 #: of it is cancelled handles (and there are enough of them to matter) --
@@ -78,22 +75,18 @@ from repro.sim.events import Event, Timeout, NORMAL, URGENT
 #: ``call_later(...).cancel()`` churn.
 _MIN_CANCELLED_TO_COMPACT = 64
 
-#: Packed-order stride: ``order = priority * _PRIO_STRIDE + seq`` compares
-#: identically to the tuple ``(priority, seq)`` as long as sequence
-#: numbers stay below the stride -- far beyond any reachable run length.
-_PRIO_STRIDE = 1 << 62
-
 _INFINITY = float("inf")
 
 
 class Handle:
     """A cancellable scheduled callback.
 
-    Returned by :meth:`Simulator.call_later`.  Cancellation is lazy: the
-    queue entry stays in place and is skipped when popped, but the
-    simulator counts cancelled entries and compacts the heap when they
-    dominate it.  ``_sim`` is cleared when the callback runs, so a
-    cancel after that point has no queued entry to count.
+    Returned by :meth:`Simulator.call_later`, which builds it without a
+    constructor call.  Cancellation is lazy: the queue entry stays in
+    place and is skipped when popped, but the simulator counts cancelled
+    entries and compacts the queue when they dominate it.  ``_sim`` is
+    cleared when the callback runs, so a cancel after that point has no
+    queued entry to count.
     """
 
     __slots__ = ("fn", "args", "cancelled", "time", "_sim")
@@ -102,16 +95,6 @@ class Handle:
     #: ``callbacks is None`` as "run ``fn`` instead" (a queued event's
     #: list is never ``None`` until it is processed).
     callbacks = None
-
-    def __init__(
-        self, sim: "Simulator", time: float, fn: Callable[..., None],
-        args: tuple,
-    ) -> None:
-        self._sim = sim
-        self.time = time
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
 
     def cancel(self) -> None:
         """Prevent the callback from running (idempotent).
@@ -152,9 +135,7 @@ class Simulator:
 
     __slots__ = (
         "_now",
-        "_seq",
         "_keys",
-        "_order",
         "_items",
         "_imm_urgent",
         "_imm_normal",
@@ -166,20 +147,18 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now: float = 0.0
-        self._seq: int = 0
         #: Flat parallel-arrays queue for *delayed* occurrences, sorted by
-        #: descending ``(time, priority, seq)``: entry ``i`` has time
-        #: ``-_keys[i]``, packed priority+sequence ``_order[i]``, and
-        #: payload ``_items[i]`` (an Event or a Handle); the *minimum* is
-        #: the last entry.  All three move in lockstep: :meth:`_push` is
-        #: the only insert, pops take the end; compaction rewrites them
-        #: in place (never rebinds) because :meth:`_drain` holds local
-        #: references.
+        #: descending time, first-queued last among equal times: entry
+        #: ``i`` has time ``-_keys[i]`` and payload ``_items[i]`` (an
+        #: Event or a Handle); the next to pop is the last entry.  Both
+        #: move in lockstep: :meth:`_push` is the only insert, pops take
+        #: the end; compaction rewrites them in place (never rebinds)
+        #: because :meth:`_drain` holds local references.
         self._keys: list[float] = []
-        self._order: list[int] = []
         self._items: list[Any] = []
-        #: FIFO lanes of bare items due at ``_now``, one per priority
-        #: level (see the module docstring).
+        #: FIFO lanes of bare items due at ``_now`` (see the module
+        #: docstring): starts and interrupts on the urgent lane,
+        #: everything else on the normal lane.
         #: The normal lane may hold cancelled zero-delay
         #: :class:`Handle`\\ s (skipped at pop time); the urgent lane
         #: only ever holds events.
@@ -205,56 +184,32 @@ class Simulator:
         return self._now
 
     # -- the flat queue ----------------------------------------------------
-    def _push(self, time: float, priority: int, item: Any) -> None:
-        """Queue ``item`` to run at ``time`` (never before ``_now``).
+    def _push(self, time: float, item: Any) -> None:
+        """Queue normal ``item`` to run at ``time`` (never before ``_now``).
 
         A time equal to ``_now`` -- a zero delay, or one too small to
-        move the clock -- goes onto the lane of its priority: its
-        sequence number would have sorted it after every entry already
-        due now at that priority and before every later one, which is
-        the lane's FIFO position.  Anything later takes the next
-        sequence number (it breaks ties only here, in the sorted queue)
-        and one C bisect over the negated-time keys finds its slot.
-        Sequence numbers grow monotonically, so among entries with
-        equal ``(time, priority)`` the new one always pops *last* --
-        which in the descending layout is the leftmost slot of the
-        equal-time run, exactly where ``bisect_left`` lands for a
-        normal-priority push.  Urgent pushes (which sort before every
-        normal entry at the same time) walk right past equal-time
-        entries with a greater packed order; no caller schedules a
-        *delayed* urgent occurrence today, so the scan is cold.
+        move the clock -- goes onto the normal lane, after every entry
+        already due now.  Anything later finds its slot with one C
+        bisect over the negated-time keys: ``bisect_left`` lands on the
+        leftmost slot of an equal-time run, which in the descending
+        layout pops *last* among its ties, so equal times pop in the
+        order they were pushed.
         """
         if time == self._now:
-            if priority == NORMAL:
-                self._imm_normal.append(item)
-            else:
-                self._imm_urgent.append(item)
+            self._imm_normal.append(item)
             return
-        seq = self._seq
-        self._seq = seq + 1
-        order = priority * _PRIO_STRIDE + seq
         keys = self._keys
         key = -time
         pos = bisect_left(keys, key)
-        if priority == URGENT:
-            orders = self._order
-            n = len(keys)
-            while pos < n and keys[pos] == key and orders[pos] > order:
-                pos += 1
         keys.insert(pos, key)
-        self._order.insert(pos, order)
         self._items.insert(pos, item)
 
     def _heap_pop(self) -> Any:
-        """Remove and return the minimum item: three O(1) end pops."""
+        """Remove and return the next queued item: two O(1) end pops."""
         self._keys.pop()
-        self._order.pop()
         return self._items.pop()
 
     # -- scheduling ----------------------------------------------------------
-    def _schedule_event(self, event: Event, delay: float, priority: int) -> None:
-        self._push(self._now + delay, priority, event)
-
     def call_later(self, delay: float, fn: Callable[..., None], *args: Any) -> Handle:
         """Run ``fn(*args)`` after ``delay``; returns a cancellable handle.
 
@@ -275,13 +230,13 @@ class Simulator:
         if delay == 0.0:  # :meth:`_push`'s lane branch, minus a frame
             self._imm_normal.append(handle)
         else:
-            self._push(time, NORMAL, handle)
+            self._push(time, handle)
         return handle
 
     def _compact(self) -> None:
         """Drop every cancelled entry and recount ``_cancelled`` exactly.
 
-        The three queue arrays are rewritten *in place* (slice
+        The two queue arrays are rewritten *in place* (slice
         assignment, never rebinding) because the drain loop in
         :meth:`run` holds local references to them.  Filtering preserves
         the sorted layout, so the pop order of the survivors is
@@ -293,12 +248,11 @@ class Simulator:
         """
         live = [
             entry
-            for entry in zip(self._keys, self._order, self._items)
-            if not entry[2].cancelled
+            for entry in zip(self._keys, self._items)
+            if not entry[1].cancelled
         ]
         self._keys[:] = [entry[0] for entry in live]
-        self._order[:] = [entry[1] for entry in live]
-        self._items[:] = [entry[2] for entry in live]
+        self._items[:] = [entry[1] for entry in live]
         normal = self._imm_normal
         if normal:
             kept = [item for item in normal if not item.cancelled]
@@ -313,26 +267,22 @@ class Simulator:
         """A fresh untriggered event."""
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """An event that triggers ``delay`` from now."""
-        # ``Timeout.__init__`` inlined -- its constructor chain (Event
-        # ctor + ``_schedule_event``) costs three extra frames, and a
-        # timeout is created per wire transfer and watchdog arm.  The
-        # Timeout class itself keeps a working constructor for direct
-        # construction.
+    def timeout(self, delay: float, value: Any = None) -> Event:
+        """An event that triggers with ``value`` ``delay`` from now."""
+        # ``Event.__init__`` inlined, already triggered: a timeout is
+        # created per wire transfer and watchdog arm.
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        event = Timeout.__new__(Timeout)
+        event = Event.__new__(Event)
         event.sim = self
         event.callbacks = []
         event._ok = True
         event._value = value
         event._defused = False
-        event.delay = delay
         if delay == 0.0:  # :meth:`_push`'s lane branch, minus a frame
             self._imm_normal.append(event)
         else:
-            self._push(self._now + delay, NORMAL, event)
+            self._push(self._now + delay, event)
         return event
 
     def process(self, generator: Generator) -> "Process":
@@ -373,17 +323,12 @@ class Simulator:
 
     def _advance(self) -> None:
         """Move the clock to the delayed queue's head and every entry
-        due then onto the lane of its priority, in queue order."""
+        due then onto the normal lane, in queue order."""
         keys = self._keys
         key = keys[-1]
         self._now = -key
         while keys and keys[-1] == key:
-            order = self._order[-1]
-            item = self._heap_pop()
-            if order < _PRIO_STRIDE:  # URGENT == 0
-                self._imm_urgent.append(item)
-            else:
-                self._imm_normal.append(item)
+            self._imm_normal.append(self._heap_pop())
 
     def peek(self) -> float:
         """Time of the next occurrence, or ``inf`` if the queue is empty."""
@@ -413,7 +358,7 @@ class Simulator:
         self._pop_next()._process()
 
     def _drain(self, stop: Optional[Event], deadline: float) -> None:
-        """The run loop: process occurrences in ``(time, priority, seq)`` order.
+        """The run loop: process occurrences in time, then lane, order.
 
         Stops when the schedule empties, when ``stop`` (if given) has been
         processed, or when the next occurrence lies beyond ``deadline``.
@@ -425,22 +370,20 @@ class Simulator:
         reads the delayed queue's head, and it alone tests ``deadline``
         (everything pending on entry is due at ``_now`` or later, so one
         test up front covers the lanes).  The head runs directly; the
-        entries tied with it join the lanes (:meth:`_advance` inlined).
+        entries tied with it join the normal lane (:meth:`_advance`
+        inlined).
         """
         keys = self._keys
-        order = self._order
         items = self._items
         urgent = self._imm_urgent
         normal = self._imm_normal
         urgent_popleft = urgent.popleft
         normal_popleft = normal.popleft
-        # :meth:`_heap_pop` inlined as three bound C pops.  Compaction
+        # :meth:`_heap_pop` inlined as two bound C pops.  Compaction
         # rewrites the arrays in place (slice assignment), so these bound
         # methods keep pointing at the live arrays.
         keys_pop = keys.pop
-        order_pop = order.pop
         items_pop = items.pop
-        stride = _PRIO_STRIDE
         if self._now > deadline:
             return
         processed = 0
@@ -455,7 +398,6 @@ class Simulator:
                 elif keys:
                     if items[-1].cancelled:
                         keys_pop()
-                        order_pop()
                         items_pop()
                         if self._cancelled > 0:
                             self._cancelled -= 1
@@ -465,14 +407,10 @@ class Simulator:
                         return
                     self._now = -key
                     keys_pop()
-                    order_pop()
                     item = items_pop()
                     while keys and keys[-1] == key:
                         keys_pop()
-                        if order_pop() < stride:  # URGENT == 0
-                            urgent.append(items_pop())
-                        else:
-                            normal.append(items_pop())
+                        normal.append(items_pop())
                 else:
                     return
                 # ``Event._process`` / ``Handle._process`` inlined: the

@@ -23,12 +23,6 @@ class _Pending:
 #: Sentinel value of an untriggered event.
 PENDING: Any = _Pending()
 
-#: Queue priority for urgent occurrences (interrupts) -- processed before
-#: normal events at the same timestamp.
-URGENT = 0
-#: Queue priority for normal occurrences.
-NORMAL = 1
-
 
 class Interrupt(Exception):
     """Thrown into a process by :meth:`repro.sim.process.Process.interrupt`.
@@ -153,25 +147,6 @@ class Event:
             else ("ok" if self._ok else "failed")
         )
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
-
-
-class Timeout(Event):
-    """An event that triggers after a fixed delay.
-
-    Created via :meth:`Simulator.timeout`; pre-triggered at construction
-    and scheduled ``delay`` into the future.
-    """
-
-    __slots__ = ("delay",)
-
-    def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(sim)
-        self.delay = delay
-        self._ok = True
-        self._value = value
-        sim._schedule_event(self, delay, NORMAL)
 
 
 class Condition(Event):

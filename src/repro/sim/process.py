@@ -12,7 +12,7 @@ from __future__ import annotations
 from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from repro.sim.events import Event, Interrupt, PENDING, URGENT
+from repro.sim.events import Event, Interrupt, PENDING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator

@@ -1,7 +1,7 @@
 """Trace-fingerprint determinism tests for the engine's event ordering.
 
-The engine promises a total order on simultaneous occurrences --
-``(time, priority, sequence)`` -- and every experiment in the paper
+The engine promises a total order on simultaneous occurrences -- time,
+then urgent before normal, then arrival -- and every experiment in the paper
 reproduction leans on it.  These tests pin that order down with a
 cryptographic fingerprint over the full structured trace (every
 ``TraceEvent`` plus the final metric snapshots, clock, and processed
@@ -35,15 +35,23 @@ from repro.vorx.sliding_window import run_channel_stream
 #: understanding why.  Re-recorded once when the adaptive-window
 #: metrics (``chan.window.size`` / ``chan.window.shrinks``) joined the
 #: per-kernel registry snapshot -- the event schedule itself was
-#: verified bit-identical (events-only digest unchanged).
+#: verified bit-identical (events-only digest unchanged).  Re-recorded
+#: again when the always-zero ``cpu.context_switches`` counter left
+#: every CPU's registry (the CPU lost its unused ``switch_cost`` mode):
+#: 79df3ce9... -> 6928e96b....  The events-only digest (trace events
+#: plus ``now`` and ``processed``) stayed b3c775ce7012df99... with
+#: processed 1953, and re-registering the counter restores 79df3ce9....
 GOLDEN_CHANNELS = (
-    "79df3ce9926055d515b59ca3ee2933a0502f6ba66342345628ad0f47dc167073"
+    "6928e96bd2d96d6066806f5718781d8f9c5abcc433ea94a3c9b839157ccb97a8"
 )
 
 #: Same, for the seeded faultstorm workload (re-recorded alongside
-#: GOLDEN_CHANNELS for the same registry-snapshot reason).
+#: GOLDEN_CHANNELS both times, for the same registry-snapshot reasons:
+#: 52b49476... -> 352f376c...; events-only digest 15820b8d96866e88...
+#: with processed 1797 throughout, and re-registering the counter
+#: restores 52b49476...).
 GOLDEN_FAULTSTORM = (
-    "52b49476c0db0c01c7c33b96099e8e0e0eaa8a9d3ddf83fa65f6c348d8d5c23f"
+    "352f376cf20a51afb24c603c1696bdf06fdef861cc1794d833e98b5e046d9517"
 )
 
 #: Schedule-sensitive :meth:`TrafficResult.fingerprint` of 1024

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import VorxSystem
-from repro.hpc.message import MessageKind, Packet
+from repro.hpc.message import MessageKind
 
 
 def test_register_handler_rejects_duplicates():

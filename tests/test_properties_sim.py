@@ -6,7 +6,7 @@ from heapq import heappop
 
 from hypothesis import example, given, strategies as st
 
-from repro.sim import CPU, Simulator, Store, Semaphore
+from repro.sim import CPU, Interrupt, Simulator, Store, Semaphore
 from repro.sim.engine import EmptySchedule
 from repro.sim.cpu import PRIORITY_ISR
 from repro.sim.trace import Category, Timeline
@@ -180,10 +180,7 @@ class EagerCPU(CPU):
             self.system_us += now - self._started_at
         self._current = None
         self._end_handle = None
-        if job.owner is not None:
-            self._last_owner = job.owner
-        if job.done is not None:
-            job.done.succeed()
+        job.done.succeed()
         if self._ready:
             self._dispatch_job(heappop(self._ready)[2])
 
@@ -269,10 +266,16 @@ def test_timeline_breakdown_sums_to_window(busy, window):
 
 
 # ---------------------------------------------------------- flat event queue
+#: A delayed arm is NORMAL (``timeout``/``call_later``); an URGENT arm is
+#: a zero-delay ``start``, the only way to make one besides an interrupt.
+_URGENT_ARM = (0.0, 0)
+
+
 def _arms(max_delay, max_size):
-    return st.lists(st.tuples(
-        st.floats(min_value=0.0, max_value=max_delay, allow_nan=False),
-        st.sampled_from([0, 1]),  # URGENT, NORMAL
+    return st.lists(st.one_of(
+        st.tuples(st.floats(min_value=0.0, max_value=max_delay,
+                            allow_nan=False), st.just(1)),
+        st.just(_URGENT_ARM),
     ), max_size=max_size)
 
 
@@ -301,10 +304,11 @@ def _arms(max_delay, max_size):
 @example(depth=200, entries=[], reactions=[[(5_000.0, 1)]] * 260)
 # Every arm made while the delayed queue is empty.
 @example(depth=0, entries=[(1.0, 1)],
-         reactions=[[(2_000.0, 1)], [(0.5, 0)], [(7.0, 1)]])
-# Delayed urgent arms tying with normal ones, during the run.
-@example(depth=150, entries=[(3.0, 0), (3.0, 1)],
-         reactions=[[(2.0, 0), (2.0, 1), (0.0, 0)]] * 40)
+         reactions=[[(2_000.0, 1)], [_URGENT_ARM], [(7.0, 1)]])
+# Zero-delay urgent arms made at the instant delayed normals land, on
+# top of ties among the delayed normals themselves.
+@example(depth=150, entries=[(3.0, 1), _URGENT_ARM, (3.0, 1)],
+         reactions=[[(2.0, 1), (2.0, 1), _URGENT_ARM]] * 40)
 def test_flat_queue_matches_heapq_order(depth, entries, reactions):
     """Differential test: the flat parallel-arrays queue plus the
     immediate lanes must process occurrences in exactly the order a
@@ -336,11 +340,14 @@ def test_flat_queue_matches_heapq_order(depth, entries, reactions):
     labels = itertools.count()
 
     def arm(delay, priority):
-        event = sim.event()
-        event._ok = True
         label = next(labels)
-        event.callbacks.append(lambda _e: fire(priority, label))
-        sim._schedule_event(event, delay, priority)
+        if priority == 0:
+            sim.start(lambda _e: fire(priority, label))
+        elif label % 2:
+            sim.call_later(delay, fire, priority, label)
+        else:
+            sim.timeout(delay).callbacks.append(
+                lambda _e: fire(priority, label))
 
     def fire(priority, label):
         log.append((sim.now, priority, label))
@@ -361,21 +368,20 @@ def test_flat_queue_matches_heapq_order(depth, entries, reactions):
 _TIE_DELAYS = st.sampled_from([0.0, 1e-13, 0.25, 1.0])
 _TIE_ARM = st.tuples(
     _TIE_DELAYS,
-    st.sampled_from([0, 1]),  # URGENT, NORMAL
-    # ``_schedule_event``; ``call_later`` (NORMAL) and a cancelled one;
-    # and the two lane appends made without ``_push``: ``succeed``
-    # (zero-delay NORMAL) and ``start`` (zero-delay URGENT).
-    st.sampled_from(["event", "call", "cancelled", "succeed", "start"]),
+    # NORMAL arms: ``timeout``, ``call_later`` and a cancelled one, and
+    # the zero-delay ``succeed``; URGENT arms, zero-delay only:
+    # ``start`` and ``Process.interrupt``.  The last three ignore the
+    # delay.
+    st.sampled_from(["timeout", "call", "cancelled", "succeed", "start",
+                     "interrupt"]),
 )
 
 
-def _tie_key(now, delay, priority, kind):
+def _tie_key(now, delay, kind):
     """The ``(time, priority)`` a :data:`_TIE_ARM` is due at."""
-    if kind == "event":
-        return now + delay, priority
-    if kind in ("call", "cancelled"):
+    if kind in ("timeout", "call", "cancelled"):
         return now + delay, 1
-    return now, 0 if kind == "start" else 1
+    return now, 1 if kind == "succeed" else 0
 
 
 @given(
@@ -384,13 +390,13 @@ def _tie_key(now, delay, priority, kind):
     mode=st.sampled_from(["run", "step", "until", "window"]),
 )
 # Zero-delay and rounded-away arms made at the instant delayed arms land.
-@example(entries=[(1.0, 1, "event"), (1.0, 1, "call"), (1.0, 0, "event")],
-         reactions=[[(0.0, 1, "succeed"), (1e-13, 0, "event"),
-                     (1e-13, 1, "call"), (0.0, 0, "start")]] * 3,
+@example(entries=[(1.0, "timeout"), (1.0, "call"), (1.0, "timeout")],
+         reactions=[[(0.0, "succeed"), (0.0, "interrupt"),
+                     (1e-13, "call"), (0.0, "start")]] * 3,
          mode="run")
 # Stop and resume in the middle of one instant.
-@example(entries=[(0.0, 1, "event")] * 4,
-         reactions=[[(0.0, 0, "event"), (0.0, 1, "cancelled")]] * 6,
+@example(entries=[(0.0, "timeout")] * 4,
+         reactions=[[(0.0, "start"), (0.0, "cancelled")]] * 6,
          mode="until")
 def test_lanes_match_heapq_order_under_ties(entries, reactions, mode):
     """Differential test of the lane invariant: occurrences armed with
@@ -404,21 +410,18 @@ def test_lanes_match_heapq_order_under_ties(entries, reactions, mode):
     base = 5_000.0
     reference = []
     seq = 0
-    for delay, priority, kind in entries:
+    for delay, kind in entries:
         if kind != "cancelled":
-            heapq.heappush(reference, (*_tie_key(base, delay, priority, kind),
-                                       seq))
+            heapq.heappush(reference, (*_tie_key(base, delay, kind), seq))
         seq += 1
     expected = []
     while reference:
         now, priority, label = heapq.heappop(reference)
         expected.append((now, priority, label))
         k = len(expected) - 1
-        for delay, child_priority, kind in (
-                reactions[k] if k < len(reactions) else ()):
+        for delay, kind in (reactions[k] if k < len(reactions) else ()):
             if kind != "cancelled":
-                heapq.heappush(reference, (
-                    *_tie_key(now, delay, child_priority, kind), seq))
+                heapq.heappush(reference, (*_tie_key(now, delay, kind), seq))
             seq += 1
 
     sim = Simulator()
@@ -426,20 +429,32 @@ def test_lanes_match_heapq_order_under_ties(entries, reactions, mode):
     labels = itertools.count()
     armed = []
 
-    def arm(delay, priority, kind):
+    def sleeper():
+        # Waits forever; each interrupt carries the label to fire.  A
+        # process cannot interrupt itself while it runs, so there are two
+        # and an interrupt goes to one that is waiting.
+        never = sim.event()
+        while True:
+            try:
+                yield never
+            except Interrupt as interrupt:
+                fire(0, interrupt.cause)
+
+    def arm(delay, kind):
         label = next(labels)
-        _, priority = _tie_key(0.0, delay, priority, kind)
+        _, priority = _tie_key(0.0, delay, kind)
         if kind == "start":
             armed.append(sim.start(lambda _e: fire(priority, label)))
-        elif kind in ("event", "succeed"):
-            event = sim.event()
-            event.callbacks.append(lambda _e: fire(priority, label))
+        elif kind == "interrupt":
+            first, second = sleepers
+            (first if first.target is not None else second).interrupt(label)
+        elif kind in ("timeout", "succeed"):
             if kind == "succeed":
+                event = sim.event()
                 event.succeed(label)
             else:
-                event._ok = True
-                event._value = label
-                sim._schedule_event(event, delay, priority)
+                event = sim.timeout(delay, label)
+            event.callbacks.append(lambda _e: fire(priority, label))
             armed.append(event)
         else:
             handle = sim.call_later(delay, fire, 1, label)
@@ -452,12 +467,13 @@ def test_lanes_match_heapq_order_under_ties(entries, reactions, mode):
         for arm_args in (reactions[k] if k < len(reactions) else ()):
             arm(*arm_args)
 
+    sleepers = (sim.process(sleeper()), sim.process(sleeper()))
     # The seed arms are made at t=5000 itself, by one occurrence the
     # run stops after: the zero-delay ones wait on the lanes.
     seed = sim.timeout(base)
     seed.callbacks.append(lambda _e: [arm(*entry) for entry in entries])
     sim.run(until=seed)
-    assert sim.processed == 1
+    assert sim.processed == 3  # the sleepers' starts and the seed
     if mode == "run":
         sim.run()
     elif mode == "step":
@@ -486,7 +502,7 @@ def test_lanes_match_heapq_order_under_ties(entries, reactions, mode):
             assert all(time < bound for time, _, _ in log[done:])
             assert sim.peek() >= bound
     assert log == expected
-    assert sim.processed == 1 + len(expected)
+    assert sim.processed == 3 + len(expected)
     if expected:
         assert sim.now == expected[-1][0]
     assert sim._cancelled == 0

@@ -161,74 +161,6 @@ def test_busy_sums_kept_without_a_timeline():
     assert cpu.timeline.segments == ()
 
 
-def test_context_switch_charged_between_owners():
-    sim = Simulator()
-    cpu = CPU(sim, switch_cost=lambda old, new: 80.0)
-    cpu.timeline.arm(0.0)
-    ends = []
-
-    def proc(owner, start):
-        yield sim.timeout(start)
-        yield cpu.execute(100.0, owner=owner)
-        ends.append((owner, sim.now))
-
-    sim.process(proc("a", 0.0))
-    sim.process(proc("b", 1.0))
-    sim.run()
-    # a: 0..100 (first dispatch, no switch); b: switch 100..180, run ..280.
-    assert ends == [("a", 100.0), ("b", 280.0)]
-    assert cpu.context_switches == 1
-    assert cpu.timeline.busy_time(Category.SYSTEM) == 80.0
-    assert cpu.system_us == 80.0  # the switch counts as SYSTEM
-    assert cpu.user_us == 200.0
-
-
-def test_no_switch_charge_for_same_owner_or_kernel():
-    sim = Simulator()
-    cpu = CPU(sim, switch_cost=lambda old, new: 80.0)
-
-    def proc():
-        yield cpu.execute(10.0, owner="a")
-        yield cpu.execute(10.0, owner=None)  # kernel work: no charge
-        yield cpu.execute(10.0, owner="a")  # same owner: no charge
-
-    p = sim.process(proc())
-    sim.run(until=p)
-    assert cpu.context_switches == 0
-    assert sim.now == 30.0
-
-
-def test_switch_waits_for_same_owner_follow_up():
-    """A waiter's own follow-up claims the CPU before a queued job's
-    context switch starts.  Owner ``a``'s 100 us charge ends with ``b``
-    queued; ``a`` then charges 50 us at priority 5 in the same instant.
-    ``a`` keeps the CPU (no switch): a2 runs 100..150, then the a->b
-    switch 150..230 and b 230..330.  A CPU that dispatched ``b`` before
-    ``a``'s waiter ran started the non-preemptible switch first and
-    finished at a2 = 310, b = 490 with three switches."""
-    sim = Simulator()
-    cpu = CPU(sim, switch_cost=lambda old, new: 80.0)
-    ends = []
-
-    def a():
-        yield cpu.execute(100.0, owner="a")
-        ends.append(("a1", sim.now))
-        yield cpu.execute(50.0, priority=5, owner="a")
-        ends.append(("a2", sim.now))
-
-    def b():
-        yield sim.timeout(1.0)
-        yield cpu.execute(100.0, owner="b")
-        ends.append(("b", sim.now))
-
-    sim.process(a())
-    sim.process(b())
-    sim.run()
-    assert ends == [("a1", 100.0), ("a2", 150.0), ("b", 330.0)]
-    assert cpu.context_switches == 1
-    assert (cpu.user_us, cpu.system_us) == (250.0, 80.0)
-
-
 def _kernel_chain(queued_user):
     """Three same-instant kernel charges (10, 5, 5 us), optionally with a
     100 us user charge queued behind the first.  Returns the chain's and

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Simulator, AnyOf, AllOf
+from repro.sim import Simulator, AnyOf, AllOf, Interrupt
 
 
 def test_clock_starts_at_zero():
@@ -291,67 +291,74 @@ def test_shallow_queue_skips_far_lane_and_stays_ordered():
 
 
 def test_compaction_preserves_order_among_survivors():
-    sim = Simulator()
-    order = []
-    handles = []
-    for i in range(400):
-        if i % 4 == 0:
-            sim.call_later(float(1 + i), lambda i=i: order.append(i))
-        else:
-            handles.append(sim.call_later(float(1 + i), lambda: None))
-    for handle in handles:
-        handle.cancel()  # 300 of 400 cancelled -> compaction has run
-    sim.run()
-    assert order == [i for i in range(400) if i % 4 == 0]
+    # Two inputs: distinct times, and one shared time, where the only
+    # record of the arm order is each entry's slot in the queue.
+    for time_of in (lambda i: float(1 + i), lambda i: 7.0):
+        sim = Simulator()
+        order = []
+        handles = []
+        for i in range(400):
+            if i % 4 == 0:
+                sim.call_later(time_of(i), lambda i=i: order.append(i))
+            else:
+                handles.append(sim.call_later(time_of(i), lambda: None))
+        for handle in handles:
+            handle.cancel()  # 300 of 400 cancelled -> compaction has run
+        assert len(sim._keys) < 400
+        sim.run()
+        assert order == [i for i in range(400) if i % 4 == 0]
 
 
 def test_three_lane_merge_orders_by_priority_then_seq():
-    """Urgent lane, normal lane and the heap merge under (time, prio, seq).
+    """Urgent lane, normal lane and the delayed queue merge under
+    ``(time, priority, seq)`` order.
 
-    Regression test for a merge bug where the normal-lane comparison
-    carried a stale best-priority forward instead of the full packed
-    key: at equal timestamps a normal-lane head could overtake an
-    urgent occurrence that was examined earlier in the merge.
+    At one instant a zero-delay urgent occurrence (a start or an
+    interrupt) runs before every normal one, however late it was made,
+    and normal occurrences run in the order they were armed: a delayed
+    entry landing now was armed before anything made at this instant.
     """
-    from repro.sim.events import URGENT
-
     sim = Simulator()
     log = []
 
+    def sleeper():
+        try:
+            yield sim.timeout(1_000.0)
+        except Interrupt:
+            log.append("interrupt-20")
+
     def at_ten():
-        # A zero-delay normal occurrence (the immediate lane) ...
+        # A zero-delay normal occurrence (the normal lane) ...
         lane_normal = sim.event()
         lane_normal.callbacks.append(lambda _e: log.append("lane-normal"))
         lane_normal.succeed()
-        # ... then an urgent one, scheduled *after* it: despite the
-        # later sequence number it must run first.
-        lane_urgent = sim.event()
-        lane_urgent._ok = True
-        lane_urgent.callbacks.append(lambda _e: log.append("lane-urgent"))
-        sim._schedule_event(lane_urgent, 0.0, URGENT)
-        # Delayed entries landing at the same future instant: normal
-        # scheduled first, urgent second -- the heap must still pop the
-        # urgent one first at t=20.
-        heap_normal_20 = sim.event()
-        heap_normal_20._ok = True
-        heap_normal_20.callbacks.append(lambda _e: log.append("heap-normal-20"))
-        sim._schedule_event(heap_normal_20, 10.0, 1)
-        heap_urgent_20 = sim.event()
-        heap_urgent_20._ok = True
-        heap_urgent_20.callbacks.append(lambda _e: log.append("heap-urgent-20"))
-        sim._schedule_event(heap_urgent_20, 10.0, URGENT)
+        # ... then an urgent one, made *after* it: it still runs first.
+        sim.start(lambda _e: log.append("lane-urgent"))
+        # Two delayed normals landing together at t=20; the first makes
+        # urgent occurrences there, which run before the second.
+        sim.call_later(10.0, at_twenty)
+        sim.timeout(10.0).callbacks.append(
+            lambda _e: log.append("delayed-normal-20"))
 
+    def at_twenty():
+        log.append("at-twenty")
+        sim.start(lambda _e: log.append("start-20"))
+        sleeping.interrupt()
+
+    sleeping = sim.process(sleeper())
     sim.call_later(10.0, at_ten)
-    # A delayed normal occurrence already in the heap at t=10, with an
-    # earlier sequence number than anything at_ten creates.
-    sim.call_later(10.0, log.append, "heap-normal")
+    # A delayed normal occurrence due at t=10 too, armed before anything
+    # at_ten makes.
+    sim.call_later(10.0, log.append, "delayed-normal")
     sim.run()
     assert log == [
-        "lane-urgent",   # URGENT beats both normals at t=10
-        "heap-normal",   # earlier seq than the lane entry
+        "lane-urgent",     # urgent beats both normals at t=10
+        "delayed-normal",  # armed before the lane entry
         "lane-normal",
-        "heap-urgent-20",  # URGENT beats the earlier-seq normal at t=20
-        "heap-normal-20",
+        "at-twenty",
+        "start-20",        # urgent beats the earlier-armed normal at t=20
+        "interrupt-20",
+        "delayed-normal-20",
     ]
 
 
