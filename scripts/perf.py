@@ -39,10 +39,21 @@ workload that owns its full-size claim.  They are
 and ``hypercube_1024_mm`` (the same traffic on the sharded engine at
 ``workers=2``).
 
-Each record holds ``events`` and ``sim_us``, which must repeat exactly
-across ``--repeat`` runs, and ``wall_s`` and ``events_per_sec`` as
-``{min, median, max}``.  To compare two commits, run both back to back
-on one host; overlapping ``[min, max]`` ranges read as "no change".
+Each record holds two kinds of figure:
+
+* deterministic ones, which must repeat exactly across reps and across
+  runs of one commit: ``events``, ``sim_us`` and ``calls``, the cProfile
+  call counts of one extra, profiled rep, in total and per layer (the
+  layer map of ``perfbench/ledger.py``; this script's own workload code
+  counts as ``workload``).  Counts resolve a change that a clock
+  cannot: two commits that process the same events differ only in the
+  calls it took;
+* host-clock ones: ``cpu_s``, the CPU time (``time.process_time`` plus
+  that of finished worker processes) of each of ``--repeat`` in-process
+  reps as ``{min, median, max}``, and ``events_per_sec``, the rate of
+  the fastest rep.  The minimum is the rep least disturbed by other
+  work on the host.  To compare two commits, run both back to back on
+  one host and read the rates against each run's own spread.
 
 Usage::
 
@@ -54,8 +65,12 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import cProfile
+import gc
 import json
 import platform
+import pstats
+import resource
 import statistics
 import sys
 import time
@@ -73,8 +88,11 @@ from repro.sim import Simulator
 from repro.vorx.sliding_window import run_large_write, run_sliding_window
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "perfbench"))
+from ledger import LAYERS, layer_of  # noqa: E402  (path setup above)
+
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_simcore.json"
-SCHEMA = "simcore-bench/v2"
+SCHEMA = "simcore-bench/v3"
 
 #: CI floor (events/sec, smoke mode): the job fails when a workload runs
 #: more than 5x slower than this.  Set well below the slowest machine's
@@ -83,9 +101,16 @@ SMOKE_FLOOR_EVENTS_PER_SEC = 50_000.0
 FLOOR_HEADROOM = 5.0
 
 
-def _result(sim, wall_s: float) -> dict:
+def cpu_time() -> float:
+    """CPU seconds of this process and of its finished children (the
+    sharded workload's worker processes)."""
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return time.process_time() + children.ru_utime + children.ru_stime
+
+
+def _result(sim, cpu_s: float) -> dict:
     return {"events": sim.processed, "sim_us": round(sim.now, 3),
-            "wall_s": wall_s}
+            "cpu_s": cpu_s}
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +118,7 @@ def _result(sim, wall_s: float) -> dict:
 # ---------------------------------------------------------------------------
 def wl_pingpong(params: dict) -> dict:
     n = params["messages"]
-    t0 = time.perf_counter()
+    t0 = cpu_time()
     system = VorxSystem(n_nodes=2)
 
     def client(env):
@@ -111,21 +136,21 @@ def wl_pingpong(params: dict) -> dict:
     system.spawn(0, client)
     system.spawn(1, server)
     system.run()
-    return _result(system.sim, time.perf_counter() - t0)
+    return _result(system.sim, cpu_time() - t0)
 
 
 def wl_stream(params: dict) -> dict:
-    t0 = time.perf_counter()
+    t0 = cpu_time()
     result = run_sliding_window(
         n_buffers=8, message_bytes=1024, n_messages=params["messages"]
     )
-    return _result(result.sim, time.perf_counter() - t0)
+    return _result(result.sim, cpu_time() - t0)
 
 
 def wl_paper_scale(params: dict) -> dict:
     n_nodes, fanout = 70, params["fanout"]
     messages, nbytes = params["messages"], 64
-    t0 = time.perf_counter()
+    t0 = cpu_time()
     system = VorxSystem(n_nodes=n_nodes, n_workstations=10)
 
     def sender(env, name):
@@ -145,7 +170,7 @@ def wl_paper_scale(params: dict) -> dict:
             system.spawn(i, lambda env, name=name: sender(env, name))
             system.spawn(dst, lambda env, name=name: receiver(env, name))
     system.run()
-    return _result(system.sim, time.perf_counter() - t0)
+    return _result(system.sim, cpu_time() - t0)
 
 
 def wl_large_write(params: dict) -> dict:
@@ -161,11 +186,11 @@ def wl_large_write(params: dict) -> dict:
     unbatched = run_large_write(
         total_bytes=total, costs=CostModel().unbatched()
     )
-    t0 = time.perf_counter()
+    t0 = cpu_time()
     batched = run_large_write(
         total_bytes=total, costs=CostModel().batched(window=window)
     )
-    result = _result(batched.sim, time.perf_counter() - t0)
+    result = _result(batched.sim, cpu_time() - t0)
     result["kbytes_per_sec_unbatched"] = round(unbatched.kbytes_per_sec, 1)
     result["kbytes_per_sec_batched"] = round(batched.kbytes_per_sec, 1)
     result["batched_speedup_kbytes"] = round(
@@ -205,9 +230,9 @@ def wl_large_write_adaptive(params: dict) -> dict:
         return histogram.percentile(95)
 
     fixed_fast = run_large_write(total_bytes=total, costs=fixed_costs)
-    t0 = time.perf_counter()
+    t0 = cpu_time()
     adaptive_fast = run_large_write(total_bytes=total, costs=adaptive_costs)
-    wall = time.perf_counter() - t0
+    cpu_s = cpu_time() - t0
     fixed_slow = run_large_write(
         total_bytes=total, costs=fixed_costs,
         reader_delay_us=delay, faults=slow_plan(),
@@ -217,7 +242,7 @@ def wl_large_write_adaptive(params: dict) -> dict:
         reader_delay_us=delay, faults=slow_plan(),
     )
     node0 = adaptive_fast.sim.vstat.registry("node0")
-    result = _result(adaptive_fast.sim, wall)
+    result = _result(adaptive_fast.sim, cpu_s)
     result["kbytes_per_sec_fixed"] = round(fixed_fast.kbytes_per_sec, 1)
     result["kbytes_per_sec_adaptive"] = round(
         adaptive_fast.kbytes_per_sec, 1
@@ -245,7 +270,7 @@ def wl_large_write_adaptive(params: dict) -> dict:
 
 def wl_faultstorm(params: dict) -> dict:
     pairs, messages, nbytes = params["pairs"], params["messages"], 256
-    t0 = time.perf_counter()
+    t0 = cpu_time()
     plan = FaultPlan(
         seed=11, drop=0.05, corrupt=0.05, duplicate=0.05,
         channel_retry_timeout_us=2_000.0,
@@ -266,7 +291,7 @@ def wl_faultstorm(params: dict) -> dict:
         system.spawn(2 * p, lambda env, p=p: sender(env, p))
         system.spawn(2 * p + 1, lambda env, p=p: receiver(env, p))
     system.run()
-    return _result(system.sim, time.perf_counter() - t0)
+    return _result(system.sim, cpu_time() - t0)
 
 
 def wl_cancel_churn(params: dict) -> dict:
@@ -280,7 +305,7 @@ def wl_cancel_churn(params: dict) -> dict:
     engine's compaction policy decides how large it grows.
     """
     watchdogs, rearms = params["watchdogs"], params["rearms"]
-    t0 = time.perf_counter()
+    t0 = cpu_time()
     sim = Simulator()
     fired = []
 
@@ -297,23 +322,23 @@ def wl_cancel_churn(params: dict) -> dict:
     sim.run()
     if fired:  # pragma: no cover - would indicate an engine bug
         raise RuntimeError("cancelled watchdog fired")
-    return _result(sim, time.perf_counter() - t0)
+    return _result(sim, cpu_time() - t0)
 
 
 def wl_hypercube(params: dict) -> dict:
     """Bounded all-pairs traffic over the incomplete hypercube."""
-    t0 = time.perf_counter()
+    t0 = cpu_time()
     sim = Simulator()
     fabric = create_fabric("hypercube", sim, CostModel(),
                            n_endpoints=params["endpoints"])
     run_all_pairs(fabric, size=params["message_bytes"],
                   partners=params["partners"])
-    return _result(sim, time.perf_counter() - t0)
+    return _result(sim, cpu_time() - t0)
 
 
 def wl_hypercube_mm(params: dict) -> dict:
     """The same traffic on the sharded engine, one process per worker."""
-    t0 = time.perf_counter()
+    t0 = cpu_time()
     sharded = ShardedSimulator(
         "hypercube", n_endpoints=params["endpoints"],
         shards=params["shards"], workers=params["workers"],
@@ -321,7 +346,7 @@ def wl_hypercube_mm(params: dict) -> dict:
     traffic = sharded.run_all_pairs(size=params["message_bytes"],
                                     partners=params["partners"])
     return {"events": traffic.events, "sim_us": round(traffic.duration_us, 3),
-            "wall_s": time.perf_counter() - t0}
+            "cpu_s": cpu_time() - t0}
 
 
 WORKLOADS = {
@@ -412,6 +437,24 @@ def _bad(value, types=(int, float)) -> bool:
     return not isinstance(value, types) or isinstance(value, bool)
 
 
+def _calls_problems(name: str, calls) -> list[str]:
+    """The call counts need every ledger layer and a total that is the
+    sum of the layers."""
+    if not isinstance(calls, dict) or any(
+        _bad(value, (int,)) or value < 0 for value in calls.values()
+    ):
+        return [f"{name}.calls: needs non-negative integer counts, "
+                f"got {calls!r}"]
+    missing = [key for key in ("total", *LAYERS) if key not in calls]
+    if missing:
+        return [f"{name}.calls: missing {missing}"]
+    layers = sum(value for key, value in calls.items() if key != "total")
+    if calls["total"] != layers or layers <= 0:
+        return [f"{name}.calls: total {calls['total']} must be the "
+                f"positive sum of the layers, {layers}"]
+    return []
+
+
 def validate(doc: dict) -> list[str]:
     """Schema check; returns a list of problems (empty == valid)."""
     problems: list[str] = []
@@ -426,23 +469,25 @@ def validate(doc: dict) -> list[str]:
             continue
         if not isinstance(entry.get("description"), str):
             problems.append(f"{name}: missing description")
-        expected = {"events": (int,), "sim_us": (int, float), "repeat": (int,)}
+        expected = {"events": (int,), "sim_us": (int, float),
+                    "repeat": (int,), "events_per_sec": (int, float)}
         expected.update(_WORKLOAD_EXTRA_KEYS.get(name, {}))
         for key, types in expected.items():
             if _bad(entry.get(key), types):
                 problems.append(f"{name}.{key}: bad value {entry.get(key)!r}")
-        if not _bad(entry.get("events"), (int,)) and entry["events"] <= 0:
-            problems.append(f"{name}.events: must be positive")
-        for key in ("wall_s", "events_per_sec"):
-            spread = entry.get(key)
-            values = [spread.get(s) for s in ("min", "median", "max")] \
-                if isinstance(spread, dict) else [None]
-            if any(_bad(v) for v in values):
-                problems.append(f"{name}.{key}: needs numeric min/median/max,"
-                                f" got {spread!r}")
-            elif not 0 < values[0] <= values[1] <= values[2]:
-                problems.append(f"{name}.{key}: must be positive with "
-                                f"min <= median <= max, got {spread!r}")
+        for key in ("events", "events_per_sec"):
+            if not _bad(entry.get(key)) and entry[key] <= 0:
+                problems.append(f"{name}.{key}: must be positive")
+        problems.extend(_calls_problems(name, entry.get("calls")))
+        spread = entry.get("cpu_s")
+        values = [spread.get(s) for s in ("min", "median", "max")] \
+            if isinstance(spread, dict) else [None]
+        if any(_bad(v) for v in values):
+            problems.append(f"{name}.cpu_s: needs numeric min/median/max,"
+                            f" got {spread!r}")
+        elif not 0 < values[0] <= values[1] <= values[2]:
+            problems.append(f"{name}.cpu_s: must be positive with "
+                            f"min <= median <= max, got {spread!r}")
     return problems
 
 
@@ -454,18 +499,46 @@ def _spread(values) -> dict:
             "max": max(values)}
 
 
+#: The file name this module's code objects carry: its workload
+#: functions count as the ``workload`` layer, as perfbench's own do.
+_THIS_FILE = _result.__code__.co_filename
+
+
+def call_counts(profiler: cProfile.Profile) -> dict:
+    """``{layer: calls, ..., "total": calls}`` of one profiled rep."""
+    counts = dict.fromkeys(LAYERS, 0)
+    for (filename, _, _), (_, calls, _, _, _) in (
+        pstats.Stats(profiler).stats.items()
+    ):
+        layer = "workload" if filename == _THIS_FILE else layer_of(filename)
+        counts[layer] = counts.get(layer, 0) + calls
+    counts["total"] = sum(counts.values())
+    return counts
+
+
 def measure(name: str, mode: str, repeat: int) -> dict:
-    """Run one workload ``repeat`` times into a single record.
+    """Run one workload ``repeat`` timed times plus once under cProfile.
 
     Everything but the host clock must repeat exactly: a rep whose
     events, simulated time or extra keys differ from the first rep's is
-    a determinism break, and raises.
+    a determinism break, and raises.  The profiled rep runs last, after
+    a collection, so the one-time costs of a first rep (imports, caches)
+    and the garbage of earlier reps stay out of its counts.
     """
     spec = WORKLOADS[name]
-    walls, first = [], None
-    for _ in range(repeat):
+    cpu, first = [], None
+    for index in range(repeat + 1):
+        profiler = None
+        if index == repeat:
+            gc.collect()
+            profiler = cProfile.Profile()
+            profiler.enable()
         rep = spec["fn"](dict(spec[mode]))
-        walls.append(rep.pop("wall_s"))
+        if profiler is not None:
+            profiler.disable()
+            rep.pop("cpu_s")
+        else:
+            cpu.append(rep.pop("cpu_s"))
         if first is None:
             first = rep
         elif rep != first:
@@ -478,23 +551,28 @@ def measure(name: str, mode: str, repeat: int) -> dict:
         "params": spec[mode],
         "repeat": repeat,
         **first,
-        "wall_s": _spread([round(w, 6) for w in walls]),
-        "events_per_sec": _spread(
-            [round(first["events"] / w, 1) for w in walls]
-        ),
+        "calls": call_counts(profiler),
+        "cpu_s": _spread([round(c, 6) for c in cpu]),
+        "events_per_sec": round(first["events"] / min(cpu), 1),
     }
+
+
+def median_rate(record: dict) -> float:
+    """Events per CPU second of the median rep (the smoke floor's test)."""
+    return record["events"] / record["cpu_s"]["median"]
 
 
 def run_workloads(names, mode: str, repeat: int) -> dict[str, dict]:
     measured: dict[str, dict] = {}
     for name in names:
         record = measured[name] = measure(name, mode, repeat)
-        rate = record["events_per_sec"]
+        cpu_s = record["cpu_s"]
         print(
-            f"{name:24s} {record['events']:>9d} events  "
-            f"{record['wall_s']['median']:>8.3f} s  ev/s "
-            f"{rate['min']:>10,.0f} {rate['median']:>10,.0f} "
-            f"{rate['max']:>10,.0f} (min median max)",
+            f"{name:24s} {record['events']:>9d} events "
+            f"{record['calls']['total']:>10d} calls  cpu "
+            f"{cpu_s['min']:>7.3f} {cpu_s['median']:>7.3f} "
+            f"{cpu_s['max']:>7.3f} s (min median max)  ev/s "
+            f"{record['events_per_sec']:>10,.0f}",
             file=sys.stderr,
         )
     return measured
@@ -512,8 +590,9 @@ def main(argv=None) -> int:
                         help="comma-separated subset of: "
                              + ",".join(WORKLOADS))
     parser.add_argument("--repeat", type=int, default=3,
-                        help="runs per workload, reported as "
-                             "min/median/max (default 3)")
+                        help="timed runs per workload, reported as "
+                             "min/median/max, plus one profiled run "
+                             "(default 3)")
     parser.add_argument("--check-floor", action="store_true",
                         help="exit non-zero if any workload's median is more "
                              f"than {FLOOR_HEADROOM:.0f}x below the events/sec "
@@ -582,9 +661,9 @@ def main(argv=None) -> int:
     if args.check_floor:
         floor = SMOKE_FLOOR_EVENTS_PER_SEC / FLOOR_HEADROOM
         slow = {
-            name: m["events_per_sec"]["median"]
+            name: round(median_rate(m), 1)
             for name, m in measured.items()
-            if m["events_per_sec"]["median"] < floor
+            if median_rate(m) < floor
         }
         if slow:
             print(f"FLOOR FAIL (< {floor:,.0f} ev/s): {slow}", file=sys.stderr)

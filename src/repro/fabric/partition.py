@@ -317,7 +317,7 @@ class BoundaryLink(Link):
         """No credit to wait for: put the message on the wire and capture
         it, stamped with its arrival, for the receiving shard."""
         self._stall_from = self.sim._now
-        self._serialize(None)
+        self._serialize()
         packet = self._packet
         self.outbox.append(
             (self.sim._now + self._wire,) + self.dest

@@ -13,12 +13,14 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.hpc.port import BufferedInput
+from repro.sim.engine import standing_handle
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
     from repro.model.costs import CostModel
     from repro.hpc.link import Link
+    from repro.hpc.message import Packet
 
 #: Ports per cluster (paper Section 1).
 PORTS_PER_CLUSTER = 12
@@ -75,32 +77,38 @@ class Cluster:
 
 
 class _Forwarder:
-    """The forwarding engine of one input port, as two event callbacks.
+    """The forwarding engine of one input port, as two callbacks.
 
-    ``_forward`` runs when the input's ``get`` fires and hands the
-    message to the output link; ``_accepted`` runs when that link's
-    ``send`` event fires, frees the input buffer and parks on the next
-    ``get``.  These are the events a generator process would wait on, in
-    the same order, so the schedule is a process's.
+    ``_forward`` runs when a message is taken off the input's queue and
+    hands it to the output link; ``_accepted`` runs when that link's
+    ``send`` event fires, frees the input buffer and takes the next
+    message.  A standing handle waits on the queue where a generator
+    process's ``get`` event would, and carries the message in its
+    ``args``, so the schedule is a process's.
     """
 
-    __slots__ = ("cluster", "source", "_get", "_on_packet", "_on_accepted")
+    __slots__ = ("cluster", "source", "_on_packet", "_on_accepted")
 
     def __init__(self, cluster: Cluster, source: BufferedInput) -> None:
         self.cluster = cluster
         self.source = source
-        # The input's buffer queue, bound past ``BufferedInput.get``
-        # (a pass-through): one frame less per forwarded message.
-        self._get = source._queue.get
-        self._on_packet = self._forward
+        self._on_packet = standing_handle(self._forward)
         self._on_accepted = self._accepted
         cluster.sim.start(self._listen)
 
     def _listen(self, _event: Optional[Event] = None) -> None:
-        self._get().callbacks.append(self._on_packet)
+        """``Store.get`` on the input's queue with the standing handle
+        as the getter."""
+        queue = self.source._queue
+        items = queue._items
+        handle = self._on_packet
+        if items:
+            handle.args = (items.pop(0),)
+            self.cluster.sim._imm_normal.append(handle)
+        else:
+            queue._getters.append(handle)
 
-    def _forward(self, event: Event) -> None:
-        packet = event._value
+    def _forward(self, packet: "Packet") -> None:
         cluster = self.cluster
         dst = packet.dst
         try:
@@ -120,6 +128,16 @@ class _Forwarder:
         link.send(packet).callbacks.append(self._on_accepted)
 
     def _accepted(self, _event: Event) -> None:
-        self.source.free()
-        self.cluster.messages_forwarded += 1
-        self._get().callbacks.append(self._on_packet)
+        source = self.source
+        source.free()
+        cluster = self.cluster
+        cluster.messages_forwarded += 1
+        # :meth:`_listen` inlined: once per forwarded message.
+        queue = source._queue
+        items = queue._items
+        handle = self._on_packet
+        if items:
+            handle.args = (items.pop(0),)
+            cluster.sim._imm_normal.append(handle)
+        else:
+            queue._getters.append(handle)

@@ -13,8 +13,8 @@ from __future__ import annotations
 from copy import copy
 from typing import TYPE_CHECKING, Optional
 
+from repro.sim.engine import standing_handle
 from repro.sim.events import Event, PENDING as _PENDING
-from repro.sim.resources import Store
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
@@ -46,13 +46,23 @@ class Link:
         self.sim = sim
         self.costs = costs
         self.name = name
-        self._requests: Store = Store(sim)
+        #: Requests waiting for the wire, ``(packet, done)`` each, and
+        #: whether the link is parked waiting for the next one.
+        self._requests: list[tuple["Packet", Event]] = []
+        self._parked = False
         #: vstat registry for fabric statistics (one per link name).
         self.metrics = sim.vstat.registry(name)
         self._m_messages = self.metrics.counter("link.messages_carried")
         self._m_bytes = self.metrics.counter("link.bytes_carried")
         self._m_busy = self.metrics.counter("link.busy_us")
         self._m_queue = self.metrics.gauge("link.queue_depth")
+        #: The stall counters, registered on the link's first stall, so
+        #: registry snapshots (which the goldens hash) list them only
+        #: for links that have stalled.  Set here, not on first use: a
+        #: link's attribute dict keeps its compact shared-key layout
+        #: only while every attribute is set in ``__init__``.
+        self._m_stalls = None
+        self._m_stall_us = None
         self._wire_time = costs.hpc_wire_time
         self._hop_latency = costs.hpc_hop_latency
         #: The message being carried, its sender's done event, this
@@ -65,22 +75,19 @@ class Link:
         self._copies_left = 0
         self._stall_from = 0.0
         self._wire = 0.0
-        # Bound once: these run once or more per carried message.  The
-        # downstream credit pool's ``acquire`` is bound past
-        # ``BufferedInput.reserve`` (a pass-through): one Python frame
-        # less per message.  A cached bound method costs about 64 bytes
-        # per link (1.1 MiB of peak RSS on the chaos_partition_hc256
-        # benchmark workload), so the rare NIC-stall path binds
-        # ``_decide`` when it fires instead.
-        self._get = self._requests.get
+        # One standing handle per wait point, made once: the request
+        # arrives, the downstream credit is granted, the wire is done.
+        # Each goes where the wait's event would have gone, so a carried
+        # message builds no event but its sender's ``done``.  The rare
+        # fault paths (NIC stall, drop, delay) bind their callback when
+        # they fire: a cached bound method costs about 64 bytes per
+        # link.
+        self._on_request = standing_handle(self._take)
+        self._on_reserved = standing_handle(self._serialize)
+        self._on_carried = standing_handle(self._carried)
         if downstream is not None:
-            self._acquire = downstream._credits.acquire
+            self._credits = downstream._credits
             self._deliver = downstream.deliver
-        self._on_request = self._take
-        self._on_dropped = self._dropped
-        self._on_delayed = self._reserve
-        self._on_reserved = self._serialize
-        self._on_carried = self._carried
         sim.start(self._listen)
 
     # -- counter-backed statistics ------------------------------------------
@@ -110,18 +117,15 @@ class Link:
         done._value = _PENDING
         done._ok = None
         done._defused = False
-        # ``Store.try_put`` on the unbounded request queue, inlined: the
-        # link is usually parked as a getter, so this is one handoff
-        # (inlined ``succeed``) per message on the wire.
-        requests = self._requests
-        getters = requests._getters
-        if getters:
-            getter = getters.pop(0)
-            getter._ok = True
-            getter._value = (packet, done)
-            sim._imm_normal.append(getter)
+        # A parked link takes the request at once: its standing handle
+        # carries it onto the normal lane.
+        if self._parked:
+            self._parked = False
+            handle = self._on_request
+            handle.args = (packet, done)
+            sim._imm_normal.append(handle)
         else:
-            requests._items.append((packet, done))
+            self._requests.append((packet, done))
         return done
 
     @property
@@ -129,26 +133,32 @@ class Link:
         """Transmissions waiting for the wire."""
         return len(self._requests)
 
-    # -- the wire, as event callbacks ------------------------------------
+    # -- the wire, as callbacks --------------------------------------------
     #
-    # One message's trip is a chain of callbacks, each appended to the
-    # event a generator process would wait on at that point: the request
-    # ``Store.get``, the stall/drop/delay timeouts, the downstream
-    # ``reserve()`` credit and the wire timeout.  The events, their
-    # creation order and so the whole ``(time, priority, seq)`` schedule
-    # are those of a process; only the ``Process`` resume between them
-    # is gone (interrupt-level code, paper Section 5).
+    # One message's trip is a chain of callbacks, each run where a
+    # generator process would resume: the request arriving, the
+    # stall/drop/delay timeouts, the downstream credit and the wire
+    # timeout.  The hot waits (request, credit, wire) use the link's
+    # standing handles, queued exactly where the process's events would
+    # be, so the schedule is the process's; only the events and the
+    # ``Process`` resume between them are gone (interrupt-level code,
+    # paper Section 5).
 
     def _listen(self, _event: Optional[Event] = None) -> None:
-        """Park on the request queue for the next message."""
-        self._get().callbacks.append(self._on_request)
+        """Take the next request, or park until :meth:`send` brings one."""
+        requests = self._requests
+        if requests:
+            handle = self._on_request
+            handle.args = requests.pop(0)
+            self.sim._imm_normal.append(handle)
+        else:
+            self._parked = True
 
-    def _take(self, event: Event) -> None:
+    def _take(self, packet: "Packet", done: Event) -> None:
         """A request arrived: check faults, then claim a downstream buffer."""
-        packet, done = event._value
         self._packet = packet
         self._done = done
-        depth = len(self._requests._items)
+        depth = len(self._requests)
         m_queue = self._m_queue
         m_queue.value = depth
         if depth > m_queue.max_value:
@@ -189,7 +199,7 @@ class Link:
             wire = self._wire = (
                 self._wire_time(packet.size) + self._hop_latency
             )
-            self.sim.timeout(wire).callbacks.append(self._on_dropped)
+            self.sim.timeout(wire).callbacks.append(self._dropped)
             return
         if decision.corrupt:
             packet.corrupted = True
@@ -197,7 +207,7 @@ class Link:
             self._copies_left = 1
         if decision.delay_us > 0:
             self.sim.timeout(decision.delay_us).callbacks.append(
-                self._on_delayed
+                self._reserve
             )
             return
         self._reserve()
@@ -210,16 +220,31 @@ class Link:
     def _reserve(self, _event: Optional[Event] = None) -> None:
         """Hardware flow control: wait for a whole-message buffer
         downstream before occupying the wire."""
-        self._stall_from = self.sim._now
-        self._acquire().callbacks.append(self._on_reserved)
+        sim = self.sim
+        self._stall_from = sim._now
+        # ``Semaphore.acquire`` on the downstream credit pool, inlined
+        # with the standing handle as the waiter.
+        credits = self._credits
+        if credits._value > 0 and not credits._waiters:
+            credits._value -= 1
+            sim._imm_normal.append(self._on_reserved)
+        else:
+            credits._waiters.append(self._on_reserved)
 
-    def _serialize(self, _event: Event) -> None:
+    def _serialize(self) -> None:
         """The buffer is ours: put the message on the wire."""
         sim = self.sim
         stalled = sim._now - self._stall_from
         if stalled > 0:
-            self.metrics.counter("link.reserve_stalls").inc()
-            self.metrics.counter("link.reserve_stall_us").inc(stalled)
+            stalls = self._m_stalls
+            if stalls is None:
+                metrics = self.metrics
+                stalls = self._m_stalls = metrics.counter(
+                    "link.reserve_stalls"
+                )
+                self._m_stall_us = metrics.counter("link.reserve_stall_us")
+            stalls.value += 1.0
+            self._m_stall_us.value += stalled
         wire = self._wire_time(self._packet.size) + self._hop_latency
         site = self._site
         if site is not None and site.brownouts:
@@ -227,9 +252,9 @@ class Link:
             # serialization itself, so busy time reflects it.
             wire += site.brownout_extra_us(wire)
         self._wire = wire
-        sim.timeout(wire).callbacks.append(self._on_carried)
+        sim._push(sim._now + wire, self._on_carried)
 
-    def _carried(self, _event: Event) -> None:
+    def _carried(self) -> None:
         """The message is across: hand it downstream, free the sender."""
         packet = self._packet
         # Metric objects are updated field-wise: same observable values,
@@ -254,4 +279,11 @@ class Link:
             duplicate.hops -= 1
             self._reserve()
         else:
-            self._get().callbacks.append(self._on_request)
+            # :meth:`_listen` inlined: once per carried message.
+            requests = self._requests
+            if requests:
+                handle = self._on_request
+                handle.args = requests.pop(0)
+                self.sim._imm_normal.append(handle)
+            else:
+                self._parked = True

@@ -58,12 +58,18 @@ class BufferedInput:
                 f"({queued} >= {self.capacity})"
             )
         # ``Store.try_put`` on the unbounded queue, inlined: hand the
-        # message to a parked consumer (``succeed`` inlined) or queue it.
+        # message to a parked consumer or queue it.  The consumer is a
+        # forwarder's standing handle (the message rides in its
+        # ``args``) or a ``recv()`` event, triggered first: the grant
+        # rule of :mod:`repro.sim.resources`.
         getters = queue._getters
         if getters:
             getter = getters.pop(0)
-            getter._ok = True
-            getter._value = packet
+            if getter.callbacks is None:
+                getter.args = (packet,)
+            else:
+                getter._ok = True
+                getter._value = packet
             self.sim._imm_normal.append(getter)
         else:
             items.append(packet)
@@ -89,9 +95,15 @@ class BufferedInput:
         # message).  The drain loop reduces to "wake one waiter or bank
         # the unit": a positive value and a non-empty waiter queue never
         # coexist (acquire only banks a waiter when no unit is free).
+        # The waiter is a link's standing handle or a ``reserve()``
+        # event, triggered first (the grant rule).
         waiters = credits._waiters
         if waiters:
-            waiters.pop(0).succeed()
+            waiter = waiters.pop(0)
+            if waiter.callbacks is not None:
+                waiter._ok = True
+                waiter._value = None
+            self.sim._imm_normal.append(waiter)
         else:
             credits._value = value + 1
 

@@ -35,7 +35,7 @@ from repro.sim.events import (
 )
 from repro.sim.process import Process
 from repro.sim.resources import Semaphore, Store, Resource
-from repro.sim.cpu import CPU, Job
+from repro.sim.cpu import CPU
 from repro.sim.trace import Timeline, Category, TraceLog
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "Store",
     "Resource",
     "CPU",
-    "Job",
     "Timeline",
     "Category",
     "TraceLog",

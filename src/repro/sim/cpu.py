@@ -54,7 +54,12 @@ _USER = Category.USER
 
 
 class Job:
-    """One execution charge on a CPU."""
+    """One execution charge on a CPU.
+
+    Built only by :meth:`CPU.execute`, with plain slot stores and no
+    constructor; the ready heap orders ``(priority, seq, job)`` tuples,
+    so jobs themselves are never compared.
+    """
 
     __slots__ = (
         "remaining",
@@ -65,34 +70,6 @@ class Job:
         "done",
         "seq",
     )
-
-    def __init__(
-        self,
-        remaining: float,
-        priority: int,
-        owner: Optional[str],
-        category: Category,
-        preemptible: bool,
-        done: Event,
-        seq: int,
-    ) -> None:
-        self.remaining = remaining
-        self.priority = priority
-        self.owner = owner
-        self.category = category
-        self.preemptible = preemptible
-        self.done = done
-        self.seq = seq
-
-    def __lt__(self, other: "Job") -> bool:
-        # The ready heap stores (priority, seq, job) tuples so the C heap
-        # never calls back into Python; this stays for direct comparisons
-        # (sorting job lists in tools/tests).
-        priority = self.priority
-        other_priority = other.priority
-        if priority != other_priority:
-            return priority < other_priority
-        return self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -117,9 +94,9 @@ class CPU:
         self.name = name
         self.timeline = Timeline(name)
         #: Min-heap of (priority, seq, job): scalar tuple keys keep every
-        #: comparison inside the C heap implementation (no Job.__lt__
-        #: callbacks).  (priority, seq) pairs are unique among queued
-        #: jobs, so the Job itself is never compared.
+        #: comparison inside the C heap implementation.  (priority, seq)
+        #: pairs are unique among queued jobs, so the Job itself is never
+        #: compared.
         self._ready: list[tuple[int, int, Job]] = []
         self._current: Optional[Job] = None
         self._started_at: float = 0.0
@@ -162,8 +139,9 @@ class CPU:
         if duration == 0:
             done.succeed()
             return done
-        # ``Job.__init__`` inlined (one Job per charge, plain slot
-        # stores): this is the busiest allocation site on every node.
+        # One Job per charge, built with plain slot stores and no
+        # constructor frame: this is the busiest allocation site on
+        # every node.
         job = Job.__new__(Job)
         job.remaining = duration
         job.priority = priority

@@ -57,6 +57,15 @@ index 0 -- moves both arrays.  At the depths the benchmark workloads
 reach (a median of ~130-180 pending occurrences) that memmove is cheap:
 a separate ascending lane that took such arms as appends measured no
 faster.
+
+A *standing* handle (:func:`standing_handle`) is legal on the normal
+lane and in the delayed queue.  It is a :class:`Handle` made once per
+wait point of a callback state machine (the fabric's links and cluster
+forwarders) and reused for every wait there, so a wait costs no fresh
+``Event`` or callback list.  It is never cancelled, so the cancelled
+count and compaction never see it.  It may sit on a lane more than once
+over a run -- each time its owner waits -- and its ``args`` carry the
+value of that wait; its owner never queues it again before it has run.
 """
 
 from __future__ import annotations
@@ -82,7 +91,8 @@ class Handle:
     """A cancellable scheduled callback.
 
     Returned by :meth:`Simulator.call_later`, which builds it without a
-    constructor call.  Cancellation is lazy: the queue entry stays in
+    constructor call, and by :func:`standing_handle` (a reusable one that
+    is never cancelled).  Cancellation is lazy: the queue entry stays in
     place and is skipped when popped, but the simulator counts cancelled
     entries and compacts the queue when they dominate it.  ``_sim`` is
     cleared when the callback runs, so a cancel after that point has no
@@ -121,6 +131,26 @@ class Handle:
         """Run the callback.  Called by the engine (never when cancelled)."""
         self._sim = None
         self.fn(*self.args)
+
+
+def standing_handle(fn: Callable[..., None]) -> Handle:
+    """A reusable, never-cancelled handle that runs ``fn(*handle.args)``.
+
+    The owner appends it to the normal lane, passes it to
+    :meth:`Simulator._push`, or parks it as a waiter on a
+    :class:`~repro.sim.resources.Semaphore` or
+    :class:`~repro.sim.resources.Store` (whose grant rule appends it as
+    it is) -- each where the ``Event`` it stands in for would have gone,
+    so the schedule is that event's.  The waited-for value rides in
+    ``args`` (empty until a wait sets it).
+    """
+    handle = Handle.__new__(Handle)
+    handle._sim = None
+    handle.time = None
+    handle.fn = fn
+    handle.args = ()
+    handle.cancelled = False
+    return handle
 
 
 class EmptySchedule(Exception):

@@ -15,14 +15,23 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
 
 # ``Event.__init__`` and the ``succeed`` fast path are inlined below at
-# every per-operation site (acquire/put/get run once or more per carried
-# message; the constructor and trigger frames dominated their cost).
+# every per-operation site (generator code, such as a NIC ``recv()``,
+# runs acquire/put/get once or more per message; the constructor and
+# trigger frames dominated their cost).
 # The inlined bodies must mirror :class:`Event`: five slot stores to
 # construct, and trigger = set ``_ok``/``_value`` + append to the
 # engine's normal immediate lane.  A freshly constructed event cannot
 # have been triggered, so the double-trigger guard is vacuous here.
 _new_event = Event.__new__
 
+# The grant rule.  A waiter on a semaphore or a store is either a
+# pending ``Event`` (generator code: ``yield sem.acquire()``) or a
+# standing :class:`~repro.sim.engine.Handle` parked by callback code
+# (the fabric's links and forwarders, :mod:`repro.hpc`).  Granting one
+# appends it to the normal lane either way; an event is triggered first
+# (``callbacks is None`` only on a handle, which takes a store's item in
+# ``args`` instead).  ``BufferedInput.deliver``/``free`` inline it.
+#
 # The FIFOs below are plain lists served with ``pop(0)``.  Fabric queues
 # stay a few entries deep (``hpc.max_queue_depth`` is at most 6 on the
 # benchmark workloads), where the O(n) shift costs nothing measurable,
@@ -43,7 +52,7 @@ class Semaphore:
             raise ValueError(f"semaphore value must be >= 0, got {value}")
         self.sim = sim
         self._value = value
-        self._waiters: list[Event] = []
+        self._waiters: list[Any] = []  # events and standing handles
 
     @property
     def value(self) -> int:
@@ -88,11 +97,12 @@ class Semaphore:
         waiters = self._waiters
         while self._value > 0 and waiters:
             self._value -= 1
-            # ``succeed`` inlined: a queued waiter is pending by
-            # construction (it is only triggered when popped here).
+            # The grant rule (``succeed`` inlined: a queued event is
+            # pending by construction).
             waiter = waiters.pop(0)
-            waiter._ok = True
-            waiter._value = None
+            if waiter.callbacks is not None:
+                waiter._ok = True
+                waiter._value = None
             self.sim._imm_normal.append(waiter)
 
 
@@ -124,7 +134,7 @@ class Store:
         self.sim = sim
         self.capacity = capacity
         self._items: list[Any] = []
-        self._getters: list[Event] = []
+        self._getters: list[Any] = []  # events and standing handles
         self._putters: list[tuple[Event, Any]] = []
 
     def __len__(self) -> int:
@@ -150,11 +160,15 @@ class Store:
         event._defused = False
         getters = self._getters
         if getters:
-            # Hand straight to the oldest waiting getter (``succeed``
-            # inlined: a queued getter is pending by construction).
+            # Hand straight to the oldest waiting getter (the grant
+            # rule; ``succeed`` inlined: a queued event is pending by
+            # construction).
             getter = getters.pop(0)
-            getter._ok = True
-            getter._value = item
+            if getter.callbacks is None:
+                getter.args = (item,)
+            else:
+                getter._ok = True
+                getter._value = item
             sim._imm_normal.append(getter)
         else:
             items = self._items
@@ -172,10 +186,13 @@ class Store:
         """Enqueue immediately if there is room (non-blocking)."""
         getters = self._getters
         if getters:
-            # ``succeed`` inlined, as in :meth:`put`.
+            # The grant rule, as in :meth:`put`.
             getter = getters.pop(0)
-            getter._ok = True
-            getter._value = item
+            if getter.callbacks is None:
+                getter.args = (item,)
+            else:
+                getter._ok = True
+                getter._value = item
             self.sim._imm_normal.append(getter)
             return True
         items = self._items

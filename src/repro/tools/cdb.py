@@ -146,22 +146,6 @@ class Cdb:
             )
         return rows
 
-    def format_node_counters(self) -> str:
-        """Render :meth:`node_counters` as a table."""
-        header = (
-            f"{'NODE':<10} {'SYSCALL':>8} {'CTXSW':>7} {'POSTED':>7} "
-            f"{'INTR':>6} {'NAK':>5} {'RETX':>5}"
-        )
-        lines = [header, "-" * len(header)]
-        for row in self.node_counters():
-            lines.append(
-                f"{row['node']:<10} {row['syscalls']:>8} "
-                f"{row['context_switches']:>7} {row['packets_posted']:>7} "
-                f"{row['interrupts']:>6} {row['naks']:>5} "
-                f"{row['retransmits']:>5}"
-            )
-        return "\n".join(lines)
-
     # ------------------------------------------------------------------
     # deadlock analysis
     # ------------------------------------------------------------------

@@ -12,10 +12,20 @@ still report:
   without reservation) still surface from ``Simulator.run()``;
 * ``run()`` and repeated ``step()`` reach callbacks by different code
   and must give the same schedule;
-* finished processes leave no reference cycles behind.
+* finished processes leave no reference cycles behind;
+* the standing handles of links and forwarders share a port's credit
+  pool and queue with generator code in FIFO order, a duplicated
+  message notifies its sender once, and a hop builds no event but the
+  sender's ``done``.
 """
 
 import gc
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,9 +35,9 @@ from repro.fabric.partition import (
     build_shard_fabric,
     partition_spec,
 )
-from repro.hpc import MessageKind, Packet
+from repro.hpc import BufferedInput, Cluster, Link, MessageKind, Packet
 from repro.model.costs import CostModel
-from repro.sim import Process, Simulator
+from repro.sim import Event, Handle, Process, Simulator
 from repro.sim.engine import EmptySchedule
 
 from tests.test_determinism import fingerprint
@@ -238,3 +248,155 @@ def test_fabric_workload_leaves_no_cyclic_garbage():
         gc.enable()
     assert result.delivered == result.sent == 512
     assert found == 0, sorted(set(garbage))
+
+
+# ---------------------------------------------------------------------------
+# standing handles and generator waiters share one port
+# ---------------------------------------------------------------------------
+def user_packet(src, dst=1, size=64):
+    return Packet(src=src, dst=dst, size=size, kind=MessageKind.USER_OBJECT)
+
+
+def test_mixed_credit_waiters_are_granted_in_fifo_order():
+    """Two links' parked handles and two ``reserve()`` events wait on
+    one credit pool, interleaved; each free grants the oldest waiter."""
+    sim = Simulator()
+    costs = CostModel()
+    port = BufferedInput(sim, 1, "port")
+    links = {name: Link(sim, costs, port, name) for name in ("a", "b")}
+    log = []
+    port.on_deliver = lambda packet: log.append(("link", packet.src))
+
+    def claimant(name):
+        yield port.reserve()
+        log.append(("reserve", name))
+
+    sim.run()
+    port.reserve()  # hold the only buffer
+    links["a"].send(user_packet(src=0))
+    sim.run()
+    sim.process(claimant("p"))
+    sim.run()
+    links["b"].send(user_packet(src=2))
+    sim.run()
+    sim.process(claimant("q"))
+    sim.run()
+    waiters = port._credits._waiters
+    assert [type(w) for w in waiters] == [Handle, Event, Handle, Event]
+
+    for _ in range(4):
+        ok, _packet = port.try_get()
+        port.free()
+        sim.run()
+    assert log == [
+        ("link", 0), ("reserve", "p"), ("link", 2), ("reserve", "q"),
+    ]
+    assert not waiters
+
+
+def test_mixed_queue_getters_are_granted_in_fifo_order():
+    """A forwarder's parked handle and a ``recv()``-style event wait on
+    one input queue; deliveries go to them in the order they parked."""
+    sim = Simulator()
+    costs = CostModel()
+    cluster = Cluster(sim, costs, 0, n_ports=2)
+    sink = BufferedInput(sim, 4, "sink")
+    forwarded = []
+    sink.on_deliver = lambda packet: forwarded.append(packet.src)
+    cluster.out_links[1] = Link(sim, costs, sink, "c0.p1")
+    cluster.routing = [1, 1]
+    source = cluster.inputs[0]
+    received = []
+
+    def reader():
+        packet = yield source.get()
+        received.append(packet.src)
+
+    sim.run()  # the forwarder parks first
+    sim.process(reader())
+    sim.run()
+    getters = source._queue._getters
+    assert [type(g) for g in getters] == [Handle, Event]
+    for src in (5, 6, 7):
+        source.reserve()
+        source.deliver(user_packet(src=src))
+    sim.run()
+    # The forwarder took the first message, the reader the second, and
+    # the forwarder, parked again, the third.
+    assert forwarded == [5, 7]
+    assert received == [6]
+
+
+def test_duplicated_message_notifies_its_sender_once():
+    sim = Simulator()
+    costs = CostModel()
+    FaultPlan(seed=1, duplicate=1.0, kinds=("user-object",)).attach(
+        SimpleNamespace(sim=sim, fabric=None)
+    )
+    port = BufferedInput(sim, 1, "port")
+    link = Link(sim, costs, port, "wire")
+    arrived = []
+    notices = []
+
+    def consumer():
+        while True:
+            arrived.append((yield port.get()))
+            port.free()
+
+    sim.process(consumer())
+    sent = user_packet(src=0)
+    link.send(sent).callbacks.append(lambda _event: notices.append(sim.now))
+    sim.run()
+    assert len(notices) == 1
+    assert len(arrived) == 2
+    assert arrived[0] is sent and arrived[1] is not sent
+    assert {packet.seq for packet in arrived} == {sent.seq}
+    assert [packet.hops for packet in arrived] == [1, 1]
+    assert link.messages_carried == 2
+
+
+#: Sends one message 0 -> 15 across idle hypercube/16 with
+#: ``Event.__new__`` patched to count, and prints the count and the hops.
+#: It runs in a fresh interpreter: CPython cannot put back a type's
+#: inherited ``__new__`` slot once it has been assigned.
+COUNT_HOP_EVENTS = """
+import json
+from repro import create_fabric
+from repro.hpc import MessageKind, Packet
+from repro.model.costs import CostModel
+from repro.sim import Event, Simulator
+from repro.sim import resources
+
+sim = Simulator()
+fabric = create_fabric("hypercube", sim, CostModel(), n_endpoints=16)
+sim.run()  # every link and forwarder parked
+created = []
+
+def counting_new(cls, *args, **kwargs):
+    created.append(cls.__name__)
+    return object.__new__(cls)
+
+Event.__new__ = counting_new
+resources._new_event = counting_new
+packet = Packet(src=0, dst=15, size=64, kind=MessageKind.USER_OBJECT)
+fabric.iface(0).send(packet)
+sim.run()
+print(json.dumps({"created": created, "hops": packet.hops,
+                  "pending": fabric.iface(15).rx_pending}))
+"""
+
+
+def test_a_hop_builds_no_event_but_the_senders_done():
+    """Across k idle hops a message builds at most k events: the
+    ``done`` each hop's sender waits on.  The request, credit, wire and
+    forwarder waits ride standing handles."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", COUNT_HOP_EVENTS], env=env,
+        capture_output=True, text=True, check=True,
+    ).stdout
+    result = json.loads(out.splitlines()[-1])
+    assert result["pending"] == 1
+    assert result["hops"] >= 3
+    assert 0 < len(result["created"]) <= result["hops"]

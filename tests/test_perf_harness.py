@@ -1,5 +1,6 @@
-"""Unit tests for scripts/perf.py: the min/median/max record, the
-determinism check across reps, smoke-only workloads and the v2 schema."""
+"""Unit tests for scripts/perf.py: the min/median/max CPU-time record,
+the call counts of the profiled rep, the determinism check across reps,
+smoke-only workloads and the v3 schema."""
 
 import json
 import sys
@@ -21,27 +22,53 @@ def fake_workload(monkeypatch, reps):
     )
 
 
-def rep(wall_s, events=1000, **extra):
-    return {"events": events, "sim_us": 10.0, "wall_s": wall_s, **extra}
+def rep(cpu_s, events=1000, **extra):
+    return {"events": events, "sim_us": 10.0, "cpu_s": cpu_s, **extra}
 
 
 def test_record_is_min_median_max_over_reps(monkeypatch):
-    fake_workload(monkeypatch, [rep(2.0), rep(1.0), rep(4.0)])
+    # Three timed reps, then the profiled one, whose time is not kept.
+    fake_workload(monkeypatch, [rep(2.0), rep(1.0), rep(4.0), rep(0.5)])
     record = perf.measure("fake", "full", repeat=3)
     assert record["events"] == 1000 and record["sim_us"] == 10.0
     assert record["repeat"] == 3
-    assert record["wall_s"] == {"min": 1.0, "median": 2.0, "max": 4.0}
-    assert record["events_per_sec"] == {
-        "min": 250.0, "median": 500.0, "max": 1000.0,
-    }
+    assert record["cpu_s"] == {"min": 1.0, "median": 2.0, "max": 4.0}
+    assert record["events_per_sec"] == 1000.0
+    assert perf.median_rate(record) == 500.0
     assert perf.validate({"schema": perf.SCHEMA,
                           "workloads": {"fake": record}}) == []
+
+
+def test_profiled_rep_counts_calls_per_layer(monkeypatch):
+    fake_workload(monkeypatch, [rep(1.0), rep(1.0)])
+    calls = perf.measure("fake", "full", repeat=1)["calls"]
+    assert set(perf.LAYERS) <= set(calls)
+    assert calls["total"] == sum(
+        value for key, value in calls.items() if key != "total"
+    )
+    # The fake workload is a lambda in this test file and ``dict`` and
+    # ``next`` are builtins: no frame of ``repro`` ran.
+    assert calls["python"] == calls["total"] > 0
+    assert calls["sim"] == calls["hpc"] == 0
+
+
+def test_workload_code_of_the_script_counts_as_workload():
+    record = perf.measure("cancel_churn", "smoke", repeat=1)
+    calls = record["calls"]
+    assert calls["workload"] > 0 and calls["sim"] > 0
+    assert record["events"] == 220
 
 
 def test_rep_with_different_events_raises(monkeypatch):
     fake_workload(monkeypatch, [rep(1.0), rep(1.0, events=1001)])
     with pytest.raises(RuntimeError, match=r"reps differ in \['events'\]"):
         perf.measure("fake", "full", repeat=2)
+
+
+def test_profiled_rep_with_different_events_raises(monkeypatch):
+    fake_workload(monkeypatch, [rep(1.0), rep(1.0, events=1001)])
+    with pytest.raises(RuntimeError, match=r"reps differ in \['events'\]"):
+        perf.measure("fake", "full", repeat=1)
 
 
 def test_smoke_only_workload_refused_in_full_mode(tmp_path, capsys):
@@ -61,21 +88,44 @@ def test_validate_rejects_v1_file(tmp_path):
     path = tmp_path / "v1.json"
     path.write_text(json.dumps(v1))
     assert perf.main(["--validate", str(path)]) == 1
-    assert any("simcore-bench/v2" in p for p in perf.validate(v1))
+    assert any(perf.SCHEMA in p for p in perf.validate(v1))
+
+
+def test_validate_rejects_v2_file(tmp_path):
+    v2 = {"schema": "simcore-bench/v2", "workloads": {"a": {
+        "description": "d", "events": 1000, "sim_us": 10.0, "repeat": 1,
+        "wall_s": {"min": 1.0, "median": 1.0, "max": 1.0},
+        "events_per_sec": {"min": 1000.0, "median": 1000.0, "max": 1000.0},
+    }}}
+    path = tmp_path / "v2.json"
+    path.write_text(json.dumps(v2))
+    assert perf.main(["--validate", str(path)]) == 1
+    problems = perf.validate(v2)
+    assert any("simcore-bench/v3" in p for p in problems)
+    assert any("a.calls" in p for p in problems)
+    assert any("a.cpu_s" in p for p in problems)
 
 
 def test_validate_rejects_bool_and_nonpositive_values(monkeypatch):
-    fake_workload(monkeypatch, [rep(1.0)])
+    fake_workload(monkeypatch, [rep(1.0), rep(1.0)])
     good = perf.measure("fake", "full", repeat=1)
-    bad = dict(good, events=True)
-    problems = perf.validate({"schema": perf.SCHEMA, "workloads": {"a": bad}})
-    assert any("events" in p for p in problems)
-    bad = dict(good, events=0)
-    problems = perf.validate({"schema": perf.SCHEMA, "workloads": {"a": bad}})
-    assert any("must be positive" in p for p in problems)
-    bad = dict(good, wall_s={"min": 2.0, "median": 1.0, "max": 3.0})
-    problems = perf.validate({"schema": perf.SCHEMA, "workloads": {"a": bad}})
-    assert any("min <= median <= max" in p for p in problems)
+
+    def problems(**change):
+        return perf.validate({"schema": perf.SCHEMA,
+                              "workloads": {"a": dict(good, **change)}})
+
+    assert any("events" in p for p in problems(events=True))
+    assert any("must be positive" in p for p in problems(events=0))
+    assert any("must be positive" in p for p in problems(events_per_sec=0))
+    assert any("min <= median <= max" in p for p in problems(
+        cpu_s={"min": 2.0, "median": 1.0, "max": 3.0}))
+    calls = good["calls"]
+    assert any("missing ['sim']" in p for p in problems(
+        calls={k: v for k, v in calls.items() if k != "sim"}))
+    assert any("sum of the layers" in p for p in problems(
+        calls=dict(calls, total=calls["total"] + 1)))
+    assert any("integer counts" in p for p in problems(
+        calls=dict(calls, sim=1.5)))
 
 
 def test_committed_bench_file_validates():
