@@ -8,6 +8,10 @@ always keeps two O(1) busy sums, :attr:`CPU.user_us` and
 :attr:`CPU.system_us`.  Its :class:`~repro.sim.trace.Timeline` records
 full segments for the software oscilloscope only once a scope arms it.
 
+A charge is one object, the :class:`Job` that :meth:`CPU.execute`
+returns as its completion event.  Each CPU queues one standing end
+handle per dispatch and a preemption unqueues it.
+
 Dispatch rule: a finished charge's own continuation has first claim on
 the CPU.  When a charge completes and work is queued, the CPU does not
 start the queued head at once; it dispatches it from a callback that
@@ -34,14 +38,15 @@ they dispatch a subprocess (``KernelCore.spawn`` and ``block``).
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heappushpop
 from typing import TYPE_CHECKING, Optional
 
+from repro.sim.engine import standing_handle
 from repro.sim.events import Event, PENDING as _PENDING
 from repro.sim.trace import Category, Timeline
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.engine import Handle, Simulator
+    from repro.sim.engine import Simulator
 
 #: Priority used by interrupt service routines.
 PRIORITY_ISR = 0
@@ -51,10 +56,11 @@ PRIORITY_KERNEL = 2
 PRIORITY_USER = 10
 
 _USER = Category.USER
+_INFINITY = float("inf")
 
 
-class Job:
-    """One execution charge on a CPU.
+class Job(Event):
+    """One execution charge on a CPU, and the event its completion fires.
 
     Built only by :meth:`CPU.execute`, with plain slot stores and no
     constructor; the ready heap orders ``(priority, seq, job)`` tuples,
@@ -67,7 +73,6 @@ class Job:
         "owner",
         "category",
         "preemptible",
-        "done",
         "seq",
     )
 
@@ -80,6 +85,8 @@ class Job:
 
 class CPU:
     """A single simulated processor core.
+
+    Runs one :class:`Job` at a time, ending at ``_ends_at``.
 
     Parameters
     ----------
@@ -100,12 +107,11 @@ class CPU:
         self._ready: list[tuple[int, int, Job]] = []
         self._current: Optional[Job] = None
         self._started_at: float = 0.0
-        self._end_handle: Optional["Handle"] = None
+        self._ends_at: float = 0.0
         self._seq = 0
-        # One bound method for every completion handle, instead of
-        # allocating ``self._complete`` fresh on each dispatch; likewise
-        # the deferred dispatch appended to a completed charge's event.
-        self._complete_cb = self._complete
+        # The end of every job this CPU runs, queued for ``_ends_at``;
+        # likewise one bound method for every deferred dispatch.
+        self._end = standing_handle(self._complete)
         self._dispatch_next_cb = self._dispatch_next
         #: Busy time charged so far, split USER / SYSTEM.  Always kept,
         #: scope or not.
@@ -120,59 +126,57 @@ class CPU:
         owner: Optional[str] = None,
         category: Category = Category.USER,
         preemptible: bool = True,
-    ) -> Event:
-        """Charge ``duration`` us of CPU time; fires when the charge completes.
+    ) -> Job:
+        """Charge ``duration`` us of CPU time; the job fires when done.
 
         The charge competes with everything else on this CPU at the given
         priority and may be preempted by higher-priority charges.
         """
-        if duration < 0:
-            raise ValueError(f"negative execution time: {duration}")
-        # ``Event.__init__`` inlined (one completion event per charge) --
-        # mirror of the constructor's five slot stores.
-        done = Event.__new__(Event)
-        done.sim = self.sim
-        done.callbacks = []
-        done._value = _PENDING
-        done._ok = None
-        done._defused = False
-        if duration == 0:
-            done.succeed()
-            return done
-        # One Job per charge, built with plain slot stores and no
-        # constructor frame: this is the busiest allocation site on
-        # every node.
+        if not 0.0 <= duration < _INFINITY:
+            raise ValueError(
+                f"execution time must be finite and non-negative: {duration}"
+            )
+        # One Job per charge, built with ``Event.__init__``'s five slot
+        # stores and its own, no constructor frame: this is the busiest
+        # allocation site on every node.
         job = Job.__new__(Job)
+        job.sim = self.sim
+        job.callbacks = []
+        job._value = _PENDING
+        job._ok = None
+        job._defused = False
         job.remaining = duration
         job.priority = priority
         job.owner = owner
         job.category = category
         job.preemptible = preemptible
-        job.done = done
+        if duration == 0:
+            job.succeed()
+            return job
         seq = self._seq
         job.seq = seq
         self._seq = seq + 1
         ready = self._ready
         current = self._current
-        if current is None and not ready:
-            # Idle CPU, nothing queued: start directly, skipping the
-            # ready-heap round trip (the common serialized case).
-            self._dispatch_job(job)
+        if current is None:
+            # Idle CPU: start the job, or the best of it and the queue
+            # (one heap call, not a push and a pop).
+            self._dispatch_job(
+                heappushpop(ready, (priority, seq, job))[2] if ready else job
+            )
         else:
             # ``_maybe_preempt`` inlined (runs on every contended charge).
             heappush(ready, (priority, seq, job))
-            if current is None:
-                self._dispatch_job(heappop(ready)[2])
-            elif (
+            if (
                 current.preemptible and ready[0][0] < current.priority
                 # A job whose end is due this instant has nothing left
                 # to run: the charge queues, and the end handle completes
                 # the job in this instant instead of after the charge.
-                and self._end_handle.time != self.sim._now
+                and self._ends_at != self.sim._now
             ):
                 self._suspend_current()
                 self._dispatch_job(heappop(ready)[2])
-        return done
+        return job
 
     @property
     def busy(self) -> bool:
@@ -197,10 +201,12 @@ class CPU:
     def _suspend_current(self) -> None:
         """Preempt the running job, accounting for partial progress."""
         job = self._current
-        assert job is not None and self._end_handle is not None
-        self._end_handle.cancel()
-        self._end_handle = None
-        now = self.sim._now
+        assert job is not None
+        sim = self.sim
+        # Due later than now (see the tie rule in ``execute``), so the
+        # end handle is in the delayed queue, not on a lane.
+        sim._unpush(self._ends_at, self._end)
+        now = sim._now
         elapsed = now - self._started_at
         if job.category is _USER:
             self.user_us += elapsed
@@ -218,21 +224,21 @@ class CPU:
         """Start ``job`` (already removed from / never on the ready heap)."""
         sim = self.sim
         self._current = job
-        self._started_at = sim._now
-        # The end of the charge is one delayed callback; preemption
-        # cancels it and the next dispatch arms a fresh one.
-        self._end_handle = sim.call_later(job.remaining, self._complete_cb)
+        self._started_at = now = sim._now
+        # The standing end handle goes where a ``call_later`` would.
+        self._ends_at = ends_at = now + job.remaining
+        sim._push(ends_at, self._end)
 
     def _complete(self) -> None:
         """End the running charge, then hand the CPU on.
 
-        A charge with a completion event and work queued behind it does
-        not dispatch the queue head here: ``_dispatch_next`` is appended
-        to the event's callbacks, so it runs after every waiter already
-        registered.  Whatever those waiters charge in the same instant
-        goes through :meth:`execute` on an idle CPU, which starts the
-        best queued ``(priority, seq)``; ``_dispatch_next`` then finds
-        the CPU busy and does nothing, or starts the head.
+        A charge with work queued behind it does not dispatch the queue
+        head here: ``_dispatch_next`` is appended to the job's
+        callbacks, so it runs after every waiter already registered.
+        Whatever those waiters charge in the same instant goes through
+        :meth:`execute` on an idle CPU, which starts the best queued
+        ``(priority, seq)``; ``_dispatch_next`` then finds the CPU busy
+        and does nothing, or starts the head.
         """
         job = self._current
         assert job is not None
@@ -246,16 +252,13 @@ class CPU:
         if timeline.armed_at is not None:
             timeline.record(started, now, job.category, job.owner)
         self._current = None
-        self._end_handle = None
-        # ``Event.succeed`` inlined (one completion per charge); a job's
-        # done event is triggered only here, so the double-trigger guard
-        # is vacuous.
-        done = job.done
-        done._ok = True
-        done._value = None
-        self.sim._imm_normal.append(done)
+        # ``Event.succeed`` inlined (one completion per charge); a job
+        # is triggered only here, so the double-trigger guard is vacuous.
+        job._ok = True
+        job._value = None
+        self.sim._imm_normal.append(job)
         if self._ready:
-            done.callbacks.append(self._dispatch_next_cb)
+            job.callbacks.append(self._dispatch_next_cb)
 
     def _dispatch_next(self, _event: Event) -> None:
         """Start the queue head if the completed charge's waiters left

@@ -56,16 +56,19 @@ far-future arm on a deep queue -- a new global-maximum time lands at
 index 0 -- moves both arrays.  At the depths the benchmark workloads
 reach (a median of ~130-180 pending occurrences) that memmove is cheap:
 a separate ascending lane that took such arms as appends measured no
-faster.
+faster.  Besides pops and compaction, only :meth:`Simulator._unpush`
+takes an entry out: it deletes one slot from both arrays.
 
 A *standing* handle (:func:`standing_handle`) is legal on the normal
 lane and in the delayed queue.  It is a :class:`Handle` made once per
 wait point of a callback state machine (the fabric's links and cluster
-forwarders) and reused for every wait there, so a wait costs no fresh
-``Event`` or callback list.  It is never cancelled, so the cancelled
-count and compaction never see it.  It may sit on a lane more than once
-over a run -- each time its owner waits -- and its ``args`` carry the
-value of that wait; its owner never queues it again before it has run.
+forwarders, and each CPU's end of charge) and reused for every wait
+there, so a wait costs no fresh ``Event`` or callback list.  It is
+never cancelled, so the cancelled count and compaction never see it.
+It may sit on a lane more than once over a run -- each time its owner
+waits -- and its ``args`` carry the value of that wait; its owner never
+queues it again while it is queued (a preempting CPU takes its end
+handle out with :meth:`Simulator._unpush` before it queues it anew).
 """
 
 from __future__ import annotations
@@ -110,9 +113,10 @@ class Handle:
         """Prevent the callback from running (idempotent).
 
         The count and the compaction check live here, not behind a
-        ``Simulator`` method: CPU preemption cancels one completion
-        handle per suspended charge, so the cancel -> count ->
-        maybe-compact path is hot.
+        ``Simulator`` method, for timers cancelled and re-armed in a
+        loop (``cancel_churn`` in ``scripts/perf.py``).  CPU preemption
+        does not cancel: it takes its standing end handle back out of
+        the queue with :meth:`Simulator._unpush`.
         """
         if not self.cancelled:
             self.cancelled = True
@@ -234,6 +238,20 @@ class Simulator:
         keys.insert(pos, key)
         self._items.insert(pos, item)
 
+    def _unpush(self, time: float, item: Any) -> None:
+        """Take ``item``, queued by :meth:`_push` for ``time`` (later
+        than ``_now``), back out of the delayed queue.
+
+        The search starts at the leftmost slot of ``time``'s equal-time
+        run, and the one slot is deleted from both arrays, so the queue
+        stays sorted, the other ties keep their order, and the item can
+        be pushed again.
+        """
+        keys = self._keys
+        pos = self._items.index(item, bisect_left(keys, -time))
+        del keys[pos]
+        del self._items[pos]
+
     def _heap_pop(self) -> Any:
         """Remove and return the next queued item: two O(1) end pops."""
         self._keys.pop()
@@ -246,11 +264,11 @@ class Simulator:
         A zero-delay callback shares the normal lane with zero-delay
         events; the pop paths skip it if it is cancelled before it runs.
         """
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
+        if not 0.0 <= delay < _INFINITY:
+            raise ValueError(f"delay must be finite and non-negative: {delay}")
         time = self._now + delay
-        # ``Handle.__init__`` inlined (CPU charge completions create one
-        # handle per dispatch): plain slot stores, no constructor frame.
+        # ``Handle.__init__`` inlined (a NIC arms one per receive
+        # interrupt): plain slot stores, no constructor frame.
         handle = Handle.__new__(Handle)
         handle._sim = self
         handle.time = time
@@ -301,8 +319,10 @@ class Simulator:
         """An event that triggers with ``value`` ``delay`` from now."""
         # ``Event.__init__`` inlined, already triggered: a timeout is
         # created per wire transfer and watchdog arm.
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
+        if not 0.0 <= delay < _INFINITY:
+            raise ValueError(
+                f"timeout delay must be finite and non-negative: {delay}"
+            )
         event = Event.__new__(Event)
         event.sim = self
         event.callbacks = []
@@ -492,9 +512,9 @@ class Simulator:
             stop.defuse()
             raise stop.value
         deadline = float(until)
-        if deadline < self._now:
+        if not deadline >= self._now:  # also rejects NaN
             raise ValueError(
-                f"deadline {deadline} is in the past (now={self._now})"
+                f"deadline {deadline} is NaN or in the past (now={self._now})"
             )
         self._drain(None, deadline)
         self._now = deadline

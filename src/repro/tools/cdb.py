@@ -126,27 +126,6 @@ class Cdb:
         return "\n".join(lines)
 
     # ------------------------------------------------------------------
-    # live per-node counters (from the vstat registries)
-    # ------------------------------------------------------------------
-    def node_counters(self) -> list[dict]:
-        """Per-kernel live counters, straight from each vstat registry."""
-        rows = []
-        for kernel in self.system.all_kernels:
-            metrics = kernel.metrics
-            rows.append(
-                {
-                    "node": kernel.name,
-                    "syscalls": int(metrics.value("kernel.syscalls")),
-                    "context_switches": kernel.context_switches,
-                    "packets_posted": kernel.packets_posted,
-                    "interrupts": int(metrics.value("kernel.interrupts")),
-                    "retransmits": int(metrics.value("chan.retransmits")),
-                    "naks": int(metrics.value("chan.naks")),
-                }
-            )
-        return rows
-
-    # ------------------------------------------------------------------
     # deadlock analysis
     # ------------------------------------------------------------------
     def wait_graph(self) -> "DiGraph":

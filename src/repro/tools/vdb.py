@@ -10,7 +10,10 @@ The simulation analogue: :class:`Vdb` enumerates every subprocess on
 every node, attaches to any of them by uid, reports its scheduling state
 (and why it is blocked), and -- because simulated programs are Python
 generators -- recovers a real *backtrace* by walking the suspended
-``yield from`` chain.
+``yield from`` chain.  ``waiting_for`` names the type of the event the
+process waits on: ``"Job"`` while it runs or queues for a CPU charge
+(the charge is its own completion event), ``"Event"`` while it sleeps
+on a timer.
 """
 
 from __future__ import annotations

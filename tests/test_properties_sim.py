@@ -7,7 +7,7 @@ from heapq import heappop
 from hypothesis import example, given, strategies as st
 
 from repro.sim import CPU, Interrupt, Simulator, Store, Semaphore
-from repro.sim.engine import EmptySchedule
+from repro.sim.engine import EmptySchedule, standing_handle
 from repro.sim.cpu import PRIORITY_ISR
 from repro.sim.trace import Category, Timeline
 
@@ -179,8 +179,7 @@ class EagerCPU(CPU):
         else:
             self.system_us += now - self._started_at
         self._current = None
-        self._end_handle = None
-        job.done.succeed()
+        job.succeed()
         if self._ready:
             self._dispatch_job(heappop(self._ready)[2])
 
@@ -359,6 +358,65 @@ def test_flat_queue_matches_heapq_order(depth, entries, reactions):
         arm(delay, priority)
     sim.run()
     assert log == expected
+
+
+#: Few distinct times, so pushes build long equal-time runs.
+_UNPUSH_OP = st.one_of(
+    st.tuples(st.just("push"), st.sampled_from([1.0, 2.0, 2.0, 3.0])),
+    st.tuples(st.just("unpush"), st.integers(0, 63)),
+    st.tuples(st.just("repush"), st.sampled_from([1.0, 2.0, 3.0])),
+)
+
+
+@given(ops=st.lists(_UNPUSH_OP, max_size=60))
+# One equal-time run: take out the first pushed (the run's right end,
+# next to pop), then the last pushed (its left end), then the middle.
+@example(ops=[("push", 2.0)] * 5
+         + [("unpush", 0), ("unpush", 3), ("unpush", 1)])
+# The same between runs of other times, so the run sits mid-array.
+@example(ops=[("push", 1.0), ("push", 3.0)] + [("push", 2.0)] * 4
+         + [("push", 1.0), ("push", 3.0)]
+         + [("unpush", 2), ("unpush", 4), ("unpush", 3)])
+# A taken-out entry pushed again joins the end of its new run.
+@example(ops=[("push", 2.0)] * 3 + [("unpush", 0), ("repush", 2.0),
+                                     ("unpush", 1), ("repush", 1.0)])
+def test_unpush_matches_heapq_removal(ops):
+    """Differential test of :meth:`Simulator._unpush`: taking an entry
+    out of the delayed queue, from anywhere in an equal-time run, leaves
+    the survivors to pop in the order a reference ``heapq`` of ``(time,
+    seq)`` yields once the same entry is deleted from it, and a
+    taken-out handle can be pushed again as a new arm.  ``unpush`` picks
+    a queued arm by its index in push order."""
+    sim = Simulator()
+    log = []
+    reference = []
+    queued = {}  # seq -> (time, handle) of every arm still queued
+    out = []  # handles taken out, most recent last
+    for seq, (op, arg) in enumerate(ops):
+        if op == "unpush":
+            if queued:
+                victim = sorted(queued)[arg % len(queued)]
+                time, handle = queued.pop(victim)
+                sim._unpush(time, handle)
+                reference.remove((time, victim))
+                heapq.heapify(reference)
+                out.append(handle)
+            continue
+        if op == "push":
+            handle = standing_handle(log.append)
+        elif out:
+            handle = out.pop()
+        else:
+            continue
+        handle.args = (seq,)
+        sim._push(arg, handle)
+        queued[seq] = (arg, handle)
+        heapq.heappush(reference, (arg, seq))
+    assert len(sim._keys) == len(sim._items) == len(reference)
+    expected = [heapq.heappop(reference)[1] for _ in range(len(reference))]
+    sim.run()
+    assert log == expected
+    assert sim.processed == len(expected)
 
 
 #: Delays that tie on purpose.  Every arm lands at or after t=5000,

@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim import Simulator, CPU, Category
 from repro.sim.engine import Handle
-from repro.sim.cpu import PRIORITY_ISR, PRIORITY_KERNEL, PRIORITY_USER
+from repro.sim.cpu import PRIORITY_ISR, PRIORITY_KERNEL, PRIORITY_USER, Job
 
 
 def test_single_charge_takes_duration():
@@ -27,6 +27,21 @@ def test_negative_duration_rejected():
     cpu = CPU(sim)
     with pytest.raises(ValueError):
         cpu.execute(-1.0)
+
+
+@pytest.mark.parametrize("duration", [float("nan"), float("inf"),
+                                      float("-inf")])
+def test_non_finite_duration_rejected(duration):
+    """A NaN charge would queue its end handle at NaN and run the clock
+    backwards; an infinite one would never end."""
+    sim = Simulator()
+    cpu = CPU(sim)
+    cpu.execute(5.0)
+    with pytest.raises(ValueError, match=str(duration)):
+        cpu.execute(duration)
+    sim.run()
+    assert sim.now == 5.0
+    assert not cpu.busy and cpu.queue_length == 0
 
 
 def test_charges_serialize():
@@ -205,6 +220,48 @@ def test_kernel_chain_keeps_cpu_from_queued_user_job(monkeypatch):
     assert user_end == 120.0
     assert cancelled == []
     assert ran == alone_ran + 2
+
+
+def test_preempting_run_arms_no_fresh_handle(monkeypatch):
+    """A charge is one object: ``execute`` returns the Job, the CPU's
+    standing end handle is queued per dispatch and unqueued per
+    preemption, so nothing goes through ``call_later`` and no cancelled
+    entry is left for lazy skipping."""
+    arms = []
+    call_later = Simulator.call_later
+
+    def counting_call_later(sim, *args):
+        arms.append(args)
+        return call_later(sim, *args)
+
+    monkeypatch.setattr(Simulator, "call_later", counting_call_later)
+    sim = Simulator()
+    cpu = CPU(sim)
+    charges = []
+
+    def low():
+        charge = cpu.execute(100.0, priority=PRIORITY_USER)
+        charges.append(charge)
+        yield charge
+
+    def high():
+        for _ in range(3):
+            yield sim.timeout(10.0)
+            charge = cpu.execute(5.0, priority=PRIORITY_ISR,
+                                 category=Category.SYSTEM)
+            charges.append(charge)
+            yield charge
+
+    sim.process(low())
+    sim.process(high())
+    sim.run()
+    assert [type(charge) for charge in charges] == [Job] * 4
+    assert all(charge.processed and charge.ok for charge in charges)
+    # Three preemptions: low ends at 100 + 3 * 5.
+    assert (cpu.user_us, cpu.system_us, sim.now) == (100.0, 15.0, 115.0)
+    assert arms == []
+    assert sim._cancelled == 0
+    assert not sim._keys and not sim._items
 
 
 def test_dispatched_job_end_ties_after_waiter_timeout():

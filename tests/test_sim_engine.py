@@ -79,6 +79,44 @@ def test_negative_delay_rejected():
         sim.timeout(-1.0)
 
 
+_NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("delay", _NON_FINITE)
+def test_non_finite_call_later_rejected(delay):
+    """A NaN arm used to land anywhere in the sorted queue: arms of 2,
+    NaN, 5, 1, 3 and 4 ran at 2, NaN, 1, 3, ... with the clock running
+    backwards."""
+    sim = Simulator()
+    fired = []
+    for good in (2.0, 5.0, 1.0):
+        sim.call_later(good, fired.append, good)
+    with pytest.raises(ValueError, match=str(delay)):
+        sim.call_later(delay, fired.append, delay)
+    sim.run()
+    assert fired == [1.0, 2.0, 5.0]
+
+
+@pytest.mark.parametrize("delay", _NON_FINITE)
+def test_non_finite_timeout_rejected(delay):
+    sim = Simulator()
+    with pytest.raises(ValueError, match=str(delay)):
+        sim.timeout(delay)
+    assert sim.peek() == float("inf")
+
+
+def test_nan_deadline_rejected():
+    """``run(until=nan)`` used to run everything and leave ``now`` at
+    NaN for good."""
+    sim = Simulator()
+    sim.timeout(10.0)
+    with pytest.raises(ValueError, match="nan"):
+        sim.run(until=float("nan"))
+    assert sim.now == 0.0
+    sim.run(until=20.0)
+    assert sim.now == 20.0 and sim.processed == 1
+
+
 def test_event_succeed_value():
     sim = Simulator()
     ev = sim.event()

@@ -261,6 +261,23 @@ def test_vdb_lists_all_processes():
     assert info.backtrace == ("<not running>",)
 
 
+def test_vdb_names_a_cpu_charge_wait_job():
+    """A subprocess in the middle of a CPU charge waits on the charge's
+    Job, which is its completion event."""
+    system = VorxSystem(n_nodes=1)
+
+    def cruncher(env):
+        yield from env.compute(1_000_000.0)
+
+    sp = system.spawn(0, cruncher)
+    system.run(until=500_000.0)
+    info = Vdb(system).inspect(sp)
+    assert info.state == "running"
+    assert info.waiting_for == "Job"
+    assert "  waiting:  Job" in info.format().splitlines()
+    assert any("compute" in frame for frame in info.backtrace)
+
+
 def test_vdb_unknown_process():
     system = VorxSystem(n_nodes=1)
     with pytest.raises(KeyError):
