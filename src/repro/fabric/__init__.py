@@ -30,6 +30,7 @@ from repro.fabric.registry import (
     available_topologies,
     create_fabric,
     register_backend,
+    topology_spec,
 )
 from repro.fabric.traffic import (
     TrafficResult,
@@ -49,6 +50,7 @@ __all__ = [
     "partition_fabric",
     "partition_spec",
     "register_backend",
+    "topology_spec",
     "TrafficResult",
     "run_all_pairs",
     "run_hot_spot",

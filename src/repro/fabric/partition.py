@@ -5,22 +5,20 @@ per *shard* -- a block of clusters plus the endpoints attached to them
 -- and synchronizes shards only at cross-shard link boundaries.  This
 module supplies everything below the synchronization protocol:
 
-* :class:`TopologySpec` -- a picklable, simulator-free description of a
-  wired :class:`~repro.hpc.topology.Fabric` (cluster port counts, the
-  exact cluster-to-cluster wire list, endpoint attachments).  Worker
-  processes receive the spec and rebuild only their own slice; no live
-  simulator objects ever cross a process boundary.
-* :func:`partition_spec` / :func:`partition_fabric` -- assign clusters
-  to shards (contiguous balanced blocks, so hypercube shards are
-  subcubes), collect the cross-shard *boundary links*, and derive the
-  conservative **lookahead**: the minimum latency any message needs to
-  cross a boundary, ``hpc_wire_time(0) + hpc_hop_latency``.
-* :class:`ShardFabric` -- a :class:`~repro.hpc.topology.Fabric` holding
-  only the local clusters and endpoints, with every cross-shard wire
-  replaced by a :class:`BoundaryLink`.  Routing tables are computed
-  with the same BFS (:func:`~repro.hpc.topology.first_hop_ports`) over
-  the *full* cluster graph, so routes -- and therefore hop counts --
-  are identical to the unsharded fabric.
+* :func:`partition_spec` / :func:`partition_fabric` -- assign the
+  clusters of a :class:`~repro.hpc.topology.TopologySpec` (what every
+  cluster builder returns; re-exported here) to contiguous balanced
+  blocks, so hypercube shards are subcubes, collect the cross-shard
+  *boundary links*, and derive the conservative **lookahead**: the
+  minimum latency of a boundary crossing, ``hpc_wire_time(0) +
+  hpc_hop_latency``.  The orchestrator reads only the spec.
+* :class:`ShardFabric` -- :meth:`~repro.hpc.topology.Fabric.wire`
+  restricted to one shard, with every cross-shard wire a
+  :class:`BoundaryLink`.  Workers receive the spec and wire their own
+  slice, so no live simulator object crosses a process boundary.  The
+  one route builder, :meth:`~repro.hpc.topology.Fabric.build_routes`,
+  searches the *full* cluster graph: routes and hop counts are those
+  of the unsharded fabric.
 * :class:`BoundaryLink` -- a :class:`~repro.hpc.link.Link` whose far
   end lives on another shard: the same queue, counters, fault path and
   site name as the unsharded wire, but it *captures* the outbound
@@ -46,73 +44,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.hpc.cluster import Cluster
 from repro.hpc.link import Link
 from repro.hpc.message import MessageKind, Packet
-from repro.hpc.nic import HPCInterface
-from repro.hpc.topology import Fabric, first_hop_ports
+from repro.hpc.topology import Fabric, TopologySpec
 from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.model.costs import CostModel
     from repro.sim.engine import Simulator
-
-
-# ---------------------------------------------------------------------------
-# Picklable topology description
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class TopologySpec:
-    """A simulator-free description of a wired cluster fabric."""
-
-    topology_name: str
-    #: Port count per cluster, indexed by cluster id.
-    cluster_ports: tuple[int, ...]
-    #: Every cluster-to-cluster wire as ``(a, a_port, b, b_port)``.
-    links: tuple[tuple[int, int, int, int], ...]
-    #: Every endpoint as ``(address, cluster, port, name)``.
-    attachments: tuple[tuple[int, int, int, str], ...]
-
-    @classmethod
-    def of(cls, fabric: Fabric) -> "TopologySpec":
-        """Extract the spec from a built :class:`Fabric`."""
-        return cls(
-            topology_name=fabric.topology_name,
-            cluster_ports=tuple(c.n_ports for c in fabric.clusters),
-            links=tuple(fabric.cluster_links),
-            attachments=tuple(
-                (address, cid, port, fabric.interfaces[address].name)
-                for address, (cid, port) in sorted(fabric.attachments.items())
-            ),
-        )
-
-    @property
-    def n_clusters(self) -> int:
-        return len(self.cluster_ports)
-
-    @property
-    def addresses(self) -> list[int]:
-        """Sorted endpoint addresses (the full fabric's address list)."""
-        return sorted(entry[0] for entry in self.attachments)
-
-    def adjacency(self) -> list[list[tuple[int, int]]]:
-        """``adjacency[c] = [(port, neighbour)]`` in port order.
-
-        Built exactly like :meth:`Fabric.build_routes` builds its
-        adjacency (directed entries sorted by ``(cluster, port)``), so
-        :func:`~repro.hpc.topology.first_hop_ports` over this structure
-        reproduces the unsharded routes bit-for-bit.
-        """
-        directed: list[tuple[int, int, int]] = []
-        for a, a_port, b, b_port in self.links:
-            directed.append((a, a_port, b))
-            directed.append((b, b_port, a))
-        adjacency: list[list[tuple[int, int]]] = [
-            [] for _ in range(self.n_clusters)
-        ]
-        for cid, port, neighbour in sorted(directed):
-            adjacency[cid].append((port, neighbour))
-        return adjacency
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +273,13 @@ class BoundaryLink(Link):
 class ShardFabric(Fabric):
     """The shard-local slice of a partitioned fabric.
 
+    :meth:`~repro.hpc.topology.Fabric.wire` restricted to one shard:
     ``clusters`` keeps the full fabric's indexing with ``None`` for
-    remote clusters; only local clusters, endpoints, and links are
-    built.  Routing tables cover *every* fabric address (computed over
-    the full cluster graph), so a local cluster forwards traffic for a
-    remote destination toward the correct boundary port.
+    remote clusters, and only local clusters, endpoints and links are
+    built, each cross-shard wire as a :class:`BoundaryLink`.  Routing
+    tables cover *every* fabric address (computed over the full
+    :attr:`spec`), so a local cluster forwards traffic for a remote
+    destination toward the correct boundary port.
     """
 
     def __init__(
@@ -355,67 +296,33 @@ class ShardFabric(Fabric):
             raise ValueError(
                 f"shard {shard_id} out of range 0..{partition.n_shards - 1}"
             )
-        self.topology_name = spec.topology_name
         self.spec = spec
         self.partition = partition
         self.shard_id = shard_id
         self.outbox = outbox
-        shard_of = partition.shard_of_cluster
         self.local_clusters = [
-            cid for cid in range(spec.n_clusters) if shard_of[cid] == shard_id
+            cid for cid, shard in enumerate(partition.shard_of_cluster)
+            if shard == shard_id
         ]
-        self.clusters = [None] * spec.n_clusters  # type: ignore[list-item]
-        for cid in self.local_clusters:
-            self.clusters[cid] = Cluster(
-                sim, costs, cid, spec.cluster_ports[cid]
-            )
         self.boundary_out: list[BoundaryLink] = []
-        for a, a_port, b, b_port in spec.links:
-            sa, sb = shard_of[a], shard_of[b]
-            if sa == shard_id and sb == shard_id:
-                self.connect_clusters(
-                    self.clusters[a], a_port, self.clusters[b], b_port
-                )
-            elif sa == shard_id:
-                self._wire_boundary(a, a_port, b, b_port, sb)
-            elif sb == shard_id:
-                self._wire_boundary(b, b_port, a, a_port, sa)
-        for address, cid, port, name in spec.attachments:
-            if shard_of[cid] != shard_id:
-                continue
-            iface = HPCInterface(sim, costs, address, name)
-            self.interfaces[address] = iface
-            self.attach(self.clusters[cid], port, iface)
-        self._next_address = 1 + max(
-            (entry[0] for entry in spec.attachments), default=-1
-        )
-        self._build_global_routes()
+        self.wire(spec)
+
+    def _owns(self, cid: int) -> bool:
+        return self.partition.shard_of_cluster[cid] == self.shard_id
 
     def _wire_boundary(
-        self, cid: int, port: int, peer: int, peer_port: int, peer_shard: int
+        self, cid: int, port: int, peer: int, peer_port: int
     ) -> None:
         link = BoundaryLink(
-            self.sim, self.costs, (peer_shard, peer, peer_port), self.outbox,
-            name=f"c{cid}.p{port}->c{peer}",
+            self.sim, self.costs,
+            (self.partition.shard_of_cluster[peer], peer, peer_port),
+            self.outbox, name=f"c{cid}.p{port}->c{peer}",
         )
         cluster = self.clusters[cid]
         self._check_port_free(cluster, port)
         cluster.out_links[port] = link  # type: ignore[assignment]
         self._cluster_edges[(cid, port)] = peer
         self.boundary_out.append(link)
-
-    def _build_global_routes(self) -> None:
-        adjacency = self.spec.adjacency()
-        for cid in self.local_clusters:
-            first_port = first_hop_ports(adjacency, cid)
-            # Every spec address is below ``_next_address``.
-            routing: list[Optional[int]] = [None] * self._next_address
-            for address, home, attach_port, _name in self.spec.attachments:
-                if home == cid:
-                    routing[address] = attach_port
-                elif home in first_port:
-                    routing[address] = first_port[home]
-            self.clusters[cid].routing = routing
 
     # -- cross-shard arrivals ------------------------------------------------
     def inject(
@@ -438,34 +345,18 @@ class ShardFabric(Fabric):
 
         self.sim.timeout(arrival - self.sim.now).callbacks.append(arrive)
 
-    # -- overrides for the sparse cluster list -------------------------------
-    def _local(self):
-        for cid in self.local_clusters:
-            yield self.clusters[cid]
-
-    def _links(self):
-        for cluster in self._local():
-            for link in cluster.out_links:
-                if link is not None:
-                    yield link
-        for address in self.attachments:
-            link = self.interfaces[address].link
-            if link is not None:
-                yield link
-
     def stats(self) -> dict:
+        local = [self.clusters[cid] for cid in self.local_clusters]
         return {
             "topology": self.topology_name,
             "shard": self.shard_id,
             "shards": self.partition.n_shards,
-            "clusters": len(self.local_clusters),
+            "clusters": len(local),
             "endpoints": len(self.attachments),
             "boundary_links": len(self.boundary_out),
-            "messages_forwarded": sum(
-                c.messages_forwarded for c in self._local()
-            ),
+            "messages_forwarded": sum(c.messages_forwarded for c in local),
             "port_utilisation": {
-                c.cluster_id: len(c.wired_ports()) for c in self._local()
+                c.cluster_id: len(c.wired_ports()) for c in local
             },
         }
 

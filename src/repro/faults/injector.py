@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fnmatch import fnmatchcase
 from functools import cached_property
 from typing import TYPE_CHECKING, Optional
+
+from repro.faults.plan import SitePatterns
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.plan import FaultPlan
@@ -66,32 +67,19 @@ class FaultSite:
                  "stalls", "brownouts", "crashes", "stream")
 
     def __init__(self, injector: "FaultInjector", name: str) -> None:
-        plan = injector.plan
         self.injector = injector
         self.name = name
         #: The first ``links`` pattern matching wins, else the defaults.
-        self.faults = next(
-            (faults for pattern, faults in plan.links.items()
-             if fnmatchcase(name, pattern)),
-            plan.defaults,
-        )
+        links = injector.links.matches(name)
+        self.faults = links[0] if links else injector.plan.defaults
         self.lossy = self.faults.any_loss
         #: ``(start, end, faults, lossy)`` overrides, declaration order.
         self.windows = tuple(
             (start, end, faults, faults.any_loss)
-            for pattern, start, end, faults in plan.site_windows
-            if fnmatchcase(name, pattern)
+            for start, end, faults in injector.windows.matches(name)
         )
-        self.stalls = tuple(
-            (start, start + duration)
-            for pattern, start, duration in plan.nic_stalls
-            if fnmatchcase(name, pattern)
-        )
-        self.brownouts = tuple(
-            (start, end, factor)
-            for pattern, start, end, factor in plan.link_brownouts
-            if fnmatchcase(name, pattern)
-        )
+        self.stalls = tuple(injector.stalls.matches(name))
+        self.brownouts = tuple(injector.brownouts.matches(name))
         self.crashes = bool(injector.crash_times)
         self.stream: Optional[random.Random] = None
 
@@ -255,6 +243,20 @@ class FaultInjector:
         self._m_injected = self.metrics.counter("faults.injected")
         #: site name -> its resolved record (see :meth:`site`).
         self.sites: dict[str, FaultSite] = {}
+        #: The plan's per-site tables, indexed once for every site.
+        self.links = SitePatterns(plan.links.items())
+        self.windows = SitePatterns(
+            (pattern, (start, end, faults))
+            for pattern, start, end, faults in plan.site_windows
+        )
+        self.stalls = SitePatterns(
+            (pattern, (start, start + duration))
+            for pattern, start, duration in plan.nic_stalls
+        )
+        self.brownouts = SitePatterns(
+            (pattern, (start, end, factor))
+            for pattern, start, end, factor in plan.link_brownouts
+        )
         #: address -> crash time; populated up front so hooks never race
         #: the crash callback.
         self.crash_times = dict(plan.node_crashes)

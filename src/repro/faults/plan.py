@@ -23,6 +23,43 @@ if TYPE_CHECKING:  # pragma: no cover
 DEFAULT_FAULTABLE_KINDS: tuple[str, ...] = ("channel-data", "channel-ack")
 
 
+def is_exact(pattern: str) -> bool:
+    """True if site ``pattern`` has no ``*``, ``?`` or ``[``: fnmatch
+    then matches only the name spelled the same, so a lookup will do."""
+    return "*" not in pattern and "?" not in pattern and "[" not in pattern
+
+
+class SitePatterns:
+    """One plan table's entries, found by site name.
+
+    ``entries`` are ``(pattern, value)`` pairs.  Exact-name patterns are
+    indexed by name; only the wildcard ones are tried with ``fnmatch``.
+    :meth:`matches` returns the values in declaration order either way.
+    """
+
+    __slots__ = ("exact", "wild")
+
+    def __init__(self, entries: Iterable[tuple[str, object]]) -> None:
+        #: name -> ``[(declaration index, value)]``
+        self.exact: dict[str, list] = {}
+        #: ``[(declaration index, pattern, value)]``
+        self.wild: list = []
+        for index, (pattern, value) in enumerate(entries):
+            if is_exact(pattern):
+                self.exact.setdefault(pattern, []).append((index, value))
+            else:
+                self.wild.append((index, pattern, value))
+
+    def matches(self, name: str) -> list:
+        hits = self.exact.get(name, [])
+        if self.wild:
+            hits = sorted(hits + [
+                (index, value) for index, pattern, value in self.wild
+                if fnmatchcase(name, pattern)
+            ], key=lambda hit: hit[0])
+        return [value for _index, value in hits]
+
+
 @dataclass(frozen=True)
 class _EndpointShim:
     """Kernel-shaped stand-in for a raw fabric endpoint (crash wiring
@@ -400,7 +437,11 @@ class FaultPlan:
         return injector
 
     def _validate_sites(self, fabric) -> None:
-        """Check every site pattern matches >= 1 real injection site."""
+        """Check every site pattern matches >= 1 real injection site.
+
+        ``fabric`` is anything with ``fault_sites()``: a built backend,
+        or a :class:`~repro.hpc.topology.TopologySpec` before any
+        fabric exists."""
         if fabric is None:
             return
         enumerate_sites = getattr(fabric, "fault_sites", None)
@@ -409,8 +450,12 @@ class FaultPlan:
         sites = enumerate_sites()
         if not sites:
             return
+        known = set(sites)
         for pattern in self.site_patterns():
-            if any(fnmatchcase(site, pattern) for site in sites):
+            if is_exact(pattern):
+                if pattern in known:
+                    continue
+            elif any(fnmatchcase(site, pattern) for site in sites):
                 continue
             sample = ", ".join(repr(site) for site in sites[:6])
             raise ValueError(

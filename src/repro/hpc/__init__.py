@@ -11,8 +11,9 @@ A packet-level model of the 160 Mbit/sec self-routing interconnect:
   fair (FIFO) output arbitration.
 * :mod:`repro.hpc.nic` -- the processor's interface: tx queue, rx buffer,
   rx/tx interrupts.
-* :mod:`repro.hpc.topology` -- fabric builders: single cluster,
-  cluster trees, and the incomplete hypercube of [Katseff 88].
+* :mod:`repro.hpc.topology` -- topology specs (single cluster, the
+  incomplete hypercube of [Katseff 88], HyperX, mesh) and the one
+  routine that wires a spec into a fabric.
 
 Two properties the paper relies on hold by construction: the interconnect
 never loses a message, and every blocked sender is eventually serviced

@@ -1,24 +1,28 @@
-"""Fabric construction: wiring clusters, nodes, and routing tables.
+"""Fabric construction: topology specs, wiring, and routing tables.
 
-Builders provided:
+Each cluster topology is a pure function returning a
+:class:`TopologySpec` -- cluster port counts, the wire list in connect
+order, and the endpoint attachments -- with no simulator involved:
 
-* :func:`build_single_cluster` -- up to twelve endpoints on one cluster
+* :func:`single_cluster_spec` -- up to twelve endpoints on one cluster
   (the paper's minimal system).
-* :func:`build_hypercube` -- clusters arranged as a (possibly incomplete)
+* :func:`hypercube_spec` -- clusters arranged as a (possibly incomplete)
   hypercube [Katseff 88], the topology chosen for large HPC systems; the
   1024-node flagship uses 256 clusters with 8 ports for dimensions and 4
   for processing nodes (paper Section 1).
-* :func:`build_lam_system` -- a "typical local area multicomputer" as in
+* :func:`lam_system_spec` -- a "typical local area multicomputer" as in
   Figure 1: a pool of processing nodes plus host workstations.
-* :func:`build_hyperx` -- clusters as a 2-D HyperX (flattened
+* :func:`hyperx_spec` -- clusters as a 2-D HyperX (flattened
   butterfly): full connectivity along each lattice dimension, diameter
   two cluster hops, modelling the high-radix-switch alternative.
-* :func:`build_mesh2d` -- clusters as a NoC-style 2-D mesh: four
+* :func:`mesh2d_spec` -- clusters as a NoC-style 2-D mesh: four
   neighbour ports per cluster, many hops but a cheap port budget.
 
-Routing is computed by breadth-first search over the cluster graph with
-deterministic port-order tie-breaking; on hypercubes this reproduces
-dimension-ordered (bit-fixing) routes.
+``build_*`` is each spec, wired by :meth:`Fabric.wire`, the one wiring
+routine (a :class:`~repro.fabric.partition.ShardFabric` is the same
+routine restricted to one shard), whose routes come from BFS over the
+cluster graph with port-order tie-breaking: dimension-ordered
+(bit-fixing) routes on hypercubes.
 
 :class:`Fabric` implements the :class:`repro.fabric.base.FabricBackend`
 contract, so anything wired here -- star, hypercube, HyperX, mesh, or a
@@ -29,6 +33,7 @@ selectable by name through :func:`repro.fabric.create_fabric`.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.fabric.base import FabricBackend
@@ -42,38 +47,77 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.hpc.message import Packet
 
 
-def first_hop_ports(
-    adjacency: list[list[tuple[int, int]]], start: int
-) -> dict[int, int]:
-    """BFS first-hop table: reachable cluster -> output port at ``start``.
+@dataclass(frozen=True)
+class TopologySpec:
+    """A simulator-free, picklable description of a wired cluster fabric.
 
-    ``adjacency[c]`` lists ``(port, neighbour)`` pairs in port order;
-    visiting neighbours in that order gives deterministic shortest-hop
-    routes (dimension-ordered on hypercubes).  Both the full-fabric
-    :meth:`Fabric.build_routes` and the per-shard rebuild in
-    :mod:`repro.fabric.partition` call this one function, so a shard
-    computes byte-identical routes to the unsharded fabric.
+    The topology builders return one and :meth:`Fabric.wire` replays it;
+    worker processes of a sharded run receive it and wire only their
+    own slice, so no live simulator object crosses a process boundary.
     """
-    next_hop: dict[int, int] = {start: -1}
-    frontier = deque([start])
-    first_port: dict[int, int] = {}
-    while frontier:
-        current = frontier.popleft()
-        for port, neighbour in adjacency[current]:
-            if neighbour in next_hop:
-                continue
-            next_hop[neighbour] = port
-            first_port[neighbour] = (
-                port if current == start else first_port[current]
-            )
-            frontier.append(neighbour)
-    return first_port
+
+    topology_name: str
+    #: Port count per cluster, indexed by cluster id.
+    cluster_ports: tuple[int, ...]
+    #: Every cluster-to-cluster wire as ``(a, a_port, b, b_port)``, in
+    #: connect order.
+    links: tuple[tuple[int, int, int, int], ...]
+    #: Every endpoint as ``(address, cluster, port, name)``, in address
+    #: order.
+    attachments: tuple[tuple[int, int, int, str], ...]
+
+    @classmethod
+    def of(cls, fabric: "Fabric") -> "TopologySpec":
+        """Read the spec off a wired :class:`Fabric` (hand-built ones too)."""
+        return cls(
+            topology_name=fabric.topology_name,
+            cluster_ports=tuple(c.n_ports for c in fabric.clusters),
+            links=tuple(fabric.cluster_links),
+            attachments=tuple(
+                (address, cid, port, fabric.interfaces[address].name)
+                for address, (cid, port) in sorted(fabric.attachments.items())
+            ),
+        )
+
+    @property
+    def n_clusters(self) -> int:
+        return len(self.cluster_ports)
+
+    @property
+    def addresses(self) -> list[int]:
+        """Sorted endpoint addresses (the full fabric's address list)."""
+        return sorted(entry[0] for entry in self.attachments)
+
+    def adjacency(self) -> list[list[tuple[int, int]]]:
+        """``adjacency[c] = [(port, neighbour)]`` in port order."""
+        adjacency: list[list[tuple[int, int]]] = [[] for _ in self.cluster_ports]
+        for a, a_port, b, b_port in self.links:
+            adjacency[a].append((a_port, b))
+            adjacency[b].append((b_port, a))
+        for ports in adjacency:
+            ports.sort()
+        return adjacency
+
+    def fault_sites(self) -> list[str]:
+        """The link names :meth:`Fabric.fault_sites` lists once wired, so
+        fault-plan site patterns can be checked with no fabric built."""
+        sites = []
+        for _address, cid, port, name in self.attachments:
+            sites.append(f"{name}->c{cid}")
+            sites.append(f"c{cid}.p{port}->{name}")
+        for a, a_port, b, b_port in self.links:
+            sites.append(f"c{a}.p{a_port}->c{b}")
+            sites.append(f"c{b}.p{b_port}->c{a}")
+        return sorted(set(sites))
 
 
 class Fabric(FabricBackend):
     """A wired HPC interconnect: clusters, interfaces, and routes."""
 
     topology_name = "custom"
+    #: The whole topology a shard slice routes over; ``None`` routes a
+    #: fabric over its own wiring (:meth:`build_routes`).
+    spec: Optional[TopologySpec] = None
 
     def __init__(self, sim: "Simulator", costs: "CostModel") -> None:
         self.sim = sim
@@ -88,12 +132,44 @@ class Fabric(FabricBackend):
         #: Every cluster-to-cluster wire as ``(a, a_port, b, b_port)`` in
         #: :meth:`connect_clusters` call order -- the exact pairing of
         #: ports on both ends, which ``_cluster_edges`` (being a map per
-        #: direction) cannot reconstruct.  The partitioner reads this to
-        #: rebuild shard-local slices with identical wiring.
+        #: direction) cannot reconstruct; :meth:`TopologySpec.of` reads it.
         self.cluster_links: list[tuple[int, int, int, int]] = []
         self._next_address = 0
 
     # -- construction -----------------------------------------------------
+    def wire(self, spec: TopologySpec) -> None:
+        """Replay ``spec`` into this empty fabric, then build its routes.
+
+        Clusters in id order, wires in spec order, then each endpoint's
+        interface made and attached in address order, as a hand-built
+        fabric would: every link, vstat registry and start event comes
+        out the same.  Clusters :meth:`_owns` declines stay ``None``; a
+        wire with one owned end goes to a shard's ``_wire_boundary``.
+        """
+        self.topology_name = spec.topology_name
+        sim, costs = self.sim, self.costs
+        clusters = self.clusters = [
+            Cluster(sim, costs, cid, n_ports) if self._owns(cid) else None
+            for cid, n_ports in enumerate(spec.cluster_ports)
+        ]  # type: ignore[misc]
+        for a, a_port, b, b_port in spec.links:
+            if clusters[a] is not None and clusters[b] is not None:
+                self.connect_clusters(clusters[a], a_port, clusters[b], b_port)
+            elif clusters[a] is not None:
+                self._wire_boundary(a, a_port, b, b_port)
+            elif clusters[b] is not None:
+                self._wire_boundary(b, b_port, a, a_port)
+        for address, cid, port, name in spec.attachments:
+            if clusters[cid] is not None:
+                iface = HPCInterface(sim, costs, address, name)
+                self.interfaces[address] = iface
+                self.attach(clusters[cid], port, iface)
+        self._next_address = 1 + max(spec.addresses, default=-1)
+        self.build_routes()
+
+    def _owns(self, cid: int) -> bool:  # a full fabric owns every cluster
+        return True
+
     def add_cluster(self, n_ports: int = PORTS_PER_CLUSTER) -> Cluster:
         cluster = Cluster(self.sim, self.costs, len(self.clusters), n_ports)
         self.clusters.append(cluster)
@@ -155,30 +231,40 @@ class Fabric(FabricBackend):
 
     # -- routing -------------------------------------------------------------
     def build_routes(self) -> None:
-        """Compute every cluster's output-port table, indexed by
-        destination address.
+        """Compute every built cluster's output-port table, indexed by
+        destination address: the one route builder of full fabrics and
+        shard slices alike.
 
-        BFS over the cluster graph from each cluster, visiting neighbours
-        in port order, yields deterministic shortest-hop routes
-        (dimension-ordered on hypercubes).
+        BFS over the whole cluster graph (:attr:`spec`, else this
+        fabric's own wiring) from each built cluster, visiting
+        neighbours in port order, yields deterministic shortest-hop
+        routes (dimension-ordered on hypercubes) to every address, so a
+        shard routes byte-identically to the unsharded fabric.
         """
-        n = len(self.clusters)
-        # adjacency[c] = [(port, neighbour)] in port order
-        adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for (cid, port), neighbour in sorted(self._cluster_edges.items()):
-            adjacency[cid].append((port, neighbour))
-
-        size = 1 + max(self.attachments, default=-1)
-        for start in range(n):
-            first_port = first_hop_ports(adjacency, start)
+        spec = self.spec if self.spec is not None else TopologySpec.of(self)
+        adjacency = spec.adjacency()
+        size = 1 + max((entry[0] for entry in spec.attachments), default=-1)
+        for cluster in filter(None, self.clusters):
+            start = cluster.cluster_id
+            # Reachable cluster -> output port of the first hop there.
+            first_port = {start: -1}
+            frontier = deque([start])
+            while frontier:
+                current = frontier.popleft()
+                for port, neighbour in adjacency[current]:
+                    if neighbour not in first_port:
+                        first_port[neighbour] = (
+                            port if current == start else first_port[current]
+                        )
+                        frontier.append(neighbour)
             routing: list[Optional[int]] = [None] * size
-            for address, (home, attach_port) in self.attachments.items():
+            for address, home, attach_port, _name in spec.attachments:
                 if home == start:
                     routing[address] = attach_port
                 elif home in first_port:
                     routing[address] = first_port[home]
                 # else: unreachable; route_port() raises on use.
-            self.clusters[start].routing = routing
+            cluster.routing = routing
 
     # -- inspection ------------------------------------------------------------
     @property
@@ -296,7 +382,7 @@ class Fabric(FabricBackend):
         }
 
     def _links(self):
-        for cluster in self.clusters:
+        for cluster in filter(None, self.clusters):
             for link in cluster.out_links:
                 if link is not None:
                     yield link
@@ -355,24 +441,35 @@ class Fabric(FabricBackend):
 
 
 # ---------------------------------------------------------------------------
-# Builders
+# Topology specs, and the builders that wire them
 # ---------------------------------------------------------------------------
-def build_single_cluster(
-    sim: "Simulator", costs: "CostModel", n_endpoints: int
+def build_fabric(
+    sim: "Simulator", costs: "CostModel", spec: TopologySpec
 ) -> Fabric:
+    """Wire ``spec`` into a new :class:`Fabric` on ``sim``."""
+    fabric = Fabric(sim, costs)
+    fabric.wire(spec)
+    return fabric
+
+
+def single_cluster_spec(n_endpoints: int) -> TopologySpec:
     """A minimal system: up to twelve endpoints on one cluster."""
     if not 2 <= n_endpoints <= PORTS_PER_CLUSTER:
         raise ValueError(
             f"a single cluster supports 2..{PORTS_PER_CLUSTER} endpoints, "
             f"got {n_endpoints}"
         )
-    fabric = Fabric(sim, costs)
-    fabric.topology_name = "star"
-    cluster = fabric.add_cluster()
-    for port in range(n_endpoints):
-        fabric.attach(cluster, port, fabric.new_interface(f"node{port}"))
-    fabric.build_routes()
-    return fabric
+    return TopologySpec(
+        "star", (PORTS_PER_CLUSTER,), (),
+        tuple((port, 0, port, f"node{port}") for port in range(n_endpoints)),
+    )
+
+
+def build_single_cluster(
+    sim: "Simulator", costs: "CostModel", n_endpoints: int
+) -> Fabric:
+    """:func:`single_cluster_spec`, wired."""
+    return build_fabric(sim, costs, single_cluster_spec(n_endpoints))
 
 
 def hypercube_dimensions(n_clusters: int) -> int:
@@ -385,14 +482,24 @@ def hypercube_dimensions(n_clusters: int) -> int:
     return dims
 
 
-def _attach_endpoints(
-    fabric: Fabric,
+def _hypercube_links(n_clusters: int, dims: int) -> tuple:
+    """Dimension *k* wires port *k* to port *k*; missing vertices of an
+    incomplete hypercube simply lack links."""
+    return tuple(
+        (cid, dim, cid ^ (1 << dim), dim)
+        for cid in range(n_clusters)
+        for dim in range(dims)
+        if cid < cid ^ (1 << dim) < n_clusters
+    )
+
+
+def _endpoint_slots(
     n_clusters: int,
     nodes_per_cluster: int,
     first_node_port: int,
     n_endpoints: Optional[int],
     what: str,
-) -> None:
+) -> tuple:
     """Attach endpoints cluster-major onto the node ports.
 
     ``n_endpoints=None`` fills every node port (the historical
@@ -412,24 +519,23 @@ def _attach_endpoints(
         )
     elif n_endpoints < 1:
         raise ValueError(f"need at least one endpoint, got {n_endpoints}")
+    slots = []
     for k in range(n_endpoints):
         cid, slot = divmod(k, nodes_per_cluster)
-        iface = fabric.new_interface(f"node{cid}.{slot}")
-        fabric.attach(fabric.clusters[cid], first_node_port + slot, iface)
+        slots.append((k, cid, first_node_port + slot, f"node{cid}.{slot}"))
+    return tuple(slots)
 
 
-def build_hypercube(
-    sim: "Simulator",
-    costs: "CostModel",
+def hypercube_spec(
     n_clusters: int,
     nodes_per_cluster: int,
     n_endpoints: Optional[int] = None,
-) -> Fabric:
+) -> TopologySpec:
     """Clusters as a (possibly incomplete) hypercube [Katseff 88].
 
     Dimension *k* uses cluster port *k*; node ports follow.  The paper's
-    1024-node configuration is ``build_hypercube(sim, costs, 256, 4)``:
-    8 dimension ports + 4 node ports per cluster.
+    1024-node configuration is ``hypercube_spec(256, 4)``: 8 dimension
+    ports + 4 node ports per cluster.
 
     Incomplete hypercubes (``n_clusters`` not a power of two) stay fully
     routable: the vertex set is the contiguous range ``0..n_clusters-1``,
@@ -448,33 +554,30 @@ def build_hypercube(
             f"{dims} dimension ports + {nodes_per_cluster} node ports exceed "
             f"the {PORTS_PER_CLUSTER}-port cluster"
         )
-    fabric = Fabric(sim, costs)
-    fabric.topology_name = "hypercube"
-    for _ in range(n_clusters):
-        fabric.add_cluster()
-    for cid in range(n_clusters):
-        for dim in range(dims):
-            neighbour = cid ^ (1 << dim)
-            if neighbour < cid or neighbour >= n_clusters:
-                continue  # incomplete: missing vertices simply lack links
-            fabric.connect_clusters(
-                fabric.clusters[cid], dim, fabric.clusters[neighbour], dim
-            )
-    _attach_endpoints(
-        fabric, n_clusters, nodes_per_cluster, dims, n_endpoints,
-        f"a {dims}-dimensional hypercube",
+    return TopologySpec(
+        "hypercube", (PORTS_PER_CLUSTER,) * n_clusters,
+        _hypercube_links(n_clusters, dims),
+        _endpoint_slots(
+            n_clusters, nodes_per_cluster, dims, n_endpoints,
+            f"a {dims}-dimensional hypercube",
+        ),
     )
-    fabric.build_routes()
-    return fabric
 
 
-def build_hyperx(
-    sim: "Simulator",
-    costs: "CostModel",
+def build_hypercube(
+    sim: "Simulator", costs: "CostModel", n_clusters: int,
+    nodes_per_cluster: int, n_endpoints: Optional[int] = None,
+) -> Fabric:
+    """:func:`hypercube_spec`, wired."""
+    spec = hypercube_spec(n_clusters, nodes_per_cluster, n_endpoints)
+    return build_fabric(sim, costs, spec)
+
+
+def hyperx_spec(
     shape: tuple[int, int],
     nodes_per_cluster: int,
     n_endpoints: Optional[int] = None,
-) -> Fabric:
+) -> TopologySpec:
     """Clusters as a 2-D HyperX (flattened butterfly).
 
     Clusters sit on an ``s1 x s2`` lattice with *full* connectivity
@@ -490,54 +593,51 @@ def build_hyperx(
     s1, s2 = shape
     if s1 < 1 or s2 < 1:
         raise ValueError(f"HyperX shape must be positive, got {shape}")
-    radix = (s1 - 1) + (s2 - 1) + nodes_per_cluster
-    fabric = Fabric(sim, costs)
-    fabric.topology_name = "hyperx"
-    for _ in range(s1 * s2):
-        fabric.add_cluster(n_ports=radix)
     dim_ports = (s1 - 1) + (s2 - 1)
-
-    def cid(x: int, y: int) -> int:
-        return x * s2 + y
-
+    radix = dim_ports + nodes_per_cluster
+    if radix < 2:  # refused here, not only once a cluster is wired
+        raise ValueError(f"a cluster needs at least 2 ports, got {radix}")
     # Dimension 0 (varying x): ports 0..s1-2, ordered by peer coordinate
     # skipping self; dimension 1 (varying y): ports s1-1..dim_ports-1.
-    for y in range(s2):
-        for x in range(s1):
-            for peer in range(x + 1, s1):
-                fabric.connect_clusters(
-                    fabric.clusters[cid(x, y)], peer - 1,
-                    fabric.clusters[cid(peer, y)], x,
-                )
-    for x in range(s1):
-        for y in range(s2):
-            for peer in range(y + 1, s2):
-                fabric.connect_clusters(
-                    fabric.clusters[cid(x, y)], (s1 - 1) + peer - 1,
-                    fabric.clusters[cid(x, peer)], (s1 - 1) + y,
-                )
-    _attach_endpoints(
-        fabric, s1 * s2, nodes_per_cluster, dim_ports, n_endpoints,
-        f"a {s1}x{s2} HyperX",
+    # Cluster (x, y) has id x * s2 + y.
+    links = [
+        (x * s2 + y, peer - 1, peer * s2 + y, x)
+        for y in range(s2) for x in range(s1) for peer in range(x + 1, s1)
+    ]
+    links.extend(
+        (x * s2 + y, (s1 - 1) + peer - 1, x * s2 + peer, (s1 - 1) + y)
+        for x in range(s1) for y in range(s2) for peer in range(y + 1, s2)
     )
-    fabric.build_routes()
-    return fabric
+    return TopologySpec(
+        "hyperx", (radix,) * (s1 * s2), tuple(links),
+        _endpoint_slots(
+            s1 * s2, nodes_per_cluster, dim_ports, n_endpoints,
+            f"a {s1}x{s2} HyperX",
+        ),
+    )
 
 
-def build_mesh2d(
-    sim: "Simulator",
-    costs: "CostModel",
+def build_hyperx(
+    sim: "Simulator", costs: "CostModel", shape: tuple[int, int],
+    nodes_per_cluster: int, n_endpoints: Optional[int] = None,
+) -> Fabric:
+    """:func:`hyperx_spec`, wired."""
+    spec = hyperx_spec(shape, nodes_per_cluster, n_endpoints)
+    return build_fabric(sim, costs, spec)
+
+
+def mesh2d_spec(
     shape: tuple[int, int],
     nodes_per_cluster: int,
     n_endpoints: Optional[int] = None,
-) -> Fabric:
+) -> TopologySpec:
     """Clusters as a NoC-style 2-D mesh.
 
     Cluster ``(x, y)`` links only to its four lattice neighbours (ports
     0..3 = north, east, south, west), so the port budget is constant --
     ``4 + nodes_per_cluster`` fits the physical twelve-port cluster for
     up to eight endpoints each -- but routes grow with Manhattan
-    distance, the opposite trade from :func:`build_hyperx`.
+    distance, the opposite trade from :func:`hyperx_spec`.
     """
     width, height = shape
     if width < 1 or height < 1:
@@ -547,48 +647,44 @@ def build_mesh2d(
             f"4 neighbour ports + {nodes_per_cluster} node ports exceed "
             f"the {PORTS_PER_CLUSTER}-port cluster"
         )
-    fabric = Fabric(sim, costs)
-    fabric.topology_name = "mesh"
-    for _ in range(width * height):
-        fabric.add_cluster()
     north, east, south, west = 0, 1, 2, 3
-
-    def cid(x: int, y: int) -> int:
-        return x * height + y
-
+    links = []
     for x in range(width):
         for y in range(height):
+            cid = x * height + y
             if x + 1 < width:
-                fabric.connect_clusters(
-                    fabric.clusters[cid(x, y)], east,
-                    fabric.clusters[cid(x + 1, y)], west,
-                )
+                links.append((cid, east, cid + height, west))
             if y + 1 < height:
-                fabric.connect_clusters(
-                    fabric.clusters[cid(x, y)], south,
-                    fabric.clusters[cid(x, y + 1)], north,
-                )
-    _attach_endpoints(
-        fabric, width * height, nodes_per_cluster, 4, n_endpoints,
-        f"a {width}x{height} mesh",
+                links.append((cid, south, cid + 1, north))
+    return TopologySpec(
+        "mesh", (PORTS_PER_CLUSTER,) * (width * height), tuple(links),
+        _endpoint_slots(
+            width * height, nodes_per_cluster, 4, n_endpoints,
+            f"a {width}x{height} mesh",
+        ),
     )
-    fabric.build_routes()
-    return fabric
 
 
-def build_lam_system(
-    sim: "Simulator",
-    costs: "CostModel",
+def build_mesh2d(
+    sim: "Simulator", costs: "CostModel", shape: tuple[int, int],
+    nodes_per_cluster: int, n_endpoints: Optional[int] = None,
+) -> Fabric:
+    """:func:`mesh2d_spec`, wired."""
+    spec = mesh2d_spec(shape, nodes_per_cluster, n_endpoints)
+    return build_fabric(sim, costs, spec)
+
+
+def lam_system_spec(
     n_nodes: int = 70,
     n_workstations: int = 10,
     nodes_per_cluster: int = 8,
-) -> tuple[Fabric, list[int], list[int]]:
+) -> TopologySpec:
     """A "typical local area multicomputer" (Figure 1).
 
-    A hypercube of clusters hosting ``n_nodes`` processing nodes and
-    ``n_workstations`` host workstations; returns ``(fabric,
-    node_addresses, workstation_addresses)``.  The default reproduces the
-    paper's operational system: 70 nodes + 10 SUN-3 workstations.
+    A hypercube of clusters hosting ``n_nodes`` processing nodes
+    (``node{k}``, addresses ``0..n_nodes-1``) and then ``n_workstations``
+    host workstations (``ws{k}``).  The default reproduces the paper's
+    operational system: 70 nodes + 10 SUN-3 workstations.
     """
     total = n_nodes + n_workstations
     if total < 2:
@@ -600,28 +696,23 @@ def build_lam_system(
             f"nodes_per_cluster={nodes_per_cluster} leaves too few ports for "
             f"{dims} hypercube dimensions"
         )
-    fabric = Fabric(sim, costs)
-    fabric.topology_name = "hypercube"
-    for _ in range(n_clusters):
-        fabric.add_cluster()
-    for cid in range(n_clusters):
-        for dim in range(dims):
-            neighbour = cid ^ (1 << dim)
-            if neighbour < cid or neighbour >= n_clusters:
-                continue
-            fabric.connect_clusters(
-                fabric.clusters[cid], dim, fabric.clusters[neighbour], dim
-            )
-    node_addresses: list[int] = []
-    ws_addresses: list[int] = []
+    attachments = []
     for k in range(total):
         cid, slot = divmod(k, nodes_per_cluster)
-        if k < n_nodes:
-            iface = fabric.new_interface(f"node{k}")
-            node_addresses.append(iface.address)
-        else:
-            iface = fabric.new_interface(f"ws{k - n_nodes}")
-            ws_addresses.append(iface.address)
-        fabric.attach(fabric.clusters[cid], dims + slot, iface)
-    fabric.build_routes()
-    return fabric, node_addresses, ws_addresses
+        name = f"node{k}" if k < n_nodes else f"ws{k - n_nodes}"
+        attachments.append((k, cid, dims + slot, name))
+    return TopologySpec(
+        "hypercube", (PORTS_PER_CLUSTER,) * n_clusters,
+        _hypercube_links(n_clusters, dims), tuple(attachments),
+    )
+
+
+def build_lam_system(
+    sim: "Simulator", costs: "CostModel", n_nodes: int = 70,
+    n_workstations: int = 10, nodes_per_cluster: int = 8,
+) -> tuple[Fabric, list[int], list[int]]:
+    """:func:`lam_system_spec`, wired; returns ``(fabric,
+    node_addresses, workstation_addresses)``."""
+    spec = lam_system_spec(n_nodes, n_workstations, nodes_per_cluster)
+    workstations = list(range(n_nodes, n_nodes + n_workstations))
+    return build_fabric(sim, costs, spec), list(range(n_nodes)), workstations

@@ -492,7 +492,7 @@ class Simulator:
         ``until`` may be:
 
         * ``None`` -- run to queue exhaustion;
-        * a number -- run until simulated time reaches it;
+        * a finite number -- run until simulated time reaches it;
         * an :class:`Event` -- run until it is processed, returning its
           value (raising its exception if it failed).
         """
@@ -512,9 +512,10 @@ class Simulator:
             stop.defuse()
             raise stop.value
         deadline = float(until)
-        if not deadline >= self._now:  # also rejects NaN
+        if not self._now <= deadline < _INFINITY:  # also rejects NaN
             raise ValueError(
-                f"deadline {deadline} is NaN or in the past (now={self._now})"
+                f"deadline {deadline} is not finite or is in the past "
+                f"(now={self._now})"
             )
         self._drain(None, deadline)
         self._now = deadline

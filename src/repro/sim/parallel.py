@@ -66,7 +66,7 @@ from repro.fabric.partition import (
     ShardFabric,
     TopologySpec,
     decode_packet,
-    partition_fabric,
+    partition_spec,
 )
 from repro.fabric.traffic import TrafficResult, all_pairs_plan, spawn_plan
 from repro.sim.engine import Simulator
@@ -299,9 +299,10 @@ class ShardedSimulator:
 
     ``shards`` fixes the partition (and therefore the schedule);
     ``workers`` only chooses how the shards are executed -- results are
-    identical for every worker count.  The fabric is built once on a
-    scratch simulator purely to extract its :class:`TopologySpec`;
-    every shard then rebuilds its own slice locally.
+    identical for every worker count.  The orchestrator reads only the
+    :class:`TopologySpec` (:func:`~repro.fabric.registry.topology_spec`,
+    ``create_fabric``'s options) and builds no simulator and no link;
+    each shard wires its own slice of the spec.
     """
 
     def __init__(
@@ -315,25 +316,21 @@ class ShardedSimulator:
         faults=None,
         **options,
     ) -> None:
-        from repro.fabric.registry import create_fabric
+        from repro.fabric.registry import topology_spec
         from repro.model import DEFAULT_COSTS
 
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
         self.costs = costs if costs is not None else DEFAULT_COSTS
-        scratch = Simulator()
-        fabric = create_fabric(
-            topology, scratch, self.costs, n_endpoints, **options
-        )
-        self.partition = partition_fabric(fabric, shards)
-        self.spec = TopologySpec.of(fabric)
+        self.spec = topology_spec(topology, n_endpoints, **options)
+        self.partition = partition_spec(self.spec, shards, self.costs)
         self.workers = workers
         self.faults = faults
         if faults is not None:
             # Validate up front against the *full* topology: each shard
             # slice only sees its own links, so per-shard attach skips
             # validation and a bad pattern would otherwise no-op.
-            faults._validate_sites(fabric)
+            faults._validate_sites(self.spec)
             known = set(self.spec.addresses)
             missing = sorted(set(faults.node_crashes) - known)
             if missing:

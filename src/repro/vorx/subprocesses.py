@@ -433,8 +433,11 @@ class KernelEnv:
 
         ``label`` attributes the time for the prof tool (Section 6.2).
         """
-        if duration < 0:
-            raise ValueError(f"negative compute time: {duration}")
+        # Checked before the prof sample is taken: NaN and inf fail here.
+        if not 0.0 <= duration < float("inf"):
+            raise ValueError(
+                f"compute time must be finite and non-negative: {duration}"
+            )
         self._kernel.prof_record(self._sp, label, duration)
         yield self._kernel.u_exec(self._sp, duration)
 

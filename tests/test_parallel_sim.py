@@ -188,6 +188,25 @@ def test_larger_scale_parity_smoke():
     assert result.delivered == 768
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("topology", ["hyperx", "mesh"])
+def test_lattice_digest_and_hop_parity(topology, workers):
+    # 64 endpoints, 4 per cluster: a 4x4 lattice cut into 4 bands.
+    reference = run_all_pairs(
+        create_fabric(topology, Simulator(), DEFAULT_COSTS, n_endpoints=64),
+        size=64, partners=3,
+    )
+    result = ShardedSimulator(
+        topology, n_endpoints=64, shards=4, workers=workers
+    ).run_all_pairs(size=64, partners=3)
+    assert result.boundary_messages > 0
+    assert result.digest == reference.digest
+    assert result.delivered == reference.delivered == result.sent == 192
+    assert (result.avg_hops, result.max_hops) == (
+        reference.avg_hops, reference.max_hops
+    )
+
+
 def test_rejects_invalid_worker_and_shard_counts():
     with pytest.raises(ValueError):
         ShardedSimulator("hypercube", n_endpoints=64, shards=0)

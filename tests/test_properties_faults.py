@@ -15,6 +15,7 @@ import random
 from collections import Counter
 from fnmatch import fnmatchcase
 
+import pytest
 from hypothesis import given, strategies as st
 
 from repro import FaultPlan
@@ -242,3 +243,66 @@ def test_injector_matches_reference_model(spec, messages):
     drawn = {name for name, record in injector.sites.items()
              if record.stream is not None}
     assert drawn == set(reference.rngs)
+
+
+# Exact names (some listed twice, one naming no site) mixed with
+# wildcards, including a character class and a pattern that is a site
+# name spelled with wildcards.
+MIXED_PATTERNS = SITES + (
+    "node9->c3", "*", "c?.p0->*", "c[01].p1->c1", "*->c0", "c1.p[02]->*",
+    "snet.*",
+)
+_table_entry = st.tuples(st.sampled_from(MIXED_PATTERNS), _start, _duration)
+_mixed_plan = st.fixed_dictionaries({}, optional={
+    "links": st.dictionaries(st.sampled_from(MIXED_PATTERNS),
+                             st.fixed_dictionaries({"drop": _probability}),
+                             max_size=5),
+    "site_windows": st.lists(st.tuples(
+        st.sampled_from(MIXED_PATTERNS), _start, _duration,
+        st.fixed_dictionaries({"drop": _probability})), max_size=5),
+    "nic_stalls": st.lists(_table_entry, max_size=5),
+    "link_brownouts": st.lists(st.tuples(
+        st.sampled_from(MIXED_PATTERNS), _start, _duration,
+        st.sampled_from([1.5, 3.0])), max_size=5),
+})
+
+
+class _Sites:
+    def __init__(self, names):
+        self.names = names
+
+    def fault_sites(self):
+        return sorted(self.names)
+
+
+@given(spec=_mixed_plan, sites=st.sets(st.sampled_from(SITES), min_size=1))
+def test_site_records_match_brute_force_fnmatch(spec, sites):
+    """Exact patterns are looked up by name, wildcards matched; a site
+    record must come out as matching every pattern against every site
+    would make it, in declaration order."""
+    plan = FaultPlan(**spec)
+    injector = FaultInjector(Simulator(), plan)
+    for site in SITES:
+        record = injector.site(site)
+        links = [faults for pattern, faults in plan.links.items()
+                 if fnmatchcase(site, pattern)]
+        assert record.faults is (links[0] if links else plan.defaults)
+        assert record.windows == tuple(
+            (start, end, faults, faults.any_loss)
+            for pattern, start, end, faults in plan.site_windows
+            if fnmatchcase(site, pattern))
+        assert record.stalls == tuple(
+            (start, start + duration)
+            for pattern, start, duration in plan.nic_stalls
+            if fnmatchcase(site, pattern))
+        assert record.brownouts == tuple(
+            (start, end, factor)
+            for pattern, start, end, factor in plan.link_brownouts
+            if fnmatchcase(site, pattern))
+    unmatched = [pattern for pattern in plan.site_patterns()
+                 if not any(fnmatchcase(site, pattern) for site in sites)]
+    if unmatched:
+        with pytest.raises(ValueError, match="matches none"):
+            plan._validate_sites(_Sites(sites))
+    else:
+        plan._validate_sites(_Sites(sites))

@@ -117,6 +117,19 @@ def test_nan_deadline_rejected():
     assert sim.now == 20.0 and sim.processed == 1
 
 
+@pytest.mark.parametrize("until", [float("inf"), float("-inf")])
+def test_non_finite_deadline_rejected(until):
+    """``run(until=inf)`` used to run the queue dry and leave ``now`` at
+    inf for good."""
+    sim = Simulator()
+    sim.timeout(10.0)
+    with pytest.raises(ValueError, match=str(until)):
+        sim.run(until=until)
+    assert sim.now == 0.0 and sim.processed == 0
+    sim.run(until=20.0)
+    assert sim.now == 20.0 and sim.processed == 1
+
+
 def test_event_succeed_value():
     sim = Simulator()
     ev = sim.event()

@@ -43,6 +43,19 @@ def test_subprocess_failure_state():
     assert sp.state is SubprocessState.FAILED
 
 
+@pytest.mark.parametrize("duration", [float("nan"), float("inf"), -1.0])
+def test_bad_compute_time_leaves_no_prof_sample(duration):
+    system = VorxSystem(n_nodes=1)
+
+    def program(env):
+        yield from env.compute(duration, label="bad")
+
+    system.spawn(0, program)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        system.run()
+    assert system.node(0).prof_samples == {}
+
+
 def test_priority_validation():
     system = VorxSystem(n_nodes=1)
     with pytest.raises(ValueError):
