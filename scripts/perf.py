@@ -69,7 +69,6 @@ import cProfile
 import gc
 import json
 import platform
-import pstats
 import resource
 import statistics
 import sys
@@ -505,13 +504,18 @@ _THIS_FILE = _result.__code__.co_filename
 
 
 def call_counts(profiler: cProfile.Profile) -> dict:
-    """``{layer: calls, ..., "total": calls}`` of one profiled rep."""
+    """``{layer: calls, ..., "total": calls}`` of one profiled rep.
+
+    Counted per code object from ``getstats()``: ``pstats`` keys its
+    entries by ``(file, line, name)``, which every dataclass-generated
+    ``__init__`` shares, so it keeps one of them and drops the rest.
+    Built-in functions carry no code object and count as ``python``.
+    """
     counts = dict.fromkeys(LAYERS, 0)
-    for (filename, _, _), (_, calls, _, _, _) in (
-        pstats.Stats(profiler).stats.items()
-    ):
+    for entry in profiler.getstats():
+        filename = getattr(entry.code, "co_filename", "~")
         layer = "workload" if filename == _THIS_FILE else layer_of(filename)
-        counts[layer] = counts.get(layer, 0) + calls
+        counts[layer] = counts.get(layer, 0) + entry.callcount
     counts["total"] = sum(counts.values())
     return counts
 

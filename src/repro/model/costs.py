@@ -132,17 +132,17 @@ class CostModel:
     # ------------------------------------------------------------------
     # Batched fragmented writes ("one syscall, N wire events", Section 4)
     # ------------------------------------------------------------------
-    #: Maximum in-flight (unacknowledged) fragments a single large write
-    #: may pipeline.  ``1`` is the paper-faithful stop-and-wait protocol
-    #: (what every Table 1/Table 2 calibration uses; see
-    #: :meth:`unbatched`); values > 1 enable the batched large-write path
-    #: that charges one setup cost per write and streams fragments
-    #: back-to-back.  The default is the E20 knee (window 8).  Writes at
-    #: or below :attr:`hpc_max_message` are single-fragment and never
-    #: take the batched path, so the Table 1/2 anchors are unaffected.
-    #: The effective window is clamped to ``chan_side_buffers`` so a
-    #: healthy receiver can always buffer the whole window.  In adaptive
-    #: mode (:attr:`chan_window_adaptive`) this is the *initial* window.
+    #: In-flight (unacknowledged) fragments a large write starts with.
+    #: Both ends of the window range (:meth:`window_range`) default to
+    #: it, so on its own it is a fixed window: ``1`` is the
+    #: paper-faithful stop-and-wait protocol (what every Table 1/Table 2
+    #: calibration uses; see :meth:`unbatched`), and values > 1 enable
+    #: the batched large-write path that charges one setup cost per
+    #: write and streams fragments back-to-back.  The default is the E20
+    #: knee (window 8).  Writes at or below :attr:`hpc_max_message` are
+    #: single-fragment and never take the batched path, so the Table 1/2
+    #: anchors are unaffected.  Under :meth:`adaptive` it is the
+    #: *initial* window.
     chan_batch_window: int = 8
     #: One-time kernel setup for a batched write: validate the descriptor,
     #: build the fragment ring, start the hardware (charged once per
@@ -154,20 +154,19 @@ class CostModel:
     chan_batch_frag_kernel: float = 12.0
 
     # ------------------------------------------------------------------
-    # Adaptive batched window (AIMD congestion control over the
-    # deferred-ack flow control; see DESIGN.md "Adaptive window")
+    # Window range (AIMD congestion control over the deferred-ack flow
+    # control; see DESIGN.md "Effective window")
     # ------------------------------------------------------------------
-    #: When True, the batched writer's window is a per-endpoint AIMD
-    #: variable instead of the fixed :attr:`chan_batch_window` (which
-    #: then only seeds the initial window).  Grow additively on clean
-    #: cumulative acks; shrink multiplicatively on retransmission,
-    #: ack-RTT inflation, or receiver side-buffer pressure.
-    chan_window_adaptive: bool = False
-    #: Lower clamp for the adaptive window (1 = may degrade all the way
-    #: to stop-and-wait under sustained pressure).
-    chan_window_min: int = 1
-    #: Upper clamp for the adaptive window; ``0`` means "use
-    #: :attr:`chan_side_buffers`" (the receiver can always buffer it).
+    #: Lower clamp of the batched writer's per-endpoint window; ``0``
+    #: pins it at :attr:`chan_batch_window`.  When the range is wider
+    #: than one value, the window grows additively on clean cumulative
+    #: acks and shrinks multiplicatively on retransmission, ack-RTT
+    #: inflation, or receiver side-buffer pressure, down to this clamp
+    #: (1 = may degrade all the way to stop-and-wait).
+    chan_window_min: int = 0
+    #: Upper clamp of the window; ``0`` pins it at
+    #: :attr:`chan_batch_window`.  :attr:`chan_side_buffers` caps both
+    #: clamps, so a healthy receiver can always buffer the whole window.
     chan_window_max: int = 0
     #: Additive-increase step: fragments added to the window per
     #: window's-worth of cleanly acked fragments (dimensionless).
@@ -276,27 +275,25 @@ class CostModel:
             raise ValueError(
                 f"chan_side_buffers must be >= 1, got {self.chan_side_buffers}"
             )
-        effective = min(self.chan_batch_window, self.chan_side_buffers)
-        if self.chan_batch_window > 1 and effective == 1:
+        lo, hi = self.window_range()
+        if not 1 <= lo <= hi:
+            raise ValueError(
+                f"chan_window_min={self.chan_window_min} and chan_window_max="
+                f"{self.chan_window_max} give the window range [{lo}, {hi}]; "
+                "it needs 1 <= min <= max (0 pins an end at chan_batch_window)"
+            )
+        requested = self.chan_window_max or self.chan_batch_window
+        if requested > 1 and hi == 1:
             # A batched model whose clamp lands on 1 silently degrades to
             # stop-and-wait -- almost always a mis-configuration (e.g.
             # shrinking chan_side_buffers without also setting
             # chan_batch_window=1).  Make it loud.
             raise ValueError(
-                f"batched window {self.chan_batch_window} is clamped to 1 "
+                f"batched window {requested} is clamped to 1 "
                 f"by chan_side_buffers={self.chan_side_buffers}; this "
                 "silently degrades to the unbatched stop-and-wait path. "
                 "Set chan_batch_window=1 (or use .unbatched()) if that is "
                 "intended, or raise chan_side_buffers."
-            )
-        if self.chan_window_min < 1:
-            raise ValueError(
-                f"chan_window_min must be >= 1, got {self.chan_window_min}"
-            )
-        if self.chan_window_max and self.chan_window_max < self.chan_window_min:
-            raise ValueError(
-                f"chan_window_max={self.chan_window_max} < "
-                f"chan_window_min={self.chan_window_min}"
             )
         if self.chan_window_ai <= 0.0:
             raise ValueError(f"chan_window_ai must be > 0, got {self.chan_window_ai}")
@@ -336,34 +333,43 @@ class CostModel:
             + self.snet_us_per_byte * (payload_bytes + self.snet_header_bytes)
         )
 
+    def window_range(self) -> tuple[int, int]:
+        """The window clamp ``(lo, hi)``: ``chan_window_min/max`` (``0``
+        reads :attr:`chan_batch_window`), both capped by
+        :attr:`chan_side_buffers`.  ``lo == hi`` is a fixed window, and a
+        write is batched only when ``hi > 1``."""
+        cap = self.chan_side_buffers
+        return (
+            min(self.chan_window_min or self.chan_batch_window, cap),
+            min(self.chan_window_max or self.chan_batch_window, cap),
+        )
+
     def batched(
         self, window: int = 8
     ) -> "CostModel":
-        """A model with the batched large-write path enabled.
+        """A model whose large writes keep a fixed window of ``window``.
 
         ``window`` is the number of in-flight fragments a large write may
-        pipeline (:attr:`chan_batch_window`).  All calibrated timing
-        constants are unchanged.
+        pipeline: :attr:`chan_batch_window`, with the window range pinned
+        at ``[window, window]``.  All calibrated timing constants are
+        unchanged.
         """
         if window < 1:
             raise ValueError(f"batch window must be >= 1, got {window}")
         return replace(
             self,
             chan_batch_window=window,
-            chan_window_adaptive=False,
+            chan_window_min=0,
+            chan_window_max=0,
         )
 
     def unbatched(self) -> "CostModel":
-        """The paper-faithful stop-and-wait model (one in-flight fragment).
+        """The paper-faithful stop-and-wait model: ``batched(window=1)``.
 
         This is what every Table 1/Table 2 calibration uses; the
         determinism goldens pin its event order.
         """
-        return replace(
-            self,
-            chan_batch_window=1,
-            chan_window_adaptive=False,
-        )
+        return self.batched(window=1)
 
     def adaptive(
         self,
@@ -377,7 +383,7 @@ class CostModel:
         rtt_inflation: float = 2.0,
         pressure: float = 0.75,
     ) -> "CostModel":
-        """A model with the AIMD adaptive batched window enabled.
+        """A model whose batched window moves (AIMD) within a range.
 
         ``initial`` seeds the starting window (defaults to the current
         :attr:`chan_batch_window`); the window then grows additively by
@@ -385,17 +391,20 @@ class CostModel:
         ``md`` on retransmission, ack-RTT inflation past
         ``rtt_inflation`` x the smoothed RTT (EWMA weight ``rtt_alpha``),
         or receiver side-buffer occupancy at or above ``pressure``,
-        clamped to ``[window_min, window_max or chan_side_buffers]``.
-        All calibrated timing constants are unchanged.
+        clamped to ``[window_min, window_max or chan_side_buffers]`` (and
+        both ends to :attr:`chan_side_buffers`).  A range of one value
+        is a fixed window.  All calibrated timing constants are
+        unchanged.
         """
+        if window_min < 1:
+            raise ValueError(f"chan_window_min must be >= 1, got {window_min}")
         return replace(
             self,
             chan_batch_window=(
                 self.chan_batch_window if initial is None else initial
             ),
-            chan_window_adaptive=True,
             chan_window_min=window_min,
-            chan_window_max=window_max,
+            chan_window_max=window_max or self.chan_side_buffers,
             chan_window_ai=ai,
             chan_window_md=md,
             chan_rtt_alpha=rtt_alpha,

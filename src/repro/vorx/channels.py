@@ -10,12 +10,17 @@ buffers"), it requests retransmission once space frees.
 
 A write is a window of in-flight fragments.  The paper's
 **stop-and-wait** is a window of one (every single-fragment write, and
-every write under :meth:`~repro.model.costs.CostModel.unbatched`); a
-*batched* multi-fragment write keeps a fixed window or an AIMD window
-(:meth:`~repro.model.costs.CostModel.adaptive`) in flight on the same
-state machine -- a fixed window is AIMD with grow and shrink turned off.
-Acks are cumulative, retransmission is go-back-N, and one timeout
-watchdog per write backs up loss recovery under fault plans.
+every write under :meth:`~repro.model.costs.CostModel.unbatched`).  A
+*batched* multi-fragment write keeps the endpoint's AIMD window ``cwnd``
+in flight, clamped to the cost model's one range ``[lo, hi]``
+(:meth:`~repro.model.costs.CostModel.window_range`): a fixed window
+(:meth:`~repro.model.costs.CostModel.batched`) is the range pinned at
+``[k, k]``, where the window never moves, and
+:meth:`~repro.model.costs.CostModel.adaptive` widens it.  Acks are
+cumulative and carry the reader's side-buffer occupancy on batched
+writes; retransmission is go-back-N, of the oldest unacknowledged
+fragment, pulled by the receiver or pushed by one timeout watchdog per
+write under fault plans.
 
 There are also the specialised calls the paper describes: *multiplexed
 read* (block until data arrives on any of several channels) and server
@@ -58,10 +63,10 @@ class ChannelEndpoint:
         self.closed = False
         #: Buffered arrivals: ``(size, payload, owed_ack)`` tuples.
         #: ``owed_ack`` is ``None`` when the fragment was acknowledged at
-        #: the ISR (stop-and-wait), or the ``(xfer, src, src_channel)``
-        #: address of the deferred acknowledgement a *batched* fragment
-        #: earns only when a reader consumes the buffer.
-        self.side_buffers: deque[tuple[int, Any, Any]] = deque()
+        #: the ISR (stop-and-wait), or the data packet of a *batched*
+        #: fragment, which earns its deferred acknowledgement only when a
+        #: reader consumes the buffer.
+        self.side_buffers: deque[tuple[int, Any, Optional[Packet]]] = deque()
         #: Event a blocked reader waits on (shared for multiplexed reads).
         self.reader_event: Optional["Event"] = None
         #: Endpoints sharing the reader event (multiplexed read group).
@@ -78,8 +83,8 @@ class ChannelEndpoint:
         #: by transfer id: ``(size, payload, sent_at)``.  Fragments are
         #: retired oldest first, so the keys are always the contiguous
         #: run ending at ``next_xfer - 1`` and the oldest entry is
-        #: ``next_xfer - len(window)``.  ``sent_at`` feeds the adaptive
-        #: window's ack-RTT estimator and the watchdog's age gate.
+        #: ``next_xfer - len(window)``.  ``sent_at`` feeds the window's
+        #: ack-RTT estimator and the watchdog's age gate.
         self.window: dict[int, tuple[int, Any, float]] = {}
         #: True for the whole duration of a write -- spans the moments
         #: when the window is empty between fragments, so the busy check
@@ -88,13 +93,13 @@ class ChannelEndpoint:
         #: True while the current write is *batched*: more than one
         #: fragment under a window that may exceed one.  It selects the
         #: batched kernel charges, the deferred-ack ``batched`` packet
-        #: flag, and the window policy (see ``_window_limit``).
+        #: flag, and the window (see ``_window_limit``).
         self.batched = False
-        #: Adaptive (AIMD) congestion window in fragments, persistent
-        #: across writes on this endpoint.  ``None`` until the first
-        #: batched write under an adaptive cost model seeds it from
-        #: ``chan_batch_window``.
-        self.cwnd: Optional[float] = None
+        #: AIMD congestion window in fragments, persistent across writes
+        #: on this endpoint; :meth:`ChannelService.open` seeds it from
+        #: ``chan_batch_window``.  It moves only when the window range
+        #: is wider than one value.
+        self.cwnd = 0.0
         #: EWMA-smoothed ack round-trip time (0.0 = no sample yet).
         self.srtt = 0.0
         #: Transfer ids re-sent at least once: per Karn's algorithm their
@@ -164,56 +169,42 @@ class ChannelService:
         self._m_duplicate_drops = metrics.counter("chan.duplicate_drops")
         #: Whole-write round-trip latency (syscall entry to final ack).
         self._m_write_rtt = metrics.histogram("chan.write_rtt_us")
-        #: Adaptive-window observability: current effective window (the
-        #: gauge's high-water mark records the largest window reached)
-        #: and the number of multiplicative-decrease events.
+        #: Window observability: current effective window (the gauge's
+        #: high-water mark records the largest window reached) and the
+        #: number of multiplicative-decrease events.
         self._m_window_size = metrics.gauge("chan.window.size")
         self._m_window_shrinks = metrics.counter("chan.window.shrinks")
+        #: The window range of every batched write.  A range of one
+        #: value is a fixed window: it never grows or shrinks and skips
+        #: the ack-RTT estimator.
+        self._window_lo, self._window_hi = kernel.costs.window_range()
+        self._window_pinned = self._window_lo == self._window_hi
         kernel.register_handler(MessageKind.CHANNEL_DATA, self.on_data)
         kernel.register_handler(MessageKind.CHANNEL_ACK, self.on_ack)
         kernel.register_handler(MessageKind.CHANNEL_CTRL, self.on_ctrl)
 
     # ------------------------------------------------------------------
-    # adaptive window (AIMD) helpers
+    # the window (AIMD within [lo, hi])
     # ------------------------------------------------------------------
-    def _window_cap(self) -> int:
-        """Upper clamp for the effective window."""
-        costs = self.kernel.costs
-        cap = costs.chan_side_buffers
-        if costs.chan_window_max:
-            cap = min(cap, costs.chan_window_max)
-        return cap
-
     def _window_limit(self, endpoint: ChannelEndpoint) -> int:
         """How many fragments the current write may have in flight.
 
-        Stop-and-wait (a single-fragment write, or any write under
-        ``unbatched()``): 1.  Fixed window: ``min(chan_batch_window,
-        chan_side_buffers)``.  Adaptive mode: the integer part of the
-        endpoint's AIMD ``cwnd``, clamped to ``[chan_window_min,
-        min(chan_window_max or chan_side_buffers, chan_side_buffers)]``.
+        Stop-and-wait (a single-fragment write, or any write when the
+        range tops out at 1): 1.  Batched: the integer part of the
+        endpoint's ``cwnd``, clamped to ``[lo, hi]``.
         """
-        costs = self.kernel.costs
         if not endpoint.batched:
             return 1
-        if not costs.chan_window_adaptive:
-            return min(costs.chan_batch_window, costs.chan_side_buffers)
-        if endpoint.cwnd is None:
-            endpoint.cwnd = float(
-                min(costs.chan_batch_window, self._window_cap())
-            )
         return max(
-            costs.chan_window_min,
-            min(self._window_cap(), int(endpoint.cwnd)),
+            self._window_lo, min(self._window_hi, int(endpoint.cwnd))
         )
 
     def _window_grow(self, endpoint: ChannelEndpoint, n_acked: int) -> None:
         """Additive increase: ``ai`` fragments per window's-worth of acks."""
-        costs = self.kernel.costs
-        old = self._window_limit(endpoint)  # seeds cwnd if needed
+        old = self._window_limit(endpoint)
         endpoint.cwnd = min(
-            float(self._window_cap()),
-            endpoint.cwnd + costs.chan_window_ai * n_acked / max(old, 1),
+            float(self._window_hi),
+            endpoint.cwnd + self.kernel.costs.chan_window_ai * n_acked / old,
         )
         new = self._window_limit(endpoint)
         if new != old:
@@ -222,28 +213,23 @@ class ChannelService:
                              eid=endpoint.eid, size=new)
 
     def _window_shrink(
-        self, endpoint: ChannelEndpoint, trigger_xfer: Optional[int],
-        reason: str,
+        self, endpoint: ChannelEndpoint, trigger_xfer: int, reason: str,
     ) -> bool:
         """Multiplicative decrease, at most once per loss/pressure episode.
 
         ``trigger_xfer`` attributes the trigger to a fragment: triggers
         from fragments sent before the last shrink (below
         :attr:`ChannelEndpoint.recover_until`) are echoes of the same
-        episode and are ignored.  Only a batched write under an adaptive
-        model shrinks; every other window is fixed.  Returns True if the
-        window shrank.
+        episode and are ignored.  Callers shrink only a batched write
+        whose range is wider than one value; a pinned window is fixed.
+        Returns True if the window shrank.
         """
-        costs = self.kernel.costs
-        if not (endpoint.batched and costs.chan_window_adaptive) or (
-            trigger_xfer is not None and trigger_xfer < endpoint.recover_until
-        ):
+        if trigger_xfer < endpoint.recover_until:
             return False
         endpoint.recover_until = endpoint.next_xfer
-        old = self._window_limit(endpoint)  # seeds cwnd if needed
         endpoint.cwnd = max(
-            float(costs.chan_window_min),
-            endpoint.cwnd * costs.chan_window_md,
+            float(self._window_lo),
+            endpoint.cwnd * self.kernel.costs.chan_window_md,
         )
         self._m_window_shrinks.inc()
         new = self._window_limit(endpoint)
@@ -253,17 +239,6 @@ class ChannelService:
                          reason=reason, size=new)
         return True
 
-    def _ack_pressure(self, endpoint: ChannelEndpoint) -> Optional[float]:
-        """Side-buffer occupancy fraction piggybacked on batched acks.
-
-        Only attached under an adaptive cost model, so the fixed-window
-        and stop-and-wait ack wire format is unchanged.
-        """
-        costs = self.kernel.costs
-        if not costs.chan_window_adaptive:
-            return None
-        return len(endpoint.side_buffers) / costs.chan_side_buffers
-
     # ------------------------------------------------------------------
     # open / close (subprocess context)
     # ------------------------------------------------------------------
@@ -272,6 +247,9 @@ class ChannelService:
         kernel = self.kernel
         kernel.count_syscall("chan_open")
         endpoint = ChannelEndpoint(self._next_eid, name, sp)
+        endpoint.cwnd = float(
+            min(kernel.costs.chan_batch_window, self._window_hi)
+        )
         self._next_eid += 1
         self.endpoints[endpoint.eid] = endpoint
         yield kernel.k_exec(kernel.costs.syscall_overhead)
@@ -341,8 +319,8 @@ class ChannelService:
         A window-1 write is the paper's stop-and-wait: one
         ``syscall_overhead`` charge, then ``chan_send_kernel`` plus the
         copy per fragment, each fragment acknowledged at the receiver's
-        ISR.  A *batched* write (more than one fragment, and
-        ``chan_batch_window > 1`` or an adaptive model) is the paper's
+        ISR.  A *batched* write (more than one fragment, and a window
+        range that reaches above 1) is the paper's
         "one system call, many wire events" large write: one
         ``syscall_overhead + chan_batch_setup`` charge, then
         ``chan_batch_frag_kernel`` plus the copy per fragment.  The
@@ -370,9 +348,7 @@ class ChannelService:
         if nbytes < 0:
             raise ValueError(f"negative write length: {nbytes}")
         max_fragment = costs.hpc_max_message
-        batched = nbytes > max_fragment and (
-            costs.chan_batch_window > 1 or costs.chan_window_adaptive
-        )
+        batched = nbytes > max_fragment and self._window_hi > 1
         if batched:
             setup, per_fragment = (
                 costs.chan_batch_setup, costs.chan_batch_frag_kernel
@@ -414,9 +390,9 @@ class ChannelService:
                 first = False
                 # Block while the window is full -- or, after the last
                 # fragment, until every acknowledgement has drained.  The
-                # limit is re-read after every wake: in adaptive mode
-                # acks may have grown it, a loss or pressure episode may
-                # have shrunk it.
+                # limit is re-read after every wake: in a range wider
+                # than one value acks may have grown it, a loss or
+                # pressure episode may have shrunk it.
                 while True:
                     limit = 1 if last else self._window_limit(endpoint)
                     if len(window) < limit:
@@ -492,27 +468,48 @@ class ChannelService:
                 return
             if not window:
                 continue  # between fragments; the write is still active
-            xfer = endpoint.next_xfer - len(window)
-            size, frag_payload, sent_at = window[xfer]
             # Compared as a sum: the first wake lands exactly on
             # ``sent_at + period``, where ``now - sent_at`` could round
             # below ``period`` and skip it.
+            sent_at = window[endpoint.next_xfer - len(window)][2]
             if kernel.sim.now < sent_at + period:
                 continue  # not stale yet: the ack is plausibly in flight
-            endpoint.retransmitted.add(xfer)
-            self._window_shrink(endpoint, xfer, "timeout")
-            self._m_timeout_retransmits.inc()
-            kernel.emit("channel", "channel-timeout-retransmit",
-                        data=endpoint.name, eid=endpoint.eid, size=size,
-                        xfer=xfer)
-            yield kernel.k_exec(
-                kernel.costs.chan_send_kernel + kernel.costs.copy_time(size)
-            )
-            # The ack or a close may have raced in while we were charging.
+            yield from self._resend_oldest(endpoint, kernel.k_exec, "timeout")
             if self._write_ended(endpoint, last):
                 return
-            if xfer in window:
-                self._post_fragment(endpoint, xfer, size, frag_payload)
+
+    def _resend_oldest(self, endpoint: ChannelEndpoint, charge, trigger: str):
+        """Generator: go-back-N re-send of the oldest window entry.
+
+        The receiver accepts fragments only in transfer-id order, so
+        every re-send is of the *oldest* unacknowledged fragment.
+        ``charge`` is the caller's CPU charge (``k_exec`` for the
+        watchdog, ``isr_exec`` for a CTRL_RETRY pull) and ``trigger``
+        (``"timeout"`` or ``"retry"``) names the shrink reason and picks
+        the counter and trace event.  The fragment is posted only if no
+        ack or close raced in during the charge.
+        """
+        window = endpoint.window
+        if not window:
+            return
+        xfer = endpoint.next_xfer - len(window)
+        size, frag_payload, _ = window[xfer]
+        endpoint.retransmitted.add(xfer)
+        if endpoint.batched and not self._window_pinned:
+            self._window_shrink(endpoint, xfer, trigger)
+        if trigger == "timeout":
+            self._m_timeout_retransmits.inc()
+            self.kernel.emit("channel", "channel-timeout-retransmit",
+                             data=endpoint.name, eid=endpoint.eid,
+                             size=size, xfer=xfer)
+        else:
+            self._m_retransmits.inc()
+            self.kernel.emit("channel", "channel-retransmit",
+                             data=endpoint.name, eid=endpoint.eid, size=size)
+        costs = self.kernel.costs
+        yield charge(costs.chan_send_kernel + costs.copy_time(size))
+        if xfer in window and not endpoint.closed:
+            self._post_fragment(endpoint, xfer, size, frag_payload)
 
     def _abort_if_peer_crashed(self, endpoint: ChannelEndpoint) -> bool:
         """Fail a blocked writer whose peer node has crashed.
@@ -566,7 +563,8 @@ class ChannelService:
             yield kernel.k_exec(costs.copy_time(size))
             self._pull_retry(endpoint)
             if owed is not None:
-                yield from self._send_owed_ack(endpoint, owed)
+                yield kernel.k_exec(costs.chan_ack_send)
+                self._post_ack(owed, endpoint)
             return size, payload
         if endpoint.closed:
             raise ChannelClosedError(f"channel {endpoint.name!r} closed")
@@ -621,7 +619,8 @@ class ChannelService:
                 yield kernel.k_exec(costs.copy_time(size))
                 self._pull_retry(endpoint)
                 if owed is not None:
-                    yield from self._send_owed_ack(endpoint, owed)
+                    yield kernel.k_exec(costs.chan_ack_send)
+                    self._post_ack(owed, endpoint)
                 return endpoint, size, payload
         if all(endpoint.closed for endpoint in endpoints):
             # Nothing buffered and every member closed: no data can ever
@@ -688,13 +687,9 @@ class ChannelService:
                         data=endpoint.name, eid=endpoint.eid,
                         xfer=packet.xfer)
             yield kernel.isr_exec(costs.chan_ack_send)
-            kernel.post(
-                dst=packet.src,
-                size=costs.chan_ack_bytes,
-                kind=MessageKind.CHANNEL_ACK,
-                channel=packet.src_channel,
-                xfer=packet.xfer,
-            )
+            # The re-ack answers a stale copy, not a delivery, so it
+            # reports no occupancy.
+            self._post_ack(packet)
             if packet.batched:
                 # The re-ack is cumulative at the sender and may have
                 # freed window slots; pull one owed retransmission so a
@@ -736,7 +731,7 @@ class ChannelService:
                 # Defer the ack until a reader consumes this buffer:
                 # that read is what frees the sender's window slot, so
                 # the batched window advances at the reader's pace.
-                owed = (packet.xfer, packet.src, packet.src_channel)
+                owed = packet
                 ack_now = False
             else:
                 owed = None
@@ -760,21 +755,7 @@ class ChannelService:
         if not ack_now:
             return
         yield kernel.isr_exec(costs.chan_ack_send)
-        # Address the ack with the sender's endpoint id from the data
-        # header: our own rendezvous reply may still be in flight, so
-        # endpoint.peer_eid cannot be relied on here.  The ack echoes the
-        # fragment's transfer id so a late re-ack (from the duplicate
-        # filter) cannot acknowledge a newer fragment.  Batched acks
-        # under an adaptive model also report side-buffer occupancy so
-        # the sender's window can back off before starvation.
-        kernel.post(
-            dst=packet.src,
-            size=costs.chan_ack_bytes,
-            kind=MessageKind.CHANNEL_ACK,
-            channel=packet.src_channel,
-            payload=self._ack_pressure(endpoint) if packet.batched else None,
-            xfer=packet.xfer,
-        )
+        self._post_ack(packet, endpoint)
         if packet.batched:
             # A directly-consumed batched fragment plays the same role as
             # a consuming read: pull one owed retransmission, so gap
@@ -809,13 +790,13 @@ class ChannelService:
             return  # stale re-ack for an already-retired fragment
         n_acked = self._retire(endpoint, packet.xfer)
         costs = kernel.costs
-        if endpoint.batched and costs.chan_window_adaptive:
+        if endpoint.batched and not self._window_pinned:
             shrunk = False
             # Receiver pressure rides on batched acks as the side-buffer
-            # occupancy fraction (see _ack_pressure).
+            # occupancy fraction (see _post_ack).
             occupancy = packet.payload
             if (
-                isinstance(occupancy, float)
+                occupancy is not None
                 and occupancy >= costs.chan_pressure_threshold
             ):
                 shrunk = self._window_shrink(endpoint, packet.xfer, "pressure")
@@ -903,27 +884,10 @@ class ChannelService:
             # A writer mid-charge (not blocked) sees ``closed`` at its
             # next fragment boundary and raises there.
         elif packet.payload == CTRL_RETRY:
-            window = endpoint.window
-            if not window:
-                return
             # The receiver dropped a fragment (buffer starvation, loss,
-            # or corruption) and wants it again: re-send the *oldest*
-            # unacknowledged window entry (go-back-N -- the receiver
-            # accepts only in transfer-id order, and each pull requests
-            # exactly one fragment).
-            xfer = endpoint.next_xfer - len(window)
-            size, frag_payload, _ = window[xfer]
-            endpoint.retransmitted.add(xfer)
-            self._window_shrink(endpoint, xfer, "retry")
-            self._m_retransmits.inc()
-            kernel.emit("channel", "channel-retransmit",
-                        data=endpoint.name, eid=endpoint.eid, size=size)
-            yield kernel.isr_exec(
-                kernel.costs.chan_send_kernel + kernel.costs.copy_time(size)
-            )
-            # The ack may have raced in while we were charging.
-            if xfer in window and not endpoint.closed:
-                self._post_fragment(endpoint, xfer, size, frag_payload)
+            # or corruption) and wants it again; each pull requests
+            # exactly one fragment.
+            yield from self._resend_oldest(endpoint, kernel.isr_exec, "retry")
 
     # ------------------------------------------------------------------
     # helpers
@@ -949,27 +913,35 @@ class ChannelService:
             payload=CTRL_RETRY,
         )
 
-    def _send_owed_ack(
-        self, endpoint: ChannelEndpoint, owed: tuple[int, int, int]
-    ):
-        """Generator: send the deferred ack a batched fragment earned.
+    def _post_ack(
+        self, packet: Packet, endpoint: Optional[ChannelEndpoint] = None
+    ) -> None:
+        """Acknowledge data ``packet`` (the caller charges ``chan_ack_send``).
 
-        Consuming the side buffer is what frees the sender's window
-        slot; the ack is cumulative at the sender, so a lost earlier ack
-        is covered by this one.  Under an adaptive model it reports the
-        *post-consumption* side-buffer occupancy (the pressure the
-        sender's next window decision should see).
+        Sent at the ISR for a stop-and-wait fragment or a duplicate, and
+        by the consuming read for a side-buffered batched fragment --
+        consuming the buffer is what frees the sender's window slot.
+        The ack is addressed with the sender's endpoint id from the data
+        header (our own rendezvous reply may still be in flight, so
+        ``endpoint.peer_eid`` cannot be relied on) and echoes the
+        fragment's transfer id: acks are cumulative at the sender, so a
+        lost earlier ack is covered, and a late re-ack cannot
+        acknowledge a newer fragment.  A batched fragment's ack names
+        the receiving ``endpoint`` and reports its side-buffer occupancy
+        after this delivery or read, the pressure the sender's next
+        window decision should see.
         """
-        kernel = self.kernel
-        xfer, src, src_channel = owed
-        yield kernel.k_exec(kernel.costs.chan_ack_send)
-        kernel.post(
-            dst=src,
-            size=kernel.costs.chan_ack_bytes,
+        costs = self.kernel.costs
+        self.kernel.post(
+            dst=packet.src,
+            size=costs.chan_ack_bytes,
             kind=MessageKind.CHANNEL_ACK,
-            channel=src_channel,
-            payload=self._ack_pressure(endpoint),
-            xfer=xfer,
+            channel=packet.src_channel,
+            payload=(
+                len(endpoint.side_buffers) / costs.chan_side_buffers
+                if packet.batched and endpoint is not None else None
+            ),
+            xfer=packet.xfer,
         )
 
     @staticmethod

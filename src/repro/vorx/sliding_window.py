@@ -201,11 +201,11 @@ def run_large_write(
 
     The Section 4 bandwidth scenario: each ``chunk_bytes`` write
     fragments into many hardware messages, so this is the workload the
-    batched write path (``costs.chan_batch_window > 1``: one syscall,
-    up to ``k`` fragments in flight) exists for.  With the default
-    stop-and-wait costs it measures the same per-fragment overhead as
-    the Table 2 stream; with :meth:`~repro.model.costs.CostModel.batched`
-    costs it measures the amortized large-write path.
+    batched write path (a window range reaching above 1: one syscall,
+    up to ``k`` fragments in flight) exists for.  With
+    :meth:`~repro.model.costs.CostModel.unbatched` costs it measures the
+    same per-fragment overhead as the Table 2 stream; with batched costs
+    (the default) it measures the amortized large-write path.
 
     ``elapsed_us`` runs from the first write entering the kernel to the
     last fragment acknowledged; :attr:`StreamResult.kbytes_per_sec` is

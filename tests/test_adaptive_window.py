@@ -224,6 +224,59 @@ def test_explicit_stop_and_wait_with_one_buffer_is_allowed():
     assert CostModel().unbatched().chan_batch_window == 1
 
 
+def test_lower_clamp_above_side_buffers_is_capped():
+    """The side-buffer cap bounds the lower clamp as it bounds the upper
+    one: a ``window_min`` above ``chan_side_buffers`` would force a
+    window the receiver can never buffer, and the write would deadlock
+    with the sender blocked on output and the receiver on input."""
+    result = run_large_write(total_bytes=4 * 65_536,
+                             costs=CostModel().adaptive(window_min=17))
+    assert result.elapsed_us > 0.0
+    node0 = result.sim.vstat.registry("node0")
+    assert node0.value("chan.batched_writes") == 4
+
+
+# ----------------------------------------------------------------------
+# one window mechanism: a fixed window is the range pinned at [k, k]
+# ----------------------------------------------------------------------
+def test_window_range_of_each_model():
+    assert CostModel().window_range() == (8, 8)
+    assert CostModel().batched(window=3).window_range() == (3, 3)
+    assert CostModel().unbatched().window_range() == (1, 1)
+    assert CostModel().adaptive().window_range() == (1, 16)
+    assert CostModel().adaptive(window_min=17).window_range() == (16, 16)
+    assert CostModel().adaptive(
+        window_min=2, window_max=6).window_range() == (2, 6)
+    # The batch window alone is a fixed window, and it is the only
+    # window of a model built from batched(k) or unbatched().
+    assert dataclasses.replace(
+        CostModel(), chan_batch_window=5).window_range() == (5, 5)
+    assert CostModel().adaptive().batched(window=4).window_range() == (4, 4)
+    assert CostModel().adaptive().unbatched().window_range() == (1, 1)
+    # The side buffers cap both ends.
+    assert dataclasses.replace(
+        CostModel().batched(window=64), chan_side_buffers=4
+    ).window_range() == (4, 4)
+
+
+@pytest.mark.parametrize("k", [2, 8])
+def test_pinned_adaptive_range_is_the_fixed_window(k):
+    """``adaptive()`` pinned at ``[k, k]`` runs the very schedule of
+    ``batched(k)``: same trace, clock and event count, no shrinks."""
+    def run(costs):
+        plan = FaultPlan(seed=1990, drop=0.04, corrupt=0.02,
+                         channel_retry_timeout_us=1_500.0)
+        result = run_large_write(total_bytes=2 * 65_536, costs=costs,
+                                 reader_delay_us=40.0, faults=plan)
+        sim = result.sim
+        return list(sim.vstat.events.to_jsonl()), sim.now, sim.processed
+
+    fixed = run(CostModel().batched(window=k))
+    pinned = run(CostModel().adaptive(initial=k, window_min=k, window_max=k))
+    assert pinned == fixed
+    assert not any("channel-window-shrink" in line for line in pinned[0])
+
+
 def test_adaptive_knob_validation():
     with pytest.raises(ValueError, match="chan_window_md"):
         CostModel().adaptive(md=1.0)

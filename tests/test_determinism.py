@@ -2,56 +2,66 @@
 
 The engine promises a total order on simultaneous occurrences -- time,
 then urgent before normal, then arrival -- and every experiment in the paper
-reproduction leans on it.  These tests pin that order down with a
-cryptographic fingerprint over the full structured trace (every
-``TraceEvent`` plus the final metric snapshots, clock, and processed
-count) of seeded workloads:
+reproduction leans on it.  These tests pin that order down with two
+cryptographic digests of each seeded workload:
+
+* the *schedule* digest: every ``TraceEvent``, the final clock and the
+  processed count -- what moves only when the event schedule moves;
+* the *state* digest: all of that plus the metric-registry snapshots
+  and the delivered records -- what also moves when a counter is added
+  or a delivered value changes.
+
+A change that adds a metric moves only the state digest; a change that
+reorders events moves both.  The workloads:
 
 * the Table 2 channel stream (stop-and-wait, the hot path every
   benchmark exercises);
 * the E19 faultstorm (seeded drop/corrupt/duplicate faults, timeout
   retransmission, watchdogs -- the most schedule-sensitive code paths);
+* multi-fragment channel writes: fixed windows of 2 and 8 under seeded
+  loss, and the E23 adaptive window with a slow reader;
 * the Meglos kernel on the S/NET (software overflow recovery, the
   reservation handshake, centralized channel opens).
 
 Each workload is run twice and must produce identical digests
-(run-to-run determinism), and the digest must equal a recorded golden
-value, so any engine change that reorders events -- however subtly --
+(run-to-run determinism), and the digests must equal recorded golden
+values, so any engine change that reorders events -- however subtly --
 fails loudly here instead of silently skewing measurements.  The golden
 values were recorded on the pre-fast-path heap-only engine; the
 immediate-event lane must preserve them bit-for-bit.
 """
 
 import hashlib
+import json
 
 from repro import FaultPlan, VorxSystem, create_fabric, run_all_pairs
 from repro.hpc.message import MessageKind, Packet
 from repro.model.costs import CostModel
 from repro.sim import Simulator
-from repro.vorx.sliding_window import run_channel_stream
+from repro.vorx.sliding_window import run_channel_stream, run_large_write
 
-#: sha256 over the channel-stream trace.  If an engine change alters
-#: this, event ordering changed: do not update the constant without
-#: understanding why.  Re-recorded once when the adaptive-window
-#: metrics (``chan.window.size`` / ``chan.window.shrinks``) joined the
-#: per-kernel registry snapshot -- the event schedule itself was
-#: verified bit-identical (events-only digest unchanged).  Re-recorded
-#: again when the always-zero ``cpu.context_switches`` counter left
-#: every CPU's registry (the CPU lost its unused ``switch_cost`` mode):
-#: 79df3ce9... -> 6928e96b....  The events-only digest (trace events
-#: plus ``now`` and ``processed``) stayed b3c775ce7012df99... with
-#: processed 1953, and re-registering the counter restores 79df3ce9....
+#: ``(schedule, state)`` sha256 digests of the channel stream (processed
+#: 1953).  If an engine change alters the schedule digest, event
+#: ordering changed: do not update the constant without understanding
+#: why.  The schedule digest has not moved since it was first taken.
+#: The state digest was re-recorded twice, each time with the schedule
+#: verified unchanged: once when the adaptive-window metrics
+#: (``chan.window.size`` / ``chan.window.shrinks``) joined the per-kernel
+#: registry snapshot, and once when the always-zero
+#: ``cpu.context_switches`` counter left every CPU's registry
+#: (79df3ce9... -> 6928e96b...; re-registering the counter restores
+#: 79df3ce9...).
 GOLDEN_CHANNELS = (
-    "6928e96bd2d96d6066806f5718781d8f9c5abcc433ea94a3c9b839157ccb97a8"
+    "b3c775ce7012df9960740880868b5f765f0f09afc6f82b0c20206a01dfeb74d7",
+    "6928e96bd2d96d6066806f5718781d8f9c5abcc433ea94a3c9b839157ccb97a8",
 )
 
-#: Same, for the seeded faultstorm workload (re-recorded alongside
-#: GOLDEN_CHANNELS both times, for the same registry-snapshot reasons:
-#: 52b49476... -> 352f376c...; events-only digest 15820b8d96866e88...
-#: with processed 1797 throughout, and re-registering the counter
-#: restores 52b49476...).
+#: Same, for the seeded faultstorm workload (processed 1797; its state
+#: digest was re-recorded alongside GOLDEN_CHANNELS both times, for the
+#: same registry-snapshot reasons: 52b49476... -> 352f376c...).
 GOLDEN_FAULTSTORM = (
-    "352f376cf20a51afb24c603c1696bdf06fdef861cc1794d833e98b5e046d9517"
+    "15820b8d96866e88a729e7c6220f92353fcee8045baea74cc27f82106723493f",
+    "352f376cf20a51afb24c603c1696bdf06fdef861cc1794d833e98b5e046d9517",
 )
 
 #: Schedule-sensitive :meth:`TrafficResult.fingerprint` of 1024
@@ -64,23 +74,53 @@ GOLDEN_HYPERCUBE_1024 = (
 )
 
 
+class Digests:
+    """The schedule and state digests of one workload, fed together."""
+
+    def __init__(self) -> None:
+        self.schedule = hashlib.sha256()
+        self.state = hashlib.sha256()
+
+    def both(self, text: str) -> None:
+        self.schedule.update(text.encode("utf-8"))
+        self.state.update(text.encode("utf-8"))
+
+    def add_state(self, text: str) -> None:
+        self.state.update(text.encode("utf-8"))
+
+    def simulation(self, sim, end: str = "") -> None:
+        """Fold in a finished simulation: its trace and clock into both
+        digests, its registry snapshots (between the two) into state."""
+        for line in sim.vstat.events.to_jsonl():
+            self.both(line + "\n")
+        for name, snapshot in sorted(sim.vstat.snapshot().items()):
+            self.add_state(json.dumps({"snapshot": name, **snapshot},
+                                      default=repr) + "\n")
+        self.both(f"now={sim.now!r} processed={sim.processed}{end}")
+
+    def hexdigests(self) -> tuple[str, str]:
+        return self.schedule.hexdigest(), self.state.hexdigest()
+
+
+def fingerprints(sim) -> tuple[str, str]:
+    """``(schedule, state)`` digests of a finished simulation."""
+    digests = Digests()
+    digests.simulation(sim)
+    return digests.hexdigests()
+
+
 def fingerprint(sim) -> str:
-    """Digest of everything observable about a finished simulation."""
-    digest = hashlib.sha256()
-    for line in sim.vstat.to_jsonl():
-        digest.update(line.encode("utf-8"))
-        digest.update(b"\n")
-    digest.update(f"now={sim.now!r} processed={sim.processed}".encode())
-    return digest.hexdigest()
+    """State digest of everything observable about a finished simulation."""
+    return fingerprints(sim)[1]
 
 
-def run_channels() -> str:
+def run_channels() -> tuple[str, str]:
     """Table 2 channel stream: 40 4-byte stop-and-wait messages."""
     result = run_channel_stream(4, n_messages=40)
-    return fingerprint(result.sim)
+    return fingerprints(result.sim)
 
 
-def run_faultstorm() -> str:
+def run_faultstorm() -> tuple[str, str]:
     """E19 storm: two channel pairs under seeded message faults."""
     plan = FaultPlan(
         seed=7, drop=0.08, corrupt=0.05, duplicate=0.05,
@@ -110,7 +150,7 @@ def run_faultstorm() -> str:
     system.run()
     for pair, rx in enumerate(receivers):
         assert rx.result == [f"m{pair}.{i}" for i in range(12)]
-    return fingerprint(system.sim)
+    return fingerprints(system.sim)
 
 
 def test_channels_fingerprint_run_to_run():
@@ -140,6 +180,57 @@ def run_hypercube_1024():
     return result.fingerprint()
 
 
+#: ``(schedule, state)`` digests of multi-fragment channel writes: fixed
+#: windows of 2 and 8 fragments under seeded drop and corrupt faults
+#: (the 8-window with a slow reader), the E23 adaptive window with a
+#: slow lossy reader, and an adaptive window under heavy duplication,
+#: where re-acks race deferred acks and timeout re-sends.  Pins the
+#: batched path's go-back-N re-sends, cumulative, deferred and
+#: duplicate acks, watchdogs and window moves, which the
+#: single-fragment workloads above never reach.
+GOLDEN_WINDOWS = (
+    "c577877f39a3d5a716cf21c2bbf5c31d831ba00622bf428bc46015030a4fc52a",
+    "d135b546ccc0e8b547a927a12bf660aa032ff1e8ac3abc4cf664c954a02beedc",
+)
+
+
+def run_windows() -> tuple[str, str]:
+    digests = Digests()
+    def plan(seed, drop=0.04, corrupt=0.02, duplicate=0.0):
+        return FaultPlan(seed=seed, drop=drop, corrupt=corrupt,
+                         duplicate=duplicate,
+                         channel_retry_timeout_us=2_000.0)
+
+    cases = (
+        # name, costs, chunk bytes, reader delay, fault plan
+        ("batched2", CostModel().batched(window=2), 16_384, 0.0,
+         plan(1990)),
+        ("batched8", CostModel().batched(window=8), 16_384, 60.0,
+         plan(31337)),
+        ("adaptive", CostModel().adaptive(), 65_536, 120.0,
+         plan(1990, drop=0.02, corrupt=0.01)),
+        ("duplicates", CostModel().adaptive(initial=16), 32_768, 300.0,
+         plan(1990, duplicate=0.2)),
+    )
+    for name, costs, chunk_bytes, delay, faults in cases:
+        result = run_large_write(
+            total_bytes=4 * chunk_bytes, chunk_bytes=chunk_bytes,
+            costs=costs, reader_delay_us=delay, faults=faults,
+        )
+        digests.both(f"{name}\n")
+        digests.simulation(result.sim, end="\n")
+        digests.add_state(f"elapsed={result.elapsed_us!r}\n")
+    return digests.hexdigests()
+
+
+def test_windows_fingerprint_run_to_run():
+    assert run_windows() == run_windows()
+
+
+def test_windows_fingerprint_golden():
+    assert run_windows() == GOLDEN_WINDOWS
+
+
 def test_hypercube_1024_fingerprint_run_to_run():
     assert run_hypercube_1024() == run_hypercube_1024()
 
@@ -148,49 +239,50 @@ def test_hypercube_1024_fingerprint_golden():
     assert run_hypercube_1024() == GOLDEN_HYPERCUBE_1024
 
 
-#: sha256 over the Meglos/S-NET schedules: E7's many-to-one burst under
+#: ``(schedule, state)`` sha256 digests of the Meglos/S-NET runs: E7's
+#: many-to-one burst under
 #: each overflow-recovery policy, the reservation handshake with its
 #: request and grant both rejected and retried, channel exchanges
 #: through the centralized manager (the E9 path) with data, open
 #: replies and acknowledgements rejected and retried, and hot-spot
 #: traffic on the bare ``snet`` fabric backend.  Pins every transmit-until-
-#: accepted loop, the kernel's subprocess scheduling and the fifo drain.  Whole node-registry
-#: snapshots are left out so that kernel counters can be added to the
-#: Meglos nodes without moving it.
+#: accepted loop, the kernel's subprocess scheduling and the fifo drain.
+#: The state digest takes only the ``snet*`` registry snapshots, so that
+#: kernel counters can be added to the Meglos nodes without moving it.
 GOLDEN_MEGLOS_SNET = (
-    "225a7e54570287e913c65fdef690095b0a19c9bf76e1269cf15d6ff6a85edfba"
+    "3027321f13ad305e674e14a1ce0bbf0e540e930f2782cfb99666d97cad382ec7",
+    "225a7e54570287e913c65fdef690095b0a19c9bf76e1269cf15d6ff6a85edfba",
 )
 
 
-def _snet_state(digest, sim, partials) -> None:
-    """Fold the schedule-sensitive S/NET state of ``sim`` into ``digest``."""
+def _snet_state(digests, sim, partials) -> None:
+    """Fold the schedule-sensitive S/NET state of ``sim`` into ``digests``."""
     for line in sim.vstat.events.to_jsonl():
-        digest.update(line.encode("utf-8"))
-        digest.update(b"\n")
+        digests.both(line + "\n")
     for name, snapshot in sim.vstat.snapshot().items():
         if name.startswith("snet"):
-            digest.update(f"{name}={snapshot!r}\n".encode())
-    digest.update(f"partials={partials!r}\n".encode())
-    digest.update(f"now={sim.now!r} processed={sim.processed}\n".encode())
+            digests.add_state(f"{name}={snapshot!r}\n")
+    digests.add_state(f"partials={partials!r}\n")
+    digests.both(f"now={sim.now!r} processed={sim.processed}\n")
 
 
-def _meglos_state(digest, system, delivered) -> None:
+def _meglos_state(digests, system, delivered) -> None:
     _snet_state(
-        digest, system.sim, [node.partials_discarded for node in system.nodes]
+        digests, system.sim, [node.partials_discarded for node in system.nodes]
     )
     for node in system.nodes:
         cpu = node.cpu
-        digest.update(
-            f"{node.name} user={cpu.user_us!r} sys={cpu.system_us!r}\n".encode()
+        digests.add_state(
+            f"{node.name} user={cpu.user_us!r} sys={cpu.system_us!r}\n"
         )
     for record in delivered:
-        digest.update(f"{record!r}\n".encode())
+        digests.add_state(f"{record!r}\n")
 
 
-def run_meglos_snet() -> str:
+def run_meglos_snet() -> tuple[str, str]:
     from repro.meglos import MeglosSystem, RandomBackoff, install_channels
 
-    digest = hashlib.sha256()
+    digests = Digests()
     # E7: four senders, one per node, burst 1000-byte messages at node 4.
     for policy, until in (("busy-retransmit", 60_000.0),
                           ("random-backoff", None),
@@ -213,8 +305,8 @@ def run_meglos_snet() -> str:
             system.spawn(node, sender)
         system.spawn(4, receiver)
         system.run(until=until)
-        digest.update(f"policy={policy}\n".encode())
-        _meglos_state(digest, system, delivered)
+        digests.both(f"policy={policy}\n")
+        _meglos_state(digests, system, delivered)
 
     # The reservation handshake under pressure: random-backoff fillers
     # cram the fifos of two masked nodes, so node 0's request to node 2
@@ -255,8 +347,8 @@ def run_meglos_snet() -> str:
     system.spawn(0, reserver)
     system.run()
     assert len(delivered) == 10
-    digest.update(b"reservation-retries\n")
-    _meglos_state(digest, system, delivered)
+    digests.both("reservation-retries\n")
+    _meglos_state(digests, system, delivered)
 
     # E9 path: three writers open channels through the host's manager,
     # then burst 700-byte messages (random backoff) at a reader whose
@@ -295,8 +387,8 @@ def run_meglos_snet() -> str:
     system.spawn(4, reader)
     system.run()
     assert len(delivered) == 6
-    digest.update(b"channels\n")
-    _meglos_state(digest, system, delivered)
+    digests.both("channels\n")
+    _meglos_state(digests, system, delivered)
 
     # Channel control messages under pressure: random-backoff fillers
     # cram masked fifos, so the manager's open replies to nodes 1 and 3
@@ -354,8 +446,8 @@ def run_meglos_snet() -> str:
     system.spawn(4, late_filler(3, 52_000.0))
     system.run()
     assert len(delivered) == 10
-    digest.update(b"channel-control-retries\n")
-    _meglos_state(digest, system, delivered)
+    digests.both("channel-control-retries\n")
+    _meglos_state(digests, system, delivered)
 
     # The bare fabric backend: three senders burst 900-byte messages at
     # endpoint 0 while its receive interrupt is masked for 3 ms, so the
@@ -387,12 +479,12 @@ def run_meglos_snet() -> str:
         sim.process(fabric_sender(src))
     sim.run()
     assert len(delivered) == 9
-    digest.update(b"fabric\n")
-    _snet_state(digest, sim, fabric.partials_discarded)
-    digest.update(f"retries={fabric.retries}\n".encode())
+    digests.both("fabric\n")
+    _snet_state(digests, sim, fabric.partials_discarded)
+    digests.add_state(f"retries={fabric.retries}\n")
     for record in delivered:
-        digest.update(f"{record!r}\n".encode())
-    return digest.hexdigest()
+        digests.add_state(f"{record!r}\n")
+    return digests.hexdigests()
 
 
 def test_meglos_snet_fingerprint_run_to_run():
