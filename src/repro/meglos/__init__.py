@@ -2,22 +2,18 @@
 
 Meglos ran on the single-bus S/NET with no hardware flow control; its
 communications software had to cope with receive-fifo overflow.  This
-package implements the Meglos kernel on the :mod:`repro.snet` substrate
-together with the three overflow-recovery schemes the paper discusses:
-
-* busy retransmission (the original scheme -- causes the Section 2
-  lockout under many-to-one traffic);
-* random-length timeouts (Ethernet-style backoff -- works, but runs "at
-  the timeout rate; at least an order of magnitude slower");
-* a reservation protocol (request/grant -- eliminates overflow at the
-  price of extra latency on every message).
+package implements the Meglos kernel on the :mod:`repro.snet` substrate.
+The three overflow-recovery schemes the paper discusses (busy
+retransmission, random backoff, reservation) live with the substrate in
+:mod:`repro.snet.recovery` and are re-exported here.
 
 Experiments E7/E8/E13 run many-to-one workloads over these schemes and
 compare them with the HPC's in-hardware flow control.
 """
 
 from repro.meglos.channels import MeglosChannelService, install_channels
-from repro.meglos.flowcontrol import (
+from repro.meglos.kernel import MeglosNode, MeglosSystem, SnetSystem
+from repro.snet.recovery import (
     POLICIES,
     BusyRetransmit,
     RandomBackoff,
@@ -25,7 +21,6 @@ from repro.meglos.flowcontrol import (
     RetryStrategy,
     make_strategy,
 )
-from repro.meglos.kernel import MeglosNode, MeglosSystem, SnetSystem
 
 __all__ = [
     "MeglosNode",

@@ -20,7 +20,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.hpc.message import MessageKind, Packet
-from repro.meglos.flowcontrol import Reservation, RetryStrategy
+from repro.snet.recovery import Reservation, RetryStrategy
 from repro.vorx.errors import ChannelStateError
 from repro.vorx.subprocesses import BlockReason, Subprocess
 
@@ -62,6 +62,8 @@ class MeglosChannelService:
         self._next_eid = 1
         # Manager state (only used on MANAGER_NODE).
         self._pending: dict[str, deque[tuple[int, int, int]]] = {}
+        #: ``(addr, token)`` of every open queued or answered (duplicates).
+        self._opens_seen: set[tuple[int, int]] = set()
         self.opens_handled = 0
         node.channel_service = self  # type: ignore[attr-defined]
         node.register_handler(MessageKind.CHANNEL_CTRL, self._on_ctrl)
@@ -170,6 +172,8 @@ class MeglosChannelService:
         op = body["op"]
         node = self.node
         if op == "open":
+            if (body["addr"], body["token"]) in self._opens_seen:
+                return True
             self.opens_handled += 1
             self._handle_open(body)
         elif op == "open-reply":
@@ -220,13 +224,14 @@ class MeglosChannelService:
         node = self.node
         yield node.k_exec(cost)
         yield from node.iface.send_until_accepted(
-            lambda: Packet(src=node.address, dst=dst, size=size,
-                           kind=MessageKind.CHANNEL_CTRL, payload=body),
+            Packet(src=node.address, dst=dst, size=size,
+                   kind=MessageKind.CHANNEL_CTRL, payload=body),
             wait,
         )
 
     def _handle_open(self, request: dict) -> None:
         """FIFO pairing at the centralized manager."""
+        self._opens_seen.add((request["addr"], request["token"]))
         queue = self._pending.setdefault(request["name"], deque())
         if queue:
             partner_addr, partner_eid, partner_token = queue.popleft()

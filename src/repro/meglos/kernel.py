@@ -19,15 +19,16 @@ from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.hpc.message import MessageKind, Packet
-from repro.meglos.flowcontrol import (
+from repro.sim.resources import Store
+from repro.snet.nic import SNetInterface
+from repro.snet.recovery import (
     POLICIES,
     BusyRetransmit,
     Reservation,
     RetryStrategy,
+    drain,
     make_strategy,
 )
-from repro.sim.resources import Store
-from repro.snet.nic import SNetInterface
 from repro.vorx.subprocesses import (
     BlockReason,
     KernelCore,
@@ -39,6 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
     from repro.sim.events import Event
     from repro.model.costs import CostModel
+    from repro.snet.fifo import FifoEntry
 
 
 class MeglosEnv(KernelEnv):
@@ -95,9 +97,9 @@ class MeglosNode(KernelCore):
         #: Partial messages read-and-discarded (Section 2's wasted work).
         self.partials_discarded = 0
         self.partial_bytes_discarded = 0
-        #: Builds this node's default overflow-recovery strategy; set by
+        #: Builds a fresh default overflow-recovery strategy; set by
         #: :class:`MeglosSystem` from its ``recovery=`` policy.
-        self.strategy_factory: Callable[[], RetryStrategy] = BusyRetransmit
+        self.default_strategy: Callable[[], RetryStrategy] = BusyRetransmit
         # Reservation protocol state (receiver side).
         self._grant_queue: deque[int] = deque()
         self._grant_active: Optional[int] = None
@@ -119,34 +121,17 @@ class MeglosNode(KernelCore):
         if self.iface.fifo.depth > 0:
             self._rx_interrupt()
 
-    #: Software drains the fifo in word bursts of this many bytes; space
-    #: is freed incrementally, so concurrent arrivals see only what has
-    #: been drained so far (the mechanism behind the Section 2 lockout).
-    DRAIN_CHUNK_BYTES = 64
-
     def _isr(self):
-        yield self.isr_exec(self.costs.interrupt_overhead)
-        fifo = self.iface.fifo
-        while fifo.peek() is not None:
-            # The software must read every stored byte out of the fifo --
-            # whole messages AND retained partial prefixes -- a chunk of
-            # words at a time.
-            yield self.isr_exec(
-                self.costs.copy_time(
-                    min(self.DRAIN_CHUNK_BYTES, fifo.peek().remaining)
-                )
-            )
-            entry = fifo.consume(self.DRAIN_CHUNK_BYTES)
-            if entry is None:
-                continue
-            if entry.partial:
-                self.partials_discarded += 1
-                self.partial_bytes_discarded += entry.stored_bytes
-                self._m_partials.inc()
-                self._m_partial_bytes.inc(entry.stored_bytes)
-                continue
-            yield from self._dispatch(entry.packet)
+        """The receive interrupt: the S/NET's one timed fifo drain."""
+        yield from drain(self.iface.fifo, self.costs, self.isr_exec,
+                         self._dispatch, self._discard)
         self._isr_active = False
+
+    def _discard(self, entry: "FifoEntry") -> None:
+        self.partials_discarded += 1
+        self.partial_bytes_discarded += entry.stored_bytes
+        self._m_partials.inc()
+        self._m_partial_bytes.inc(entry.stored_bytes)
 
     def _unhandled(self, packet: Packet):
         """Generator (ISR context): a whole message for the inbox."""
@@ -191,43 +176,39 @@ class MeglosNode(KernelCore):
             yield from strategy.wait(self, attempts)
 
         attempts = yield from self.iface.send_until_accepted(
-            lambda: Packet(
-                src=self.address, dst=dst, size=nbytes,
-                kind=MessageKind.USER_OBJECT, payload=payload,
-            ),
+            Packet(src=self.address, dst=dst, size=nbytes,
+                   kind=MessageKind.USER_OBJECT, payload=payload),
             retry,
         )
-        strategy.reset()
         if attempts > 1:
             self._m_recovered.inc()
             self.emit("snet", "send-recovered", dst=dst, size=nbytes,
                       attempts=attempts, policy=strategy.name)
         return attempts
 
-    def default_strategy(self) -> RetryStrategy:
-        """A fresh recovery strategy per the system's configured policy."""
-        return self.strategy_factory()
-
     def reserve(self, sp: Subprocess, dst: int, strategy: RetryStrategy):
         """Request/grant handshake preceding a reservation-mode send."""
         grant = self.sim.event()
         self._awaiting_grant.setdefault(dst, deque()).append(grant)
+        yield from self._send_control(
+            dst, "request", lambda attempts: strategy.wait(self, attempts)
+        )
+        yield from self.block(sp, BlockReason.OUTPUT, grant)
+
+    def _send_control(self, dst: int, op: str, wait):
+        """Generator: send reservation ``op``, charging every attempt."""
         cost = self.costs.chan_ack_send
 
         def retry(attempts: int):
-            yield from strategy.wait(self, attempts)
+            yield from wait(attempts)
             yield self.k_exec(cost)
 
-        # The request path is charged before every attempt.
         yield self.k_exec(cost)
         yield from self.iface.send_until_accepted(
-            lambda: Packet(
-                src=self.address, dst=dst, size=8,
-                kind=MessageKind.CONTROL, payload={"op": "request"},
-            ),
+            Packet(src=self.address, dst=dst, size=8,
+                   kind=MessageKind.CONTROL, payload={"op": op}),
             retry,
         )
-        yield from self.block(sp, BlockReason.OUTPUT, grant)
 
     def _on_reservation_control(self, packet: Packet):
         yield self.isr_exec(self.costs.chan_ack_recv)
@@ -254,24 +235,9 @@ class MeglosNode(KernelCore):
             return
         sender = self._grant_queue.popleft()
         self._grant_active = sender
-        grant = Packet(
-            src=self.address, dst=sender, size=8,
-            kind=MessageKind.CONTROL, payload={"op": "grant"},
-        )
         # Grants go out via a kernel helper process (ISR cannot block on
         # the bus).
-        self.sim.process(self._send_grant(grant))
-
-    def _send_grant(self, grant: Packet):
-        cost = self.costs.chan_ack_send
-
-        def retry(attempts: int):
-            yield from self.spin_wait(attempts)
-            yield self.k_exec(cost)
-
-        # Charged before every attempt, like the request.
-        yield self.k_exec(cost)
-        yield from self.iface.send_until_accepted(lambda: grant, retry)
+        self.sim.process(self._send_control(sender, "grant", self.spin_wait))
 
     # ------------------------------------------------------------------
     # blocking receive
@@ -413,7 +379,7 @@ class MeglosSystem:
         self.nodes: list[MeglosNode] = []
         for i in range(n_nodes):
             node = MeglosNode(self.sim, self.costs, self.fabric.iface(i), f"m{i}")
-            node.strategy_factory = (
+            node.default_strategy = (
                 lambda addr=i: make_strategy(recovery, addr, seed)
             )
             self.nodes.append(node)

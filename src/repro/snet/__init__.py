@@ -5,7 +5,8 @@ A single shared bus connects up to ~12 processors.  Each processor has a
 when a message arrives at a full (or filling) fifo, the fifo *retains the
 portion received up to the overflow* and signals fifo-full back to the
 transmitter, which must recover in software.  The receiving software must
-read and discard the partial message.
+read and discard the partial message.  Both halves of that software, the
+retry strategies and the fifo drain, are :mod:`repro.snet.recovery`.
 
 This is the substrate on which :mod:`repro.meglos` exhibits the paper's
 retransmission-lockout pathology, and against which the HPC's in-hardware

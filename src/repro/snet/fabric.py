@@ -8,12 +8,13 @@ that run over the HPC fabrics run over the bus.
 The interesting part is flow control.  The HPC backends never reject a
 message -- hardware credits stall the sender instead -- but the S/NET
 fifo rejects on overflow and recovery is software's problem
-(Section 2).  :meth:`SNetFabric.send` therefore hides a busy-retransmit
-loop: on a fifo-full signal it backs off one wire time and retries, and
-the retry count surfaces in :meth:`SNetFabric.contention` where the HPC
-backends report reservation stalls.  Partial messages retained by an
-overflowing fifo are read and discarded inside the receive drain, as the
-Meglos ISR does, and never surface through :meth:`SNetFabric.recv`.
+(Section 2), the same :mod:`repro.snet.recovery` code the Meglos kernel
+runs.  :meth:`SNetFabric.send` retries under a per-endpoint random
+backoff, and the retry count surfaces in :meth:`SNetFabric.contention`
+where the HPC backends report reservation stalls.  The receive interrupt
+is the timed fifo drain, so a burst can overflow the fifo; the partials
+it retains are read and discarded there and never surface through
+:meth:`SNetFabric.recv`.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from repro.fabric.base import FabricBackend
 from repro.sim.resources import Store
 from repro.snet.bus import SNetBus
 from repro.snet.nic import SNetInterface
+from repro.snet.recovery import drain, make_strategy
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hpc.message import Packet
@@ -62,6 +64,11 @@ class SNetFabric(FabricBackend):
         self.bus = SNetBus(sim, costs)
         self.interfaces: dict[int, SNetInterface] = {}
         self._inboxes: dict[int, Store] = {}
+        self._strategies = {
+            a: make_strategy("random-backoff", a) for a in range(n_endpoints)
+        }
+        #: Endpoints whose receive drain is running (one per burst).
+        self._draining: set[int] = set()
         #: Software retransmissions issued by :meth:`send` (the S/NET
         #: counterpart of the HPC's hardware reservation stalls).
         self.retries = 0
@@ -73,7 +80,7 @@ class SNetFabric(FabricBackend):
             self.interfaces[address] = iface
             self._inboxes[address] = Store(sim)
             iface.set_rx_interrupt(
-                lambda address=address: self._drain_rx(address)
+                lambda address=address: self._rx_interrupt(address)
             )
 
     # -- endpoints ---------------------------------------------------------
@@ -112,45 +119,46 @@ class SNetFabric(FabricBackend):
 
     # -- delivery ----------------------------------------------------------
     def send(self, src: int, packet: "Packet"):
-        """Generator: transmit with busy-retransmit recovery.
+        """Generator: transmit with random-backoff recovery.
 
-        The bus synchronously reports fifo-full; this loop backs off one
-        wire time of the rejected message and retransmits until the
-        destination fifo takes it whole, counting each retry (a message
-        no fifo can hold is refused by
+        The bus synchronously reports fifo-full; the sender's strategy
+        waits and it retransmits until the destination fifo takes it
+        whole, counting each retry (a message no fifo can hold is
+        refused by
         :meth:`~repro.snet.nic.SNetInterface.send_until_accepted`).
         """
         self._require_endpoint(src)
-        backoff = self.costs.snet_wire_time(packet.size)
+        strategy = self._strategies[src]
 
         def retry(attempts: int):
             self.retries += 1
-            yield self.sim.timeout(backoff)
+            yield from strategy.wait(self, attempts)
 
-        yield from self.interfaces[src].send_until_accepted(
-            lambda: packet, retry
-        )
+        yield from self.interfaces[src].send_until_accepted(packet, retry)
         # One bus tenure carried it end-to-end; count it like a link
         # traversal so hop statistics compare across fabrics.
         packet.hops += 1
 
-    def _drain_rx(self, address: int) -> None:
-        """Receive interrupt: move whole messages to the inbox.
+    def _rx_interrupt(self, address: int) -> None:
+        """Receive interrupt: start one timed drain per burst."""
+        if address not in self._draining:
+            self._draining.add(address)
+            self.sim.process(self._drain(address))
 
-        Partials (the prefix an overflowing fifo retained) are read and
-        discarded here -- the software obligation Section 2 describes --
-        so :meth:`recv` only ever sees complete messages.
-        """
-        iface = self.interfaces[address]
+    def _drain(self, address: int):
+        """Generator: drain the fifo into the inbox; charges are timeouts."""
         inbox = self._inboxes[address]
-        while True:
-            entry = iface.read()
-            if entry is None:
-                return
-            if entry.partial:
-                self.partials_discarded += 1
-                continue
-            inbox.try_put(entry.packet)
+
+        def deliver(packet: "Packet"):
+            inbox.try_put(packet)
+            return ()  # nothing to wait for
+
+        yield from drain(self.interfaces[address].fifo, self.costs,
+                         self.sim.timeout, deliver, self._discard)
+        self._draining.discard(address)
+
+    def _discard(self, entry) -> None:
+        self.partials_discarded += 1
 
     def recv(self, address: int):
         """Generator: next whole packet delivered to ``address``."""

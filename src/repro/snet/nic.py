@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Generator, Optional
 
-from repro.snet.fifo import SNetFifo, FifoEntry
+from repro.snet.fifo import SNetFifo
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
@@ -77,22 +77,18 @@ class SNetInterface:
         return accepted
 
     def send_until_accepted(
-        self,
-        build: Callable[[], "Packet"],
-        wait: Callable[[int], Generator],
+        self, packet: "Packet", wait: Callable[[int], Generator]
     ):
         """Generator: transmit until the destination fifo takes it whole.
 
-        The one software recovery loop of the S/NET.  ``build()`` gives
-        the packet for each attempt; after the ``n``-th rejection the
-        caller's ``wait(n)`` generator runs (its backoff, CPU spin or
-        both) before the next.  Returns the number of attempts (1 = no
-        overflow).  A message larger than the whole receive fifo can
-        never be accepted -- every retransmission would be rejected
-        forever -- so it is refused up front instead of livelocking the
-        sender.
+        The one software recovery loop of the S/NET.  After the ``n``-th
+        rejection the caller's ``wait(n)`` generator runs (its backoff,
+        CPU spin or both) before the next attempt.  Returns the number
+        of attempts (1 = no overflow).  A message larger than the whole
+        receive fifo can never be accepted -- every retransmission would
+        be rejected forever -- so it is refused up front instead of
+        livelocking the sender.
         """
-        packet = build()
         wire_bytes = packet.size + self.costs.snet_header_bytes
         if wire_bytes > self.costs.snet_fifo_bytes:
             raise ValueError(
@@ -104,7 +100,6 @@ class SNetInterface:
         while not (yield from self.send(packet)):
             yield from wait(attempts)
             attempts += 1
-            packet = build()
         return attempts
 
     # -- receive ------------------------------------------------------------
@@ -115,14 +110,6 @@ class SNetInterface:
         """Called by the bus after any deposit (full or partial)."""
         if self.interrupts_enabled and self._rx_interrupt is not None:
             self.sim.call_later(0.0, self._rx_interrupt)
-
-    def read(self) -> Optional[FifoEntry]:
-        """Pop the oldest fifo entry (may be a partial to discard)."""
-        return self.fifo.read()
-
-    @property
-    def rx_pending(self) -> int:
-        return self.fifo.depth
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SNetInterface {self.name} addr={self.address}>"

@@ -1,7 +1,8 @@
-"""Overflow-recovery strategies for Meglos on the S/NET (Section 2).
+"""S/NET overflow recovery (Section 2): retry strategies and the fifo drain.
 
 Each strategy answers one question: *after the hardware reported
-fifo-full, what does the sending kernel do before retrying?*
+fifo-full, what does the sender do before retrying?*  The Meglos kernel
+and the bare :class:`~repro.snet.fabric.SNetFabric` run the same code.
 
 The paper's history: Meglos shipped with busy retransmission, which
 livelocks under many-to-one bursts of long messages (senders continually
@@ -16,10 +17,19 @@ simply required applications to bound many-to-one message sizes.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Protocol
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.meglos.kernel import MeglosNode
+    from repro.model.costs import CostModel
+    from repro.sim.engine import Simulator
+    from repro.snet.fifo import SNetFifo
+    from repro.vorx.subprocesses import KernelCore
+
+
+class Clocked(Protocol):
+    """What a pure timeout needs: a kernel or a fabric owning a ``sim``."""
+
+    sim: "Simulator"
 
 
 class RetryStrategy:
@@ -28,12 +38,9 @@ class RetryStrategy:
     #: Human-readable scheme name for reports.
     name = "abstract"
 
-    def wait(self, node: "MeglosNode", attempt: int):
+    def wait(self, node: "KernelCore", attempt: int):
         """Generator: delay (and/or charge CPU) before retry ``attempt``."""
         raise NotImplementedError
-
-    def reset(self) -> None:
-        """Called when a message finally gets through."""
 
 
 class BusyRetransmit(RetryStrategy):
@@ -46,7 +53,7 @@ class BusyRetransmit(RetryStrategy):
 
     name = "busy-retransmit"
 
-    def wait(self, node: "MeglosNode", attempt: int):
+    def wait(self, node: "KernelCore", attempt: int):
         yield node.k_exec(node.costs.snet_retry_spin)
 
 
@@ -68,10 +75,10 @@ class RandomBackoff(RetryStrategy):
         self.max_doublings = max_doublings
         self.rng = random.Random(seed)
 
-    def wait(self, node: "MeglosNode", attempt: int):
+    def wait(self, host: Clocked, attempt: int):
         window = 1 << min(attempt, self.max_doublings)
         delay = self.rng.uniform(0, window * self.base_us)
-        yield node.sim.timeout(delay)
+        yield host.sim.timeout(delay)
 
 
 class Reservation(RetryStrategy):
@@ -86,7 +93,7 @@ class Reservation(RetryStrategy):
 
     name = "reservation"
 
-    def wait(self, node: "MeglosNode", attempt: int):
+    def wait(self, node: "KernelCore", attempt: int):
         # Only reached if a *request* is rejected (fifo crammed even for
         # short messages); retry politely.
         yield node.sim.timeout(node.costs.snet_retry_spin * 10)
@@ -116,3 +123,27 @@ def make_strategy(policy: str, address: int, seed: int = 1990) -> RetryStrategy:
     raise ValueError(
         f"recovery policy must be one of {POLICIES}, got {policy!r}"
     )
+
+
+#: Software drains the fifo in word bursts of this many bytes; space is
+#: freed incrementally, so concurrent arrivals see only what has been
+#: drained so far (the mechanism behind the Section 2 lockout).
+DRAIN_CHUNK_BYTES = 64
+
+
+def drain(fifo: "SNetFifo", costs: "CostModel", charge, deliver, discard):
+    """Generator: one receive interrupt's pass over an S/NET fifo.
+
+    Reads every stored byte, partial prefixes included, a chunk at a
+    time.  ``charge(us)`` is the event that pays for time,
+    ``deliver(packet)`` the generator (or iterable of events) for a
+    whole message, and ``discard(entry)`` accounts a partial.
+    """
+    yield charge(costs.interrupt_overhead)
+    while (head := fifo.peek()) is not None:
+        yield charge(costs.copy_time(min(DRAIN_CHUNK_BYTES, head.remaining)))
+        entry = fifo.consume(DRAIN_CHUNK_BYTES)
+        if entry is not None and entry.partial:
+            discard(entry)
+        elif entry is not None:
+            yield from deliver(entry.packet)

@@ -448,11 +448,11 @@ class ChannelService:
         the oldest unacknowledged window entry once that entry has
         actually been outstanding for a full period (the age gate keeps a
         merely-armed watchdog from perturbing fault-free timing); the
-        receiver's in-order filter makes a spurious re-send harmless
-        (duplicate -> immediate re-ack).  A crashed peer never
-        acknowledges and silently swallows every retransmission, so the
-        watchdog checks for it first and fails the write instead of
-        retransmitting forever.  It exits at its first wake after its own
+        receiver's in-order filter discards a spurious re-send and
+        re-acks it, unless its deferred ack is still owed.  A crashed
+        peer never acknowledges and silently swallows every
+        retransmission, so the watchdog checks for it first and fails
+        the write instead of retransmitting forever.  It exits at its first wake after its own
         write has ended -- transfer ``last``, the write's final fragment,
         acknowledged, or the channel closed -- so back-to-back writes
         never keep an older watchdog alive.
@@ -686,6 +686,11 @@ class ChannelService:
             kernel.emit("channel", "channel-duplicate-drop",
                         data=endpoint.name, eid=endpoint.eid,
                         xfer=packet.xfer)
+            if any(owed is not None and owed.xfer <= packet.xfer
+                   for _, _, owed in endpoint.side_buffers):
+                # The original still owes its deferred ack: a cumulative
+                # re-ack would retire it before the reader consumes it.
+                return
             yield kernel.isr_exec(costs.chan_ack_send)
             # The re-ack answers a stale copy, not a delivery, so it
             # reports no occupancy.

@@ -236,6 +236,28 @@ def test_lower_clamp_above_side_buffers_is_capped():
     assert node0.value("chan.batched_writes") == 4
 
 
+def test_duplicate_of_a_side_buffered_fragment_is_not_re_acked():
+    """A plan that only duplicates loses nothing, so it must cause no nak
+    and no pulled re-send.  Re-acking a duplicate whose original still
+    owes its deferred ack would retire that fragment at the sender before
+    the reader consumed it, and the sender would overrun the side
+    buffers."""
+    result = run_large_write(
+        total_bytes=4 * 65_536, costs=CostModel().batched(window=8),
+        reader_delay_us=300.0,
+        faults=FaultPlan(seed=1990, duplicate=0.3,
+                         channel_retry_timeout_us=2_000.0),
+    )
+
+    def total(name):
+        return sum(result.sim.vstat.registry(node).value(name)
+                   for node in ("node0", "node1"))
+
+    assert total("chan.duplicate_drops") > 0
+    assert total("chan.naks") == 0
+    assert total("chan.retransmits") == 0
+
+
 # ----------------------------------------------------------------------
 # one window mechanism: a fixed window is the range pinned at [k, k]
 # ----------------------------------------------------------------------

@@ -21,7 +21,8 @@ reorders events moves both.  The workloads:
 * multi-fragment channel writes: fixed windows of 2 and 8 under seeded
   loss, and the E23 adaptive window with a slow reader;
 * the Meglos kernel on the S/NET (software overflow recovery, the
-  reservation handshake, centralized channel opens).
+  reservation handshake, centralized channel opens);
+* hot-spot traffic on the bare ``snet`` fabric backend.
 
 Each workload is run twice and must produce identical digests
 (run-to-run determinism), and the digests must equal recorded golden
@@ -187,10 +188,12 @@ def run_hypercube_1024():
 #: where re-acks race deferred acks and timeout re-sends.  Pins the
 #: batched path's go-back-N re-sends, cumulative, deferred and
 #: duplicate acks, watchdogs and window moves, which the
-#: single-fragment workloads above never reach.
+#: single-fragment workloads above never reach.  Re-pinned once (from
+#: c577877f... / d135b546...) when the receiver stopped re-acking a
+#: duplicate whose original still owed its deferred ack.
 GOLDEN_WINDOWS = (
-    "c577877f39a3d5a716cf21c2bbf5c31d831ba00622bf428bc46015030a4fc52a",
-    "d135b546ccc0e8b547a927a12bf660aa032ff1e8ac3abc4cf664c954a02beedc",
+    "5234d190353bf412c3dabbf3c45b8e102738dd656f6524e885ea4419b774be4c",
+    "28282499b190060c12f462c2f8ab926e4a14e347bd2c2be4a652518b7ff3501c",
 )
 
 
@@ -239,19 +242,30 @@ def test_hypercube_1024_fingerprint_golden():
     assert run_hypercube_1024() == GOLDEN_HYPERCUBE_1024
 
 
-#: ``(schedule, state)`` sha256 digests of the Meglos/S-NET runs: E7's
-#: many-to-one burst under
-#: each overflow-recovery policy, the reservation handshake with its
-#: request and grant both rejected and retried, channel exchanges
-#: through the centralized manager (the E9 path) with data, open
-#: replies and acknowledgements rejected and retried, and hot-spot
-#: traffic on the bare ``snet`` fabric backend.  Pins every transmit-until-
-#: accepted loop, the kernel's subprocess scheduling and the fifo drain.
-#: The state digest takes only the ``snet*`` registry snapshots, so that
-#: kernel counters can be added to the Meglos nodes without moving it.
-GOLDEN_MEGLOS_SNET = (
-    "3027321f13ad305e674e14a1ce0bbf0e540e930f2782cfb99666d97cad382ec7",
-    "225a7e54570287e913c65fdef690095b0a19c9bf76e1269cf15d6ff6a85edfba",
+#: ``(schedule, state)`` sha256 digests of the Meglos kernel on the
+#: S/NET: E7's many-to-one burst under each overflow-recovery policy,
+#: the reservation handshake with its request and grant both rejected
+#: and retried, and channel exchanges through the centralized manager
+#: (the E9 path) with data, open replies and acknowledgements rejected
+#: and retried.  Pins every transmit-until-accepted loop, the kernel's
+#: subprocess scheduling and the ISR's fifo drain.  The state digest
+#: takes only the ``snet*`` registry snapshots, so that kernel counters
+#: can be added to the Meglos nodes without moving it.  Split from the
+#: bare-fabric cell below; the pair reads the same on the tree before
+#: the ISR moved onto the shared drain of :mod:`repro.snet.recovery`,
+#: so that move changed no Meglos event.
+GOLDEN_MEGLOS_KERNEL = (
+    "2cf0462a3a257fc7aa00352bb5c4aaadaf482384f6c455e0a4a2530097bec4d8",
+    "6592b8074c57fe3689777e82331ec08102e5aeedac093a534434ef88cea265a7",
+)
+
+#: Same, for hot-spot traffic on the bare ``snet`` fabric backend: its
+#: random-backoff sends and its timed receive drain.  Pinned when the
+#: bare fabric moved onto that shared recovery code; the combined pair
+#: before the split was 3027321f... / 225a7e54....
+GOLDEN_SNET_FABRIC = (
+    "3e07ede717beffcccc5734274e989dbee03a2113838c11ddd5ed9fecf2c8fd2b",
+    "1694d59cf1363d824e6684a9b1662c3e582124b84b9585bbc28d7d2ef7bf6ace",
 )
 
 
@@ -279,7 +293,7 @@ def _meglos_state(digests, system, delivered) -> None:
         digests.add_state(f"{record!r}\n")
 
 
-def run_meglos_snet() -> tuple[str, str]:
+def run_meglos_kernel() -> tuple[str, str]:
     from repro.meglos import MeglosSystem, RandomBackoff, install_channels
 
     digests = Digests()
@@ -448,10 +462,14 @@ def run_meglos_snet() -> tuple[str, str]:
     assert len(delivered) == 10
     digests.both("channel-control-retries\n")
     _meglos_state(digests, system, delivered)
+    return digests.hexdigests()
 
-    # The bare fabric backend: three senders burst 900-byte messages at
-    # endpoint 0 while its receive interrupt is masked for 3 ms, so the
-    # fifo overflows and SNetFabric.send retries.
+
+def run_snet_fabric() -> tuple[str, str]:
+    """The bare fabric backend: three senders burst 900-byte messages at
+    endpoint 0 while its receive interrupt is masked for 3 ms, so the
+    fifo overflows and SNetFabric.send retries."""
+    digests = Digests()
     sim = Simulator()
     fabric = create_fabric("snet", sim, CostModel(), n_endpoints=4)
     delivered = []
@@ -487,9 +505,17 @@ def run_meglos_snet() -> tuple[str, str]:
     return digests.hexdigests()
 
 
-def test_meglos_snet_fingerprint_run_to_run():
-    assert run_meglos_snet() == run_meglos_snet()
+def test_meglos_kernel_fingerprint_run_to_run():
+    assert run_meglos_kernel() == run_meglos_kernel()
 
 
-def test_meglos_snet_fingerprint_golden():
-    assert run_meglos_snet() == GOLDEN_MEGLOS_SNET
+def test_meglos_kernel_fingerprint_golden():
+    assert run_meglos_kernel() == GOLDEN_MEGLOS_KERNEL
+
+
+def test_snet_fabric_fingerprint_run_to_run():
+    assert run_snet_fabric() == run_snet_fabric()
+
+
+def test_snet_fabric_fingerprint_golden():
+    assert run_snet_fabric() == GOLDEN_SNET_FABRIC

@@ -253,13 +253,14 @@ def test_hot_spot_hardware_credits_stall_senders():
 
 
 def test_snet_software_recovery_retransmits_after_overflow():
-    """Fifo overflows turn into busy-retransmission, not lost messages.
+    """Fifo overflows turn into retransmissions, not lost messages.
 
-    The idealised receive drain frees fifo space at the delivery
-    instant, so overflow needs the fault injector's forced-overflow
-    hook (the fifo full "at the instant of arrival", Section 2); the
-    send loop must then recover every message by retransmitting, and
-    the drain must read-and-discard every retained partial prefix.
+    Small messages at this load rarely fill the fifo on their own, so
+    the fault injector's forced-overflow hook makes the fifo full "at
+    the instant of arrival" (Section 2); the send loop must then recover
+    every message by retransmitting under its random backoff, and the
+    timed receive drain must read-and-discard every retained partial
+    prefix.
     """
     from repro.faults import FaultPlan
     from repro.faults.injector import FaultInjector
@@ -275,6 +276,56 @@ def test_snet_software_recovery_retransmits_after_overflow():
     assert contention["rejections"] > 0
     assert contention["retries"] >= contention["rejections"]
     assert contention["partials_discarded"] > 0
+    assert result.delivered == result.sent == 7 * 4
+
+
+def _snet_burst(n_senders: int, messages: int, size: int):
+    """``n_senders`` endpoints each burst ``messages`` at endpoint 0."""
+    from repro.hpc.message import MessageKind, Packet
+
+    fabric = make_fabric("snet", n_senders + 1)
+    sim = fabric.sim
+    delivered = []
+
+    def sender(src):
+        for i in range(messages):
+            yield from fabric.send(src, Packet(
+                src=src, dst=0, size=size, kind=MessageKind.USER_OBJECT,
+                payload=(src, i),
+            ))
+
+    def receiver():
+        for _ in range(n_senders * messages):
+            packet = yield from fabric.recv(0)
+            delivered.append(packet.payload)
+
+    sim.process(receiver())
+    for src in range(1, n_senders + 1):
+        sim.process(sender(src))
+    sim.run()
+    return fabric, delivered
+
+
+def test_snet_burst_overflows_the_timed_drain_and_recovers():
+    """Three senders bursting 900-byte messages at an unmasked endpoint
+    overflow its fifo: the receive drain pays copy time per chunk, so
+    arrivals outrun it, partial prefixes are retained and discarded, and
+    random backoff still delivers every message."""
+    fabric, delivered = _snet_burst(3, 3, 900)
+    contention = fabric.contention()
+    assert contention["retries"] > 0
+    assert contention["partials_discarded"] > 0
+    assert sorted(delivered) == [(src, i) for src in (1, 2, 3)
+                                 for i in range(3)]
+
+
+def test_snet_hot_spot_of_long_messages_delivers_everything():
+    """No faults: seven senders x four 900-byte messages at one endpoint
+    overflow the fifo by themselves, and the random-backoff sends ride it
+    out."""
+    snet = make_fabric("snet", 8)
+    result = run_hot_spot(snet, size=900, messages_per_sender=4)
+    assert snet.contention()["retries"] > 0
     assert result.delivered == result.sent == 7 * 4
 
 

@@ -185,3 +185,32 @@ def test_channels_follow_the_system_recovery_policy():
     delivered, _, _ = burst_at_masked_reader("random-backoff")
     assert delivered == 6
     assert burst_at_masked_reader("reservation") == (6, 0, 0)
+
+
+def test_manager_ignores_a_duplicated_open():
+    """A duplicated open request reaches the host manager twice.  The
+    manager must answer it once: paired by name alone, the copy would
+    pair with its own original, the writer's endpoint would name itself
+    as its peer, and the real reader would wait forever."""
+    from repro import FaultPlan
+
+    system = MeglosSystem(n_nodes=3, faults=FaultPlan(
+        seed=1990, duplicate=0.5, kinds=("channel-ctrl",),
+    ))
+    services = install_channels(system)
+    got = []
+
+    def reader(env):
+        ch = yield from services[0].open(env.subprocess, "x")
+        got.append((yield from services[0].read(env.subprocess, ch)))
+
+    def writer(env):
+        ch = yield from services[2].open(env.subprocess, "x")
+        got.append(ch.peer_addr)
+        yield from services[2].write(env.subprocess, ch, 100, payload="hi")
+
+    system.spawn(0, reader)
+    system.spawn(2, writer)
+    system.run()
+    assert services[0].opens_handled == 1
+    assert got == [0, (100, "hi")]

@@ -82,7 +82,7 @@ def test_bus_delivery_and_interrupt():
     sim.run()
     assert results == [True]
     assert len(fired) == 1
-    entry = ifaces[2].read()
+    entry = ifaces[2].fifo.read()
     assert entry is not None and entry.packet.size == 100
 
 
