@@ -239,6 +239,8 @@ class BoundaryLink(Link):
     * nothing is delivered locally.
     """
 
+    __slots__ = ("dest", "outbox")
+
     def __init__(
         self,
         sim: "Simulator",

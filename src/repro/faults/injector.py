@@ -326,7 +326,7 @@ class FaultInjector:
         name = getattr(kernel, "name", f"addr{address}")
         iface = getattr(kernel, "iface", None)
         if iface is not None:
-            iface.interrupts_enabled = False
+            iface.disable_interrupts()
         self.record("faults.node_crashes", name, "node-crash",
                     address=address)
 

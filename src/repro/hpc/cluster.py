@@ -25,6 +25,10 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Ports per cluster (paper Section 1).
 PORTS_PER_CLUSTER = 12
 
+#: The route-table byte for "no route to this address".  Port indices
+#: are bytes below it, so a cluster has at most 255 ports.
+NO_ROUTE = 255
+
 
 class Cluster:
     """A self-routing star with :data:`PORTS_PER_CLUSTER` ports."""
@@ -38,6 +42,10 @@ class Cluster:
     ) -> None:
         if n_ports < 2:
             raise ValueError(f"a cluster needs at least 2 ports, got {n_ports}")
+        if n_ports > NO_ROUTE:
+            raise ValueError(
+                f"a cluster has at most {NO_ROUTE} ports, got {n_ports}"
+            )
         self.sim = sim
         self.costs = costs
         self.cluster_id = cluster_id
@@ -49,10 +57,11 @@ class Cluster:
         ]
         #: Outgoing links, one per wired port (None if unwired).
         self.out_links: list[Optional["Link"]] = [None] * n_ports
-        #: Output port index per destination address (``None``: no
-        #: route).  Dense: a list of N entries is under a quarter the
-        #: size of a dict of them, and the fabric builds one per cluster.
-        self.routing: list[Optional[int]] = []
+        #: Output port index per destination address, one byte each
+        #: (:data:`NO_ROUTE`: no route).  Dense and unboxed: the fabric
+        #: builds one per cluster, and a byte table of N entries is an
+        #: eighth of a list of them.
+        self.routing = bytearray()
         #: Messages forwarded, for statistics.
         self.messages_forwarded = 0
         self._forwarders = [_Forwarder(self, source) for source in self.inputs]
@@ -65,8 +74,8 @@ class Cluster:
         """The output port for destination address ``dst``."""
         routing = self.routing
         # A negative index would wrap round to the end of the table.
-        port = routing[dst] if 0 <= dst < len(routing) else None
-        if port is None:
+        port = routing[dst] if 0 <= dst < len(routing) else NO_ROUTE
+        if port == NO_ROUTE:
             raise KeyError(
                 f"cluster {self.cluster_id} has no route to address {dst}"
             )
@@ -109,13 +118,14 @@ class _Forwarder:
             queue._getters.append(handle)
 
     def _forward(self, packet: "Packet") -> None:
+        self._on_packet.args = ()  # the message is passed on below
         cluster = self.cluster
         dst = packet.dst
         try:
             out_port = cluster.routing[dst]
         except IndexError:
-            out_port = None
-        if out_port is None or dst < 0:
+            out_port = NO_ROUTE
+        if out_port == NO_ROUTE or dst < 0:
             out_port = cluster.route_port(dst)  # raises the diagnostic
         link = cluster.out_links[out_port]
         if link is None:

@@ -36,6 +36,15 @@ class Link:
     subclass supplies its own ``_reserve`` and ``_deliver``.
     """
 
+    # Slotted: a 1024-endpoint fabric builds 4,096 links.
+    __slots__ = (
+        "sim", "costs", "name", "_requests", "_parked", "metrics",
+        "_m_messages", "_m_bytes", "_m_busy", "_m_queue", "_m_stalls",
+        "_m_stall_us", "_hop_latency", "_packet", "_done", "_site",
+        "_copies_left", "_stall_from", "_wire", "_on_request",
+        "_on_reserved", "_on_carried", "_credits", "_deliver",
+    )
+
     def __init__(
         self,
         sim: "Simulator",
@@ -58,17 +67,15 @@ class Link:
         self._m_queue = self.metrics.gauge("link.queue_depth")
         #: The stall counters, registered on the link's first stall, so
         #: registry snapshots (which the goldens hash) list them only
-        #: for links that have stalled.  Set here, not on first use: a
-        #: link's attribute dict keeps its compact shared-key layout
-        #: only while every attribute is set in ``__init__``.
+        #: for links that have stalled.
         self._m_stalls = None
         self._m_stall_us = None
-        self._wire_time = costs.hpc_wire_time
         self._hop_latency = costs.hpc_hop_latency
-        #: The message being carried, its sender's done event, this
-        #: link's fault-site record (resolved when a message is taken
-        #: under an injector), duplicate copies still to carry, when the
-        #: credit wait began, and the current wire time.
+        #: The message being carried and its sender's done event (both
+        #: ``None`` once the message has moved on), this link's
+        #: fault-site record (resolved when a message is taken under an
+        #: injector), duplicate copies still to carry, when the credit
+        #: wait began, and the current wire time.
         self._packet: Optional["Packet"] = None
         self._done: Optional[Event] = None
         self._site: Optional["FaultSite"] = None
@@ -146,6 +153,7 @@ class Link:
 
     def _listen(self, _event: Optional[Event] = None) -> None:
         """Take the next request, or park until :meth:`send` brings one."""
+        self._packet = self._done = None
         requests = self._requests
         if requests:
             handle = self._on_request
@@ -156,6 +164,7 @@ class Link:
 
     def _take(self, packet: "Packet", done: Event) -> None:
         """A request arrived: check faults, then claim a downstream buffer."""
+        self._on_request.args = ()  # the request lives on in the fields
         self._packet = packet
         self._done = done
         depth = len(self._requests)
@@ -197,7 +206,7 @@ class Link:
             # downstream end discarded the damaged message immediately,
             # so no buffer is held.
             wire = self._wire = (
-                self._wire_time(packet.size) + self._hop_latency
+                self.costs.hpc_wire_time(packet.size) + self._hop_latency
             )
             self.sim.timeout(wire).callbacks.append(self._dropped)
             return
@@ -245,7 +254,7 @@ class Link:
                 self._m_stall_us = metrics.counter("link.reserve_stall_us")
             stalls.value += 1.0
             self._m_stall_us.value += stalled
-        wire = self._wire_time(self._packet.size) + self._hop_latency
+        wire = self.costs.hpc_wire_time(self._packet.size) + self._hop_latency
         site = self._site
         if site is not None and site.brownouts:
             # Degraded link: a brownout window stretches the
@@ -280,6 +289,7 @@ class Link:
             self._reserve()
         else:
             # :meth:`_listen` inlined: once per carried message.
+            self._packet = self._done = None
             requests = self._requests
             if requests:
                 handle = self._on_request

@@ -46,6 +46,8 @@ class HPCInterface:
         #: Outgoing link; wired by the topology builder.
         self.link: Optional["Link"] = None
         self._rx_interrupt: Optional[Callable[[], None]] = None
+        #: Whether a delivery raises the receive interrupt; change it
+        #: with :meth:`enable_interrupts`/:meth:`disable_interrupts`.
         self.interrupts_enabled = True
         #: vstat registry for this interface's packet/byte counters.
         self.metrics = sim.vstat.registry(self.name)
@@ -119,6 +121,18 @@ class HPCInterface:
     def set_rx_interrupt(self, handler: Optional[Callable[[], None]]) -> None:
         """Install the receive-interrupt handler (None to remove)."""
         self._rx_interrupt = handler
+
+    def disable_interrupts(self) -> None:
+        """Mask the receive interrupt: deliveries wait in the buffer
+        (polling mode, paper Section 5)."""
+        self.interrupts_enabled = False
+
+    def enable_interrupts(self) -> None:
+        """Unmask the receive interrupt.  A backlog that arrived while
+        masked raises it at once: no later arrival may ever come."""
+        self.interrupts_enabled = True
+        if self.rx.pending and self._rx_interrupt is not None:
+            self._rx_interrupt()
 
     def _rx_delivered(self, packet: "Packet") -> None:
         self._m_received.value += 1.0

@@ -28,6 +28,8 @@ if TYPE_CHECKING:  # pragma: no cover
 class BufferedInput:
     """The input section of a port: N whole-message buffers + credits."""
 
+    __slots__ = ("sim", "name", "capacity", "_credits", "_queue", "on_deliver")
+
     def __init__(self, sim: "Simulator", capacity: int, name: str = "in") -> None:
         if capacity < 1:
             raise ValueError(f"input needs at least one buffer, got {capacity}")

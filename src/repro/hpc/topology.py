@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.fabric.base import FabricBackend
-from repro.hpc.cluster import Cluster, PORTS_PER_CLUSTER
+from repro.hpc.cluster import Cluster, NO_ROUTE, PORTS_PER_CLUSTER
 from repro.hpc.link import Link
 from repro.hpc.nic import HPCInterface
 
@@ -257,7 +257,7 @@ class Fabric(FabricBackend):
                             port if current == start else first_port[current]
                         )
                         frontier.append(neighbour)
-            routing: list[Optional[int]] = [None] * size
+            routing = bytearray([NO_ROUTE]) * size
             for address, home, attach_port, _name in spec.attachments:
                 if home == start:
                     routing[address] = attach_port
@@ -308,7 +308,7 @@ class Fabric(FabricBackend):
         self._require_attached(src)
         self._require_attached(dst)
         routing = self.home_cluster(src).routing
-        return (0 <= dst < len(routing) and routing[dst] is not None) or (
+        return (0 <= dst < len(routing) and routing[dst] != NO_ROUTE) or (
             self.attachments[src][0] == self.attachments[dst][0]
         )
 
@@ -337,9 +337,9 @@ class Fabric(FabricBackend):
                 )
             seen.add(current)
             routing = self.clusters[current].routing
-            port = routing[dst] if dst < len(routing) else None
+            port = routing[dst] if dst < len(routing) else NO_ROUTE
             next_cluster = (
-                None if port is None
+                None if port == NO_ROUTE
                 else self._cluster_edges.get((current, port))
             )
             if next_cluster is None:
@@ -361,10 +361,14 @@ class Fabric(FabricBackend):
         yield self.interfaces[src].send(packet)
 
     def recv(self, address: int):
-        """Generator: next packet delivered to ``address``."""
+        """Generator: next packet delivered to ``address``.
+
+        The interface's own ``recv`` generator, returned as it is: no
+        wrapping frame per delivery.  An unattached ``address`` raises
+        here, at the call, not at the first resume.
+        """
         self._require_attached(address)
-        packet = yield from self.interfaces[address].recv()
-        return packet
+        return self.interfaces[address].recv()
 
     def stats(self) -> dict:
         """Aggregate fabric statistics for reports."""

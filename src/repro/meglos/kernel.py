@@ -113,13 +113,11 @@ class MeglosNode(KernelCore):
     # ------------------------------------------------------------------
     def disable_interrupts(self) -> None:
         """Mask the receive interrupt (arrivals accumulate in the fifo)."""
-        self.iface.interrupts_enabled = False
+        self.iface.disable_interrupts()
 
     def enable_interrupts(self) -> None:
         """Unmask the receive interrupt, draining any backlog."""
-        self.iface.interrupts_enabled = True
-        if self.iface.fifo.depth > 0:
-            self._rx_interrupt()
+        self.iface.enable_interrupts()
 
     def _isr(self):
         """The receive interrupt: the S/NET's one timed fifo drain."""

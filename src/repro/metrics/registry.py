@@ -171,6 +171,14 @@ class Histogram:
         }
 
 
+#: The ``(name, ())`` key of each unlabelled metric name, shared by
+#: every registry: a 1024-endpoint fabric has 5,120 registries (one per
+#: link and interface) of the same few names.  Bounded by the metric
+#: names in the source; labelled keys (arm names, process names) stay
+#: per registry.
+_UNLABELLED_KEYS: dict[str, tuple[str, Labels]] = {}
+
+
 def _render_key(name: str, labels: Labels) -> str:
     if not labels:
         return name
@@ -188,10 +196,18 @@ class MetricsRegistry:
 
     # -- get-or-create -----------------------------------------------------
     def _get(self, cls, name: str, labels: Labels, **kwargs):
-        key = (name, tuple(labels))
+        if labels:
+            labels = tuple(labels)
+            key = (name, labels)
+        else:
+            # An unlabelled key is the same tuple in every registry.
+            key = _UNLABELLED_KEYS.get(name)
+            if key is None:
+                key = _UNLABELLED_KEYS[name] = (name, ())
+            labels = key[1]
         metric = self._metrics.get(key)
         if metric is None:
-            metric = cls(name, tuple(labels), **kwargs)
+            metric = cls(name, labels, **kwargs)
             self._metrics[key] = metric
         elif not isinstance(metric, cls):
             raise TypeError(

@@ -36,7 +36,8 @@ _new_event = Event.__new__
 # stay a few entries deep (``hpc.max_queue_depth`` is at most 6 on the
 # benchmark workloads), where the O(n) shift costs nothing measurable,
 # and an empty list is 56 bytes against a deque's 760: a 1024-endpoint
-# fabric holds some 28,000 of these FIFOs.
+# fabric holds 4,096 semaphores, stores and links each, some 20,500 of
+# these FIFOs.  The classes are slotted for the same reason.
 
 
 class Semaphore:
@@ -46,6 +47,8 @@ class Semaphore:
     ``release()`` returns units.  FIFO ordering keeps simulations
     deterministic and models the paper's fair hardware scheduling.
     """
+
+    __slots__ = ("sim", "_value", "_waiters")
 
     def __init__(self, sim: "Simulator", value: int = 1) -> None:
         if value < 0:
@@ -109,6 +112,8 @@ class Semaphore:
 class Resource(Semaphore):
     """A semaphore whose units represent identical servers (e.g. a bus)."""
 
+    __slots__ = ("capacity",)
+
     def __init__(self, sim: "Simulator", capacity: int = 1) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
@@ -127,6 +132,8 @@ class Store:
     ``capacity`` may be ``None`` for an unbounded store.  Used for message
     queues, hardware fifos measured in messages, and ready lists.
     """
+
+    __slots__ = ("sim", "capacity", "_items", "_getters", "_putters")
 
     def __init__(self, sim: "Simulator", capacity: Optional[int] = None) -> None:
         if capacity is not None and capacity < 1:

@@ -42,6 +42,8 @@ class SNetInterface:
             costs.snet_fifo_bytes, costs.snet_header_bytes, metrics=self.metrics
         )
         self._rx_interrupt: Optional[Callable[[], None]] = None
+        #: Whether a deposit raises the receive interrupt; change it
+        #: with :meth:`enable_interrupts`/:meth:`disable_interrupts`.
         self.interrupts_enabled = True
         self._m_sent = self.metrics.counter("nic.packets_sent")
         self._m_rejected = self.metrics.counter("nic.sends_rejected")
@@ -105,6 +107,17 @@ class SNetInterface:
     # -- receive ------------------------------------------------------------
     def set_rx_interrupt(self, handler: Optional[Callable[[], None]]) -> None:
         self._rx_interrupt = handler
+
+    def disable_interrupts(self) -> None:
+        """Mask the receive interrupt: deposits accumulate in the fifo."""
+        self.interrupts_enabled = False
+
+    def enable_interrupts(self) -> None:
+        """Unmask the receive interrupt.  A backlog that arrived while
+        masked raises it at once: no later arrival may ever come."""
+        self.interrupts_enabled = True
+        if self.fifo.depth > 0 and self._rx_interrupt is not None:
+            self._rx_interrupt()
 
     def notify_delivery(self) -> None:
         """Called by the bus after any deposit (full or partial)."""

@@ -215,10 +215,12 @@ class Env(KernelEnv):
 
     def disable_interrupts(self) -> None:
         """Switch the interface to polling mode (Section 5)."""
-        self._kernel.iface.interrupts_enabled = False
+        self._kernel.iface.disable_interrupts()
 
     def enable_interrupts(self) -> None:
-        self._kernel.iface.interrupts_enabled = True
+        """Leave polling mode: the kernel drains any backlog that
+        arrived while the interface was masked."""
+        self._kernel.iface.enable_interrupts()
 
     # -- flow-controlled multicast (Section 4.2) ------------------------------------
     def mc_join(self, name: str):

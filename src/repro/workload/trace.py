@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Union
 TRACE_SCHEMA = "workload-trace/v1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestTarget:
     """One fan-out leg of a request."""
 
@@ -37,7 +37,7 @@ class RequestTarget:
     service_us: float   #: simulated service time at the backend
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestRecord:
     """One planned request: arrival instant plus its call graph."""
 

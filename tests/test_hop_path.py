@@ -10,6 +10,9 @@ still report:
   equivalence to them;
 * errors raised inside a hop (a route over an unwired port, a delivery
   without reservation) still surface from ``Simulator.run()``;
+* a ``NO_ROUTE`` byte in a route table reads as no route to every
+  reader (``reachable``, ``route_hops``, ``route_port``, a sent
+  packet), and a cluster has no more ports than a route byte can name;
 * ``run()`` and repeated ``step()`` reach callbacks by different code
   and must give the same schedule;
 * finished processes leave no reference cycles behind;
@@ -35,7 +38,10 @@ from repro.fabric.partition import (
     build_shard_fabric,
     partition_spec,
 )
-from repro.hpc import BufferedInput, Cluster, Link, MessageKind, Packet
+from repro.hpc import (
+    BufferedInput, Cluster, Fabric, Link, MessageKind, Packet,
+)
+from repro.hpc.cluster import NO_ROUTE
 from repro.model.costs import CostModel
 from repro.sim import Event, Handle, Process, Simulator
 from repro.sim.engine import EmptySchedule
@@ -174,7 +180,7 @@ def test_delivery_without_reservation_raises(drive):
 
 def test_route_to_unknown_address_raises():
     sim, fabric = make_fabric()
-    fabric.home_cluster(0).routing[9] = None
+    fabric.home_cluster(0).routing[9] = NO_ROUTE
     send_one(sim, fabric, 0, 9)
     with pytest.raises(KeyError, match="no route to address 9"):
         sim.run()
@@ -182,8 +188,9 @@ def test_route_to_unknown_address_raises():
 
 @pytest.mark.parametrize("dst", [-1, -3, 10**6])
 def test_route_to_out_of_range_address_raises(dst):
-    # The dense route table is a list: a negative address must not wrap
-    # round to the last entries, nor a large one escape as IndexError.
+    # The dense route table is a byte array: a negative address must not
+    # wrap round to the last entries, nor a large one escape as
+    # IndexError.
     sim, fabric = make_fabric()
     cluster = fabric.home_cluster(0)
     message = f"cluster {cluster.cluster_id} has no route to address {dst}"
@@ -192,6 +199,39 @@ def test_route_to_out_of_range_address_raises(dst):
     send_one(sim, fabric, 0, dst)
     with pytest.raises(KeyError, match=message):
         sim.run()
+
+
+def disconnected_fabric():
+    """Two clusters with one endpoint each and no wire between them."""
+    sim = Simulator()
+    fabric = Fabric(sim, CostModel())
+    for _ in range(2):
+        cluster = fabric.add_cluster()
+        fabric.attach(cluster, 0, fabric.new_interface())
+    fabric.build_routes()
+    return sim, fabric
+
+
+def test_disconnected_clusters_have_no_route():
+    sim, fabric = disconnected_fabric()
+    cluster = fabric.home_cluster(0)
+    assert bytes(cluster.routing) == bytes([0, NO_ROUTE])
+    assert fabric.reachable(0, 0)
+    assert not fabric.reachable(0, 1)
+    with pytest.raises(ValueError, match="no route from address 0"):
+        fabric.route_hops(0, 1)
+    message = f"cluster {cluster.cluster_id} has no route to address 1"
+    with pytest.raises(KeyError, match=message):
+        cluster.route_port(1)
+    send_one(sim, fabric, 0, 1)
+    with pytest.raises(KeyError, match=message):
+        sim.run()
+
+
+def test_cluster_port_count_fits_a_route_byte():
+    assert Cluster(Simulator(), CostModel(), 0, n_ports=NO_ROUTE).n_ports == 255
+    with pytest.raises(ValueError, match="at most 255 ports, got 256"):
+        Cluster(Simulator(), CostModel(), 0, n_ports=256)
 
 
 # ---------------------------------------------------------------------------

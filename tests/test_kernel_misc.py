@@ -101,3 +101,30 @@ def test_dispatch_out_of_band():
 def test_kernel_repr():
     system = VorxSystem(n_nodes=1)
     assert "node0" in repr(system.node(0))
+
+
+@pytest.mark.parametrize("masked_us", [100.0, 2_000.0])
+def test_unmasking_drains_a_backlog_that_arrived_while_masked(masked_us):
+    """A message that lands while the receiver is masked is read once it
+    unmasks, however long the mask lasted: no later arrival is needed
+    to raise the interrupt."""
+    system = VorxSystem(n_nodes=2)
+    done = {}
+
+    def receiver(env):
+        ch = yield from env.open("backlog")
+        env.disable_interrupts()
+        yield from env.compute(masked_us)
+        env.enable_interrupts()
+        done["read"] = yield from env.read(ch)
+
+    def sender(env):
+        ch = yield from env.open("backlog")
+        yield from env.write(ch, 100, payload="x")
+        done["written"] = True
+
+    system.spawn(0, receiver)
+    system.spawn(1, sender)
+    system.run()
+    assert done == {"read": (100, "x"), "written": True}
+    assert system.node(0).iface.rx_pending == 0

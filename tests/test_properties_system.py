@@ -2,6 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
+from repro.hpc.cluster import NO_ROUTE
 from repro.hpc.message import MessageKind, Packet
 from repro.model import DEFAULT_COSTS
 from repro.sim import Simulator
@@ -87,10 +88,10 @@ def test_hypercube_routes_are_shortest(n_clusters):
     # Walk the routing tables and count cluster hops per destination.
     for src_cluster in range(n_clusters):
         cluster = fabric.clusters[src_cluster]
-        # A connected hypercube routes every address: no ``None`` hole.
+        # A connected hypercube routes every address: no ``NO_ROUTE`` hole.
         assert len(cluster.routing) == len(fabric.attachments)
         for dst_addr, first_port in enumerate(cluster.routing):
-            assert first_port is not None
+            assert first_port != NO_ROUTE
             home = fabric.attachments[dst_addr][0]
             hops = 0
             at = src_cluster

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import create_fabric
 from repro.model import DEFAULT_COSTS
 from repro.sim import Simulator
 from repro.hpc.message import Packet, MessageKind
@@ -148,3 +149,34 @@ def test_wrong_source_rejected():
     p = sim.process(sender())
     with pytest.raises(ValueError, match="src"):
         sim.run(until=p)
+
+
+def test_unmasking_a_bare_endpoint_drains_its_backlog():
+    """Two messages sent to a masked endpoint of the bare fabric are
+    delivered once it unmasks, though nothing arrives after that."""
+    sim = Simulator()
+    fabric = create_fabric("snet", sim, DEFAULT_COSTS, n_endpoints=2)
+    receiver_iface = fabric.iface(0)
+    receiver_iface.disable_interrupts()
+    received = []
+
+    def sender():
+        for i in range(2):
+            message = packet(1, 0, 100)
+            message.payload = i
+            yield from fabric.send(1, message)
+
+    def unmask():
+        yield sim.timeout(1_000.0)
+        receiver_iface.enable_interrupts()
+
+    def receiver():
+        for _ in range(2):
+            message = yield from fabric.recv(0)
+            received.append(message.payload)
+
+    for program in (sender, unmask, receiver):
+        sim.process(program())
+    sim.run()
+    assert received == [0, 1]
+    assert receiver_iface.fifo.depth == 0
